@@ -1,4 +1,4 @@
-"""Command-line surface: search, train, eval, simulate-array, export, actualize.
+"""Command-line surface: search, train, eval, simulate-array, export, actualize, compact.
 
 Every command exits 0 only on success and writes diagnostics to stderr.
 """
@@ -17,7 +17,7 @@ import numpy as np
 from . import dataset as ds
 from . import engine, hwmodel, nnsim, sysarray
 from .config import ConfigError, EcadConfig, HwConfig, parse_config
-from .dispatch import Dispatcher, InProcessEndpoint, serve_stdio
+from .dispatch import Dispatcher, Worker
 from .genome import NetworkDescription
 from .store import DB_FILENAME, EcadDb, StoreError
 from .workers import make_hwdb_worker, make_phys_stub, make_sim_worker
@@ -39,8 +39,7 @@ def _load_description(path: str | Path) -> NetworkDescription:
         raise CliError(f"cannot load network description {path}: {exc}") from exc
 
 
-def _resolve_dataset(mnist_dir: str | None, train_subset: int | None,
-                     quiet: bool = False) -> ds.Dataset:
+def _resolve_dataset(mnist_dir: str | None, train_subset: int | None) -> ds.Dataset:
     """Real MNIST when available (flag, env var, or ./data/mnist), else synthetic."""
     candidates = [mnist_dir, os.environ.get("ECAD_MNIST_DIR"), "data/mnist"]
     for cand in candidates:
@@ -50,25 +49,23 @@ def _resolve_dataset(mnist_dir: str | None, train_subset: int | None,
     else:
         if mnist_dir:
             raise CliError(f"MNIST directory not found: {mnist_dir}")
-        if not quiet:
-            print("note: no MNIST IDX files found, using the synthetic stand-in dataset",
-                  file=sys.stderr)
+        print("note: no MNIST IDX files found, using the synthetic stand-in dataset",
+              file=sys.stderr)
         data = ds.synthetic_mnist(seed=0)
     return data if train_subset is None else data.subset(train_subset)
 
 
-def _build_dispatcher(cfg: EcadConfig, seed: int, mnist_dir: str | None,
+def _build_dispatcher(cfg: EcadConfig, mnist_dir: str | None,
                       train_subset: int | None) -> Dispatcher:
-    dispatcher = Dispatcher()
+    workers: dict[str, Worker] = {}
     for et in cfg.pop.active_eval_types():
         if et.type == "hwDBJob":
-            dispatcher.register(InProcessEndpoint("hwDBJob", make_hwdb_worker(cfg.hw)))
+            workers["hwDBJob"] = make_hwdb_worker(cfg.hw)
         elif et.type == "simJob":
-            data = _resolve_dataset(mnist_dir, train_subset)
-            dispatcher.register(InProcessEndpoint("simJob", make_sim_worker(data, base_seed=seed)))
+            workers["simJob"] = make_sim_worker(_resolve_dataset(mnist_dir, train_subset))
         elif et.type == "physJob":
-            dispatcher.register(InProcessEndpoint("physJob", make_phys_stub()))
-    return dispatcher
+            workers["physJob"] = make_phys_stub()
+    return Dispatcher(workers)
 
 
 # --- commands --------------------------------------------------------------------
@@ -81,9 +78,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     if db_path.exists():
         db_path.unlink()   # each search run produces a fresh database
     store = EcadDb(db_path)
-    dispatcher = _build_dispatcher(cfg, args.seed, args.mnist_dir, args.train_subset)
-    with dispatcher:
-        report, _ = engine.run(cfg, dispatcher, store=store, seed=args.seed)
+    dispatcher = _build_dispatcher(cfg, args.mnist_dir, args.train_subset)
+    report, _ = engine.run(cfg, dispatcher, store=store, seed=args.seed)
 
     (out_dir / "report.json").write_text(
         json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8")
@@ -194,21 +190,6 @@ def cmd_compact(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_worker(args: argparse.Namespace) -> int:
-    if args.eval_type == "hwDBJob":
-        hw = parse_config(args.config).hw if args.config else DEFAULT_HW
-        worker = make_hwdb_worker(hw)
-    elif args.eval_type == "simJob":
-        data = _resolve_dataset(args.mnist_dir, args.train_subset, quiet=True)
-        worker = make_sim_worker(data, base_seed=args.seed)
-    elif args.eval_type == "physJob":
-        worker = make_phys_stub()
-    else:
-        raise CliError(f"unknown eval type '{args.eval_type}'")
-    serve_stdio(worker)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ecad",
                                      description="evolutionary NN/hardware co-design search")
@@ -268,14 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compact", help="keep only the latest record per genome")
     p.add_argument("db")
     p.set_defaults(func=cmd_compact)
-
-    p = sub.add_parser("worker", help="serve one worker over stdin/stdout (JSON lines)")
-    p.add_argument("--eval-type", required=True, choices=["simJob", "hwDBJob", "physJob"])
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mnist-dir", default=None)
-    p.add_argument("--train-subset", type=int, default=None)
-    p.set_defaults(func=cmd_worker)
 
     return parser
 

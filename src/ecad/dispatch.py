@@ -1,32 +1,18 @@
-"""Master/worker job distribution.
+"""Routing of evaluation jobs to fitness workers.
 
-Jobs are routed to typed worker endpoints and matched back to genomes by id,
-never by arrival order. Dispatch is at-least-once: crashed or timed-out jobs
-are requeued and duplicate deliveries are deduplicated by job id, so every
-job produces exactly one terminal result (ok or failed).
-
-Two transports implement the same contract: an in-process worker pool
-(default) and one JSON object per line over a pipe or socket stream.
+Each eval type maps to one worker callable in this process. A job runs once,
+in job order, and yields exactly one result (ok or failed); results carry the
+genome id, so the engine matches them to genomes by id. A worker that raises
+fails only its own job. Workers are deterministic, so a failed job is not
+retried: a retry would repeat the same exception.
 """
 
 from __future__ import annotations
 
-import json
-import statistics
-import subprocess
-import sys
-import threading
-import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, IO, Iterable
+from typing import Any, Callable
 
 from .genome import NetworkDescription
-
-DEFAULT_MAX_RETRIES = 2
-TIMEOUT_FLOOR_S = 30.0
-TIMEOUT_MEDIAN_FACTOR = 10.0
 
 
 class DispatchError(RuntimeError):
@@ -40,25 +26,6 @@ class EvalJob:
     eval_type: str
     network: NetworkDescription
     params: dict[str, Any] = field(default_factory=dict)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "genome_id": self.genome_id,
-            "eval_type": self.eval_type,
-            "network": self.network.to_json(),
-            "params": self.params,
-        }
-
-    @classmethod
-    def from_json(cls, raw: dict[str, Any]) -> "EvalJob":
-        return cls(
-            job_id=int(raw["job_id"]),
-            genome_id=int(raw["genome_id"]),
-            eval_type=str(raw["eval_type"]),
-            network=NetworkDescription.from_json(raw["network"]),
-            params=dict(raw.get("params", {})),
-        )
 
 
 @dataclass(frozen=True)
@@ -74,27 +41,6 @@ class EvalResult:
     def ok(self) -> bool:
         return self.status == "ok"
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "genome_id": self.genome_id,
-            "eval_type": self.eval_type,
-            "metrics": self.metrics,
-            "status": self.status,
-            "diagnostics": self.diagnostics,
-        }
-
-    @classmethod
-    def from_json(cls, raw: dict[str, Any]) -> "EvalResult":
-        return cls(
-            job_id=int(raw["job_id"]),
-            genome_id=int(raw["genome_id"]),
-            eval_type=str(raw["eval_type"]),
-            metrics={k: float(v) for k, v in raw.get("metrics", {}).items()},
-            status=str(raw.get("status", "ok")),
-            diagnostics=str(raw.get("diagnostics", "")),
-        )
-
 
 Worker = Callable[[EvalJob], EvalResult]
 
@@ -104,257 +50,24 @@ def failed_result(job: EvalJob, diagnostics: str) -> EvalResult:
                       eval_type=job.eval_type, status="failed", diagnostics=diagnostics)
 
 
-class ResultCollector:
-    """Deduplicates terminal results by job id; first delivery wins."""
-
-    def __init__(self) -> None:
-        self._results: dict[int, EvalResult] = {}
-        self.duplicates = 0
-
-    def offer(self, result: EvalResult) -> bool:
-        if result.job_id in self._results:
-            self.duplicates += 1
-            return False
-        self._results[result.job_id] = result
-        return True
-
-    def __len__(self) -> int:
-        return len(self._results)
-
-    def in_order_of(self, jobs: Iterable[EvalJob]) -> list[EvalResult]:
-        return [self._results[j.job_id] for j in jobs]
-
-
-# --- wire format (process mode): one JSON object per line, UTF-8 ----------------
-
-def encode_line(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-def write_message(stream: IO[str], doc: dict[str, Any]) -> None:
-    stream.write(encode_line(doc))
-    stream.flush()
-
-
-def read_message(stream: IO[str]) -> dict[str, Any] | None:
-    line = stream.readline()
-    if not line:
-        return None
-    return json.loads(line)
-
-
-def serve_stream(worker: Worker, rfile: IO[str], wfile: IO[str]) -> None:
-    """Worker loop: read EvalJobs line by line, write one EvalResult each."""
-    while True:
-        raw = read_message(rfile)
-        if raw is None:
-            return
-        job = EvalJob.from_json(raw)
-        try:
-            result = worker(job)
-        except Exception as exc:  # noqa: BLE001 - worker faults become failed results
-            result = failed_result(job, f"{type(exc).__name__}: {exc}")
-        write_message(wfile, result.to_json())
-
-
-def serve_stdio(worker: Worker) -> None:
-    serve_stream(worker, sys.stdin, sys.stdout)
-
-
-# --- endpoints -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WorkerEndpoint:
-    """Descriptor of one endpoint: which objective it serves and how."""
-
-    eval_type: str
-    transport: str            # "in-process" | "process"
-    slots: int = 1
-
-
-class InProcessEndpoint:
-    """Pool of worker callables running in this process.
-
-    A worker exception counts as a crash and the job is retried (possibly on
-    another slot); a returned failed result is terminal.
-    """
-
-    def __init__(self, eval_type: str, workers: list[Worker] | Worker,
-                 max_retries: int = DEFAULT_MAX_RETRIES, parallel: bool = False) -> None:
-        self.eval_type = eval_type
-        self.workers = workers if isinstance(workers, list) else [workers]
-        self.max_retries = max_retries
-        self.parallel = parallel
-        self._next_slot = 0
-
-    @property
-    def descriptor(self) -> WorkerEndpoint:
-        return WorkerEndpoint(self.eval_type, "in-process", len(self.workers))
-
-    def _attempt(self, job: EvalJob) -> EvalResult:
-        last_error = "no attempt made"
-        for attempt in range(1 + self.max_retries):
-            worker = self.workers[self._next_slot % len(self.workers)]
-            self._next_slot += 1
-            try:
-                return worker(job)
-            except Exception as exc:  # noqa: BLE001 - crash -> requeue
-                last_error = f"attempt {attempt + 1}: {type(exc).__name__}: {exc}"
-        return failed_result(job, f"retries exhausted; {last_error}")
-
-    def submit_all(self, jobs: list[EvalJob]) -> list[EvalResult]:
-        if not self.parallel or len(self.workers) == 1:
-            return [self._attempt(job) for job in jobs]
-        with ThreadPoolExecutor(max_workers=len(self.workers)) as pool:
-            return list(pool.map(self._attempt, jobs))
-
-    def close(self) -> None:
-        pass
-
-
-class SubprocessEndpoint:
-    """Workers in separate processes speaking JSON lines over stdin/stdout.
-
-    Jobs that time out or whose process dies are requeued on a fresh process
-    until the retry budget is spent. The timeout adapts to the observed
-    completion times (factor x rolling median, floored).
-    """
-
-    def __init__(self, eval_type: str, command: list[str], slots: int = 1,
-                 max_retries: int = DEFAULT_MAX_RETRIES,
-                 timeout_floor: float = TIMEOUT_FLOOR_S) -> None:
-        self.eval_type = eval_type
-        self.command = list(command)
-        self.slots = slots
-        self.max_retries = max_retries
-        self.timeout_floor = timeout_floor
-        self._durations: deque[float] = deque(maxlen=64)
-        self._procs: list[subprocess.Popen | None] = [None] * slots
-        self._lock = threading.Lock()
-
-    @property
-    def descriptor(self) -> WorkerEndpoint:
-        return WorkerEndpoint(self.eval_type, "process", self.slots)
-
-    def _timeout(self) -> float:
-        if not self._durations:
-            return self.timeout_floor
-        return max(self.timeout_floor, TIMEOUT_MEDIAN_FACTOR * statistics.median(self._durations))
-
-    def _proc(self, slot: int) -> subprocess.Popen:
-        proc = self._procs[slot]
-        if proc is None or proc.poll() is not None:
-            proc = subprocess.Popen(
-                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                text=True, bufsize=1,
-            )
-            self._procs[slot] = proc
-        return proc
-
-    def _kill(self, slot: int) -> None:
-        proc = self._procs[slot]
-        if proc is not None:
-            proc.kill()
-            proc.wait()
-        self._procs[slot] = None
-
-    def _roundtrip(self, slot: int, job: EvalJob) -> EvalResult:
-        proc = self._proc(slot)
-        write_message(proc.stdin, job.to_json())
-        reply: dict[str, Any] | None = None
-        error: list[BaseException] = []
-
-        def _read() -> None:
-            nonlocal reply
-            try:
-                reply = read_message(proc.stdout)
-            except Exception as exc:  # noqa: BLE001
-                error.append(exc)
-
-        reader = threading.Thread(target=_read, daemon=True)
-        started = time.perf_counter()
-        reader.start()
-        reader.join(self._timeout())
-        if reader.is_alive():
-            self._kill(slot)
-            reader.join(1.0)
-            raise TimeoutError(f"job {job.job_id} timed out after {self._timeout():.1f}s")
-        if error or reply is None:
-            self._kill(slot)
-            raise DispatchError(f"worker process died on job {job.job_id}")
-        self._durations.append(time.perf_counter() - started)
-        return EvalResult.from_json(reply)
-
-    def _attempt(self, slot: int, job: EvalJob) -> EvalResult:
-        last_error = "no attempt made"
-        for attempt in range(1 + self.max_retries):
-            try:
-                return self._roundtrip(slot, job)
-            except (TimeoutError, DispatchError, OSError, ValueError) as exc:
-                last_error = f"attempt {attempt + 1}: {exc}"
-        return failed_result(job, f"retries exhausted; {last_error}")
-
-    def submit_all(self, jobs: list[EvalJob]) -> list[EvalResult]:
-        if self.slots == 1:
-            return [self._attempt(0, job) for job in jobs]
-        results: list[EvalResult | None] = [None] * len(jobs)
-        pending = deque(enumerate(jobs))
-        free = deque(range(self.slots))
-        with ThreadPoolExecutor(max_workers=self.slots) as pool:
-            futures = {}
-            while pending or futures:
-                while pending and free:
-                    idx, job = pending.popleft()
-                    slot = free.popleft()
-                    futures[pool.submit(self._attempt, slot, job)] = (idx, slot)
-                done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-                for fut in done:
-                    idx, slot = futures.pop(fut)
-                    results[idx] = fut.result()
-                    free.append(slot)
-        return results  # type: ignore[return-value]
-
-    def close(self) -> None:
-        for slot in range(self.slots):
-            proc = self._procs[slot]
-            if proc is not None and proc.poll() is None:
-                proc.stdin.close()
-                try:
-                    proc.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-            self._procs[slot] = None
-
-
 class Dispatcher:
-    """Routes jobs to endpoints by eval type and collects deduplicated results."""
+    """Runs each job on the worker registered for its eval type."""
 
-    def __init__(self, endpoints: dict[str, Any] | None = None) -> None:
-        self.endpoints: dict[str, Any] = dict(endpoints or {})
-
-    def register(self, endpoint: Any) -> None:
-        self.endpoints[endpoint.eval_type] = endpoint
+    def __init__(self, workers: dict[str, Worker]) -> None:
+        self.workers = dict(workers)
 
     def dispatch_all(self, jobs: list[EvalJob]) -> list[EvalResult]:
-        """One terminal result per job, returned in job order."""
-        for job in jobs:
-            if job.eval_type not in self.endpoints:
-                raise DispatchError(f"no endpoint registered for eval type '{job.eval_type}'")
-        collector = ResultCollector()
-        by_type: dict[str, list[EvalJob]] = {}
-        for job in jobs:
-            by_type.setdefault(job.eval_type, []).append(job)
-        for eval_type, batch in by_type.items():
-            for result in self.endpoints[eval_type].submit_all(batch):
-                collector.offer(result)
-        return collector.in_order_of(jobs)
+        """One result per job, in job order.
 
-    def close(self) -> None:
-        for endpoint in self.endpoints.values():
-            endpoint.close()
+        Raises DispatchError before any job runs if an eval type has no worker.
+        """
+        missing = sorted({job.eval_type for job in jobs} - self.workers.keys())
+        if missing:
+            raise DispatchError(f"no worker registered for eval type(s): {', '.join(missing)}")
+        return [self._run(job) for job in jobs]
 
-    def __enter__(self) -> "Dispatcher":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+    def _run(self, job: EvalJob) -> EvalResult:
+        try:
+            return self.workers[job.eval_type](job)
+        except Exception as exc:  # noqa: BLE001 - a worker fault fails only its own job
+            return failed_result(job, f"{type(exc).__name__}: {exc}")

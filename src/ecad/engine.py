@@ -75,9 +75,8 @@ class SearchReport:
 class Population:
     """Owned by the engine; maps genome id to member state."""
 
-    def __init__(self, rng: random.Random) -> None:
+    def __init__(self) -> None:
         self.members: dict[int, Member] = {}
-        self.rng = rng
         self.generation = 0
         self.next_id = 0
 
@@ -98,14 +97,6 @@ class Population:
     def ranked(self) -> list[Member]:
         """Scored members, best combined first, older id winning ties."""
         return sorted(self.scored_members(), key=lambda m: (-m.combined, m.genome.id))
-
-
-def select_parents(pop: Population, k: int) -> list[NetworkGenome]:
-    """The k best evaluated genomes (ties to the older id)."""
-    ranked = pop.ranked()
-    if len(ranked) < k:
-        raise EngineError(f"need {k} evaluated members, have {len(ranked)}")
-    return [m.genome for m in ranked[:k]]
 
 
 def _genome_summary(member: Member) -> dict[str, Any]:
@@ -137,7 +128,7 @@ def run(
         raise EngineError("config has no active eval types")
 
     rng = random.Random(seed)
-    pop = Population(rng)
+    pop = Population()
     next_job_id = 0
 
     for _ in range(cfg.pop.initial_pop_size):

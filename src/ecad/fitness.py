@@ -88,7 +88,3 @@ class ScoreCard:
             scores={k: float(v) for k, v in raw.get("scores", {}).items()},
             failed=dict(raw.get("failed", {})),
         )
-
-
-def combine(card: ScoreCard, pop: PopConfig) -> float:
-    return card.combined(pop)

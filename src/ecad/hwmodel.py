@@ -193,7 +193,6 @@ class HwEstimate:
     latency_ms: float
     dsp_est: float
     mem_kb_est: float
-    alm_est: float
     feasible: bool
     layers: tuple[LayerTiming, ...] = ()
 
@@ -267,7 +266,6 @@ def estimate(
         latency_ms=latency_s * 1e3,
         dsp_est=dsp_est,
         mem_kb_est=mem_kb_est,
-        alm_est=0.0,
         feasible=feasible,
         layers=tuple(timings),
     )

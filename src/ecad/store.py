@@ -3,14 +3,19 @@
 One JSON object per line; records are never mutated (re-evaluation appends a
 new record). The search engine stamps records with a logical sequence number
 so fixed-seed reruns produce byte-identical files.
+
+A crash during an append can leave a last line without its newline. Readers
+skip that torn line and the next append cuts it off before writing; a corrupt
+line anywhere else raises StoreError.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, BinaryIO, Iterator
 
 from .fitness import ScoreCard
 from .genome import NetworkGenome, to_description
@@ -50,6 +55,18 @@ class DbRecord:
         )
 
 
+def _cut_torn_tail(fh: BinaryIO) -> None:
+    """Truncate a last line that lacks its newline, so appends start on a clean line."""
+    end = fh.seek(0, os.SEEK_END)
+    if end == 0:
+        return
+    fh.seek(end - 1)
+    if fh.read(1) == b"\n":
+        return
+    fh.seek(0)
+    fh.truncate(fh.read().rfind(b"\n") + 1)
+
+
 class EcadDb:
     """Single-writer append-only store; readers may scan concurrently."""
 
@@ -61,9 +78,11 @@ class EcadDb:
                combined: float) -> DbRecord:
         rec = DbRecord(genome=genome, card=card, generation=generation,
                        combined=combined, seq=self._seq)
+        line = json.dumps(rec.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec.to_json(), sort_keys=True, separators=(",", ":")) + "\n")
+        with open(self.path, "a+b") as fh:
+            _cut_torn_tail(fh)
+            fh.write(line.encode("utf-8"))
             fh.flush()
         self._seq += 1
         return rec
@@ -72,10 +91,16 @@ class EcadDb:
         if not self.path.exists():
             return
         with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield DbRecord.from_json(json.loads(line))
+            for lineno, line in enumerate(fh, start=1):
+                if not line.endswith("\n"):
+                    return   # torn tail of an interrupted append
+                if not line.strip():
+                    continue
+                try:
+                    rec = DbRecord.from_json(json.loads(line))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise StoreError(f"{self.path}:{lineno}: corrupt record: {exc}") from exc
+                yield rec
 
     def top(self, k: int) -> list[DbRecord]:
         """Best k records by combined score, ties broken by older genome id.

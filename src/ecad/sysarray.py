@@ -65,13 +65,10 @@ def block_pack(a: np.ndarray, block_rows: int, block_cols: int,
     r, c = stored.shape
     rb = -(-r // block_rows)
     cb = -(-c // block_cols)
-    data = np.zeros((rb, cb, block_rows, block_cols), dtype=np.float32)
     padded = np.zeros((rb * block_rows, cb * block_cols), dtype=np.float32)
     padded[:r, :c] = stored
-    for i in range(rb):
-        for j in range(cb):
-            data[i, j] = padded[i * block_rows:(i + 1) * block_rows,
-                                j * block_cols:(j + 1) * block_cols]
+    data = np.ascontiguousarray(
+        padded.reshape(rb, block_rows, cb, block_cols).transpose(0, 2, 1, 3))
     return BlockedMatrix(rows=logical_rows, cols=logical_cols,
                          block_rows=block_rows, block_cols=block_cols,
                          data=data, transposed=transposed)
@@ -139,7 +136,6 @@ class _GlobalDrain:
 
     def __init__(self) -> None:
         self.bias_cache: np.ndarray | None = None
-        self.pending: int = 0
 
     def prefetch_bias(self, bias: np.ndarray | None, lo: int, width: int) -> None:
         cache = np.zeros(width, dtype=np.float32)
@@ -157,7 +153,6 @@ class _GlobalDrain:
         h, w = block.shape
         out[row0:row0 + h, col0:col0 + w] = result
         stats.drain_elements += h * w
-        self.pending = 0
 
 
 class ArrayState:
@@ -183,11 +178,10 @@ class ArrayState:
 
 
 def simulate_flush(state: ArrayState) -> ArrayState:
-    """Zero all accumulators and caches; emit any pending drain data. Idempotent."""
+    """Zero all accumulators and caches. Idempotent."""
     state.reset_accumulators()
     state.a_chain.clear()
     state.b_chain.clear()
-    state.drain.pending = 0
     state.stats.flush_events += 1
     return state
 
@@ -250,7 +244,6 @@ def simulate_layer(
                 stats.a_blocks += 1
                 stats.b_blocks += 1
             # output sequence: the bank drains through OMods to the global drain
-            state.drain.pending = bh * bw
             state.drain.emit(state.bank_grid().copy(), out, bi * bh, bj * bw, relu, stats)
             state.reset_accumulators()
 

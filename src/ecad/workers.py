@@ -3,17 +3,14 @@ canned-metric stub behind the common job-in/result-out interface."""
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .config import HwConfig
 from .dataset import Dataset
-from .dispatch import EvalJob, EvalResult, failed_result
-from .hwmodel import ModelError, ResourceModel, SystolicConfig, estimate
+from .dispatch import EvalJob, EvalResult, Worker, failed_result
+from .hwmodel import ModelError, SystolicConfig, estimate
 from .nnsim import TrainingDiverged, train
 
 
-def make_hwdb_worker(hw: HwConfig, resources: ResourceModel = ResourceModel(),
-                     screen_feasibility: bool = True) -> Callable[[EvalJob], EvalResult]:
+def make_hwdb_worker(hw: HwConfig) -> Worker:
     """Analytical-model worker: returns the five hardware metrics.
 
     Configurations that fail the resource screen come back as failed results,
@@ -26,10 +23,10 @@ def make_hwdb_worker(hw: HwConfig, resources: ResourceModel = ResourceModel(),
             return failed_result(job, "network description has no systolic configuration")
         try:
             cfg = SystolicConfig.from_desc(desc.systolic, freq_mhz=hw.freq)
-            est = estimate(desc, cfg, hw, resources)
+            est = estimate(desc, cfg, hw)
         except ModelError as exc:
             return failed_result(job, str(exc))
-        if screen_feasibility and not est.feasible:
+        if not est.feasible:
             return EvalResult(
                 job_id=job.job_id, genome_id=job.genome_id, eval_type=job.eval_type,
                 metrics=est.metrics(), status="failed",
@@ -42,23 +39,18 @@ def make_hwdb_worker(hw: HwConfig, resources: ResourceModel = ResourceModel(),
     return worker
 
 
-def make_sim_worker(data: Dataset, base_seed: int = 0,
-                    train_subset: int | None = None) -> Callable[[EvalJob], EvalResult]:
+def make_sim_worker(data: Dataset) -> Worker:
     """Trainer worker: trains the described network and reports test accuracy.
 
-    The training seed derives from the genome id so results are reproducible
-    and independent of evaluation order. ``train_subset`` caps the training
-    rows for desk-scale runs.
+    The job's params give the epochs, the training batch size and the seed;
+    the engine sets all three, so a result depends only on the job.
     """
-    train_data = data if train_subset is None else data.subset(train_subset)
 
     def worker(job: EvalJob) -> EvalResult:
-        epochs = int(job.params.get("epochs", 1))
-        batch_size = int(job.params.get("batchSize", job.network.batch))
-        seed = int(job.params.get("seed", base_seed * 1_000_003 + job.genome_id))
         try:
-            _, report = train(job.network, train_data, epochs=epochs,
-                              batch_size=batch_size, seed=seed)
+            _, report = train(job.network, data, epochs=int(job.params["epochs"]),
+                              batch_size=int(job.params["batchSize"]),
+                              seed=int(job.params["seed"]))
         except TrainingDiverged as exc:
             return failed_result(job, str(exc))
         return EvalResult(
@@ -70,16 +62,15 @@ def make_sim_worker(data: Dataset, base_seed: int = 0,
     return worker
 
 
-def make_phys_stub(metrics: dict[str, float] | None = None) -> Callable[[EvalJob], EvalResult]:
-    """Stub for the hardware-compile worker: echoes canned metrics.
+def make_phys_stub() -> Worker:
+    """Stub for the hardware-compile worker: reports ``phys_metric`` 0.0.
 
-    Keeps the protocol path testable; the real synthesis backend is a
-    separate deployment concern.
+    Lets a config activate physJob without a synthesis backend; the real
+    backend is a separate deployment concern.
     """
-    canned = dict(metrics or {"phys_metric": 0.0})
 
     def worker(job: EvalJob) -> EvalResult:
         return EvalResult(job_id=job.job_id, genome_id=job.genome_id,
-                          eval_type=job.eval_type, metrics=dict(canned))
+                          eval_type=job.eval_type, metrics={"phys_metric": 0.0})
 
     return worker

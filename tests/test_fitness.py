@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ecad.config import EvalTypeConfig, PopConfig
-from ecad.fitness import ScoreCard, combine, normalize
+from ecad.fitness import ScoreCard, normalize
 
 
 def et(type="hwDBJob", weight=1.0, min_value=0.0, max_value=1000.0, active=True,
@@ -67,20 +67,20 @@ class TestCombine:
         card = ScoreCard(genome_id=1)
         card.record(ACCURACY, {"accuracy": 0.942})
         card.record(GOPS, {"effective_gops": 174.0})
-        assert combine(card, pop) == pytest.approx(0.594, abs=1e-12)
+        assert card.combined(pop) == pytest.approx(0.594, abs=1e-12)
 
     def test_single_objective(self):
         pop = pop_with([GOPS])
         card = ScoreCard(genome_id=1)
         card.record(GOPS, {"effective_gops": 250.0})
-        assert combine(card, pop) == pytest.approx(0.25)
+        assert card.combined(pop) == pytest.approx(0.25)
 
     def test_incomplete_card_raises(self):
         pop = pop_with([ACCURACY, GOPS])
         card = ScoreCard(genome_id=1)
         card.record(GOPS, {"effective_gops": 174.0})
         with pytest.raises(ValueError, match="missing"):
-            combine(card, pop)
+            card.combined(pop)
 
     def test_floor_blocks_goal(self):
         # an objective at its floor keeps the combined score below the 2.0 goal
@@ -88,7 +88,7 @@ class TestCombine:
         card = ScoreCard(genome_id=1)
         card.record(ACCURACY, {"accuracy": 0.80})
         card.record(GOPS, {"effective_gops": 1e9})
-        assert combine(card, pop) < pop.fitness_score_goal
+        assert card.combined(pop) < pop.fitness_score_goal
 
     def test_weight_scaling_preserves_ranking(self):
         rng = random.Random(1)
@@ -105,7 +105,7 @@ class TestCombine:
                 card = ScoreCard(genome_id=gid)
                 card.record(ets[0], {"accuracy": rng_local.uniform(0, 1)})
                 card.record(ets[1], {"effective_gops": rng_local.uniform(0, 1000)})
-                combos.append(combine(card, pop))
+                combos.append(card.combined(pop))
             return combos
 
         a, b = scores(base), scores(scaled)
@@ -122,7 +122,7 @@ class TestCombine:
             card = ScoreCard(genome_id=1)
             for e in pop.eval_types:
                 card.record(e, metrics[e.type])
-            combos.append(combine(card, pop))
+            combos.append(card.combined(pop))
         assert combos[0] == combos[1] == combos[2]
 
     def test_inactive_objectives_ignored(self):
@@ -131,7 +131,7 @@ class TestCombine:
         card = ScoreCard(genome_id=1)
         card.record(GOPS, {"effective_gops": 500.0})
         assert card.is_complete(pop)
-        assert combine(card, pop) == pytest.approx(0.5)
+        assert card.combined(pop) == pytest.approx(0.5)
 
 
 class TestScoreCard:
@@ -164,7 +164,7 @@ class TestScoreCard:
         pop = pop_with([phys])
         card = ScoreCard(genome_id=5)
         card.record(phys, {"phys_metric": 0.25})
-        assert combine(card, pop) == pytest.approx(0.25)
+        assert card.combined(pop) == pytest.approx(0.25)
 
     def test_nan_metric_flagged(self):
         card = ScoreCard(genome_id=6)
