@@ -127,6 +127,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate_array(args: argparse.Namespace) -> int:
+    for flag in ("m", "k", "n", "limit"):
+        if getattr(args, flag) < 1:
+            raise CliError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     cfg = hwmodel.SystolicConfig.parse(args.cfg)
     if args.network:
         desc = _load_description(args.network)

@@ -142,31 +142,24 @@ def potential_gops(cfg: SystolicConfig) -> float:
     return 2.0 * cfg.rows * cfg.cols * cfg.vec * cfg.freq_mhz * 1e6 / 1e9
 
 
-@dataclass(frozen=True)
-class ResourceModel:
-    """Calibration knobs for the resource screen; defaults are optimistic."""
-
-    k_dsp: float = 1.0
-    c_dsp: float = 32.0
-    k_mem: float = 1.0
-    c_mem: float = 256.0
+# resource screen calibration (optimistic): a scale factor and a fixed
+# overhead for the DSP count and for the memory estimate in KiB
+K_DSP = 1.0
+C_DSP = 32.0
+K_MEM = 1.0
+C_MEM = 256.0
 
 
-def resource_estimate(
-    cfg: SystolicConfig, hw: HwConfig, model: ResourceModel = ResourceModel()
-) -> tuple[float, float, bool]:
+def resource_estimate(cfg: SystolicConfig, hw: HwConfig) -> tuple[float, float, bool]:
     """(dsp_est, mem_kb_est, feasible) for this configuration on the device budget.
 
     DSP cost scales with the lane count (rows * cols * vec); memory cost with
     the double-buffered block caches along both grid edges, plus a constant
     covering the drain and bias buffers.
     """
-    dsp_est = model.k_dsp * cfg.rows * cfg.cols * cfg.vec + model.c_dsp
+    dsp_est = K_DSP * cfg.rows * cfg.cols * cfg.vec + C_DSP
     cb = cfg.vec * cfg.scale
-    mem_kb_est = (
-        model.k_mem * (cfg.rows + cfg.cols) * 2 * cfg.interleave * cb * 4 / 1024
-        + model.c_mem
-    )
+    mem_kb_est = K_MEM * (cfg.rows + cfg.cols) * 2 * cfg.interleave * cb * 4 / 1024 + C_MEM
     feasible = dsp_est <= hw.dsp and mem_kb_est <= hw.sram
     return dsp_est, mem_kb_est, feasible
 
@@ -223,7 +216,6 @@ def estimate(
     desc: NetworkDescription,
     cfg: SystolicConfig,
     hw: HwConfig,
-    resources: ResourceModel = ResourceModel(),
 ) -> HwEstimate:
     """Model one network on one array configuration (single shared array)."""
     if not desc.layers:
@@ -257,7 +249,7 @@ def estimate(
     first_block_cycles = (last_k_pad // cfg.vec) * cfg.interleave ** 2
     latency_s = math.fsum(t.seconds for t in timings[:-1]) + first_block_cycles / freq_hz
 
-    dsp_est, mem_kb_est, feasible = resource_estimate(cfg, hw, resources)
+    dsp_est, mem_kb_est, feasible = resource_estimate(cfg, hw)
     return HwEstimate(
         total_time_ms=total_s * 1e3,
         potential_gops=potential_gops(cfg),

@@ -72,16 +72,19 @@ class EcadDb:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._seq = sum(1 for _ in self.scan()) if self.path.exists() else 0
+        self._seq: int | None = None   # counted on the first append
 
     def append(self, genome: NetworkGenome, card: ScoreCard, generation: int,
                combined: float) -> DbRecord:
-        rec = DbRecord(genome=genome, card=card, generation=generation,
-                       combined=combined, seq=self._seq)
-        line = json.dumps(rec.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a+b") as fh:
             _cut_torn_tail(fh)
+            if self._seq is None:
+                fh.seek(0)
+                self._seq = sum(1 for raw in fh if raw.strip())
+            rec = DbRecord(genome=genome, card=card, generation=generation,
+                           combined=combined, seq=self._seq)
+            line = json.dumps(rec.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
             fh.write(line.encode("utf-8"))
             fh.flush()
         self._seq += 1

@@ -1,22 +1,23 @@
 """Functional, cycle-counting simulator of the blocked 2D systolic dataflow.
 
-Loaders stream zero-padded matrix blocks through daisy-chained double-buffer
-memory modules into a rows x cols grid of processing elements. Each PE owns
-interleave^2 shift-register accumulators and consumes one vec-wide vector per
-cycle; finished output blocks drain one element per cycle through the output
-modules into a global drain that reorders them into row-major storage and
-applies the optional bias and activation.
+A is packed into zero-padded (rows*interleave) x (vec*scale) blocks and B,
+transposed on the host, into (cols*interleave) x (vec*scale) blocks. One row
+of output blocks (each the interleave^2 accumulator banks of the PE grid)
+advances in lockstep through the common dimension, one vec-wide slice per
+step in (common-block, scale-vector) order; a step costs each block of the
+row interleave^2 cycles. Finished blocks drain one element per cycle, with
+the optional bias and ReLU applied at the drain.
 
-Numerics are single precision with a fixed accumulation order: the vec-wide
+Numerics are float32 in a fixed accumulation order: each step's vec-wide
 products are reduced level-wise over adjacent pairs (an odd trailing element
-passes through to the next level), then the scale vectors of a block and the
-blocks along the common dimension accumulate sequentially. This matches the
-pipelined reduction-tree hardware and makes results bit-reproducible.
+passes through to the next level), then the steps accumulate sequentially.
+This matches the pipelined reduction-tree hardware and makes results
+bit-reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +46,6 @@ class BlockedMatrix:
     block_cols: int
     data: np.ndarray
     transposed: bool = False
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.data[i, j]
 
 
 def block_pack(a: np.ndarray, block_rows: int, block_cols: int,
@@ -86,19 +84,19 @@ def block_unpack(bm: BlockedMatrix) -> np.ndarray:
 # --- fixed-order arithmetic ---------------------------------------------------
 
 def tree_reduce(products: np.ndarray) -> np.ndarray:
-    """Reduce the last axis over adjacent pairs, level by level, in float32."""
+    """Reduce the leading axis over adjacent pairs, level by level, in float32."""
     p = np.asarray(products, dtype=np.float32)
-    while p.shape[-1] > 1:
-        n = p.shape[-1]
+    while p.shape[0] > 1:
+        n = p.shape[0]
         even = n - (n % 2)
-        s = p[..., 0:even:2] + p[..., 1:even:2]
+        s = p[0:even:2] + p[1:even:2]
         if n % 2:
-            s = np.concatenate([s, p[..., -1:]], axis=-1)
+            s = np.concatenate([s, p[-1:]])
         p = s
-    return p[..., 0]
+    return p[0]
 
 
-# --- array state ---------------------------------------------------------------
+# --- layer simulation -----------------------------------------------------------
 
 @dataclass
 class CycleStats:
@@ -106,87 +104,7 @@ class CycleStats:
     a_blocks: int = 0
     b_blocks: int = 0
     drain_elements: int = 0
-    flush_events: int = 0
 
-
-class _MModChain:
-    """Daisy chain of double-buffered block caches along one grid edge."""
-
-    def __init__(self) -> None:
-        self.reading: np.ndarray | None = None
-        self.loading: np.ndarray | None = None
-
-    def load(self, block: np.ndarray) -> None:
-        self.loading = block
-
-    def swap(self) -> np.ndarray:
-        if self.loading is None:
-            raise SimulationError("memory module hand-off without a loaded block")
-        self.reading, self.loading = self.loading, None
-        return self.reading
-
-    def clear(self) -> None:
-        if self.reading is not None:
-            self.reading = np.zeros_like(self.reading)
-        self.loading = None
-
-
-class _GlobalDrain:
-    """Single-element-wide result path: reorders blocks into row-major output."""
-
-    def __init__(self) -> None:
-        self.bias_cache: np.ndarray | None = None
-
-    def prefetch_bias(self, bias: np.ndarray | None, lo: int, width: int) -> None:
-        cache = np.zeros(width, dtype=np.float32)
-        if bias is not None:
-            seg = bias[lo:lo + width]
-            cache[:seg.shape[0]] = seg
-        self.bias_cache = cache
-
-    def emit(self, block: np.ndarray, out: np.ndarray, row0: int, col0: int,
-             relu: bool, stats: CycleStats) -> None:
-        assert self.bias_cache is not None
-        result = block + self.bias_cache[None, :]
-        if relu:
-            result = np.maximum(result, np.float32(0.0))
-        h, w = block.shape
-        out[row0:row0 + h, col0:col0 + w] = result
-        stats.drain_elements += h * w
-
-
-class ArrayState:
-    """Live state of the array: PE accumulator banks, caches, drain."""
-
-    def __init__(self, cfg: SystolicConfig) -> None:
-        self.cfg = cfg
-        i = cfg.interleave
-        # acc[r, ii, c, jj]: PE (r, c) bank slot (ii, jj) -- interleave^2 each
-        self.acc = np.zeros((cfg.rows, i, cfg.cols, i), dtype=np.float32)
-        self.a_chain = _MModChain()
-        self.b_chain = _MModChain()
-        self.drain = _GlobalDrain()
-        self.stats = CycleStats()
-
-    def bank_grid(self) -> np.ndarray:
-        """All PE banks viewed as the (block_height, block_width) output tile."""
-        i = self.cfg.interleave
-        return self.acc.reshape(self.cfg.rows * i, self.cfg.cols * i)
-
-    def reset_accumulators(self) -> None:
-        self.acc.fill(0.0)
-
-
-def simulate_flush(state: ArrayState) -> ArrayState:
-    """Zero all accumulators and caches. Idempotent."""
-    state.reset_accumulators()
-    state.a_chain.clear()
-    state.b_chain.clear()
-    state.stats.flush_events += 1
-    return state
-
-
-# --- layer simulation -----------------------------------------------------------
 
 def simulate_layer(
     a: np.ndarray,
@@ -194,7 +112,6 @@ def simulate_layer(
     cfg: SystolicConfig,
     bias: np.ndarray | None = None,
     relu: bool = False,
-    state: ArrayState | None = None,
 ) -> tuple[np.ndarray, CycleStats]:
     """Run one M x K by K x N GEMM through the array dataflow.
 
@@ -207,54 +124,40 @@ def simulate_layer(
         raise SimulationError(f"shape mismatch: {a.shape} x {b.shape}")
     m, k = a.shape
     n = b.shape[1]
-    if state is None:
-        state = ArrayState(cfg)
-    stats = state.stats
-    start = CycleStats(**vars(stats))
-    interleave = cfg.interleave
+    if min(m, k, n) < 1:
+        raise SimulationError(f"empty GEMM: m={m}, k={k}, n={n}")
     vec, scale = cfg.vec, cfg.scale
-    bh = cfg.rows * interleave
-    bw = cfg.cols * interleave
-    cb = vec * scale
+    bh = cfg.rows * cfg.interleave
+    bw = cfg.cols * cfg.interleave
 
-    packed_a = block_pack(a, bh, cb)
-    packed_b = block_pack(b, bw, cb, transposed=True)
-    mb, kb = packed_a.data.shape[:2]
+    packed_a = block_pack(a, bh, vec * scale)
+    packed_b = block_pack(b, bw, vec * scale, transposed=True)
+    mb, kb, _, cb = packed_a.data.shape
     nb = packed_b.data.shape[0]
-    bias_arr = None if bias is None else np.asarray(bias, dtype=np.float32)
+    # b_cols[kk] is common block kk of B as seen by the whole block row: (cb, nb * bw)
+    b_cols = packed_b.data.transpose(1, 3, 0, 2).reshape(kb, cb, nb * bw)
+    bias_row = np.zeros(nb * bw, dtype=np.float32)
+    if bias is not None:
+        seg = np.asarray(bias, dtype=np.float32)[:nb * bw]
+        bias_row[:seg.shape[0]] = seg
 
+    stats = CycleStats()
     out = np.zeros((mb * bh, nb * bw), dtype=np.float32)
-    slot_cycles = interleave * interleave
-
     for bi in range(mb):
-        for bj in range(nb):
-            state.drain.prefetch_bias(bias_arr, bj * bw, bw)
-            for kk in range(kb):
-                state.a_chain.load(packed_a.block(bi, kk))
-                state.b_chain.load(packed_b.block(bj, kk))
-                a_cur = state.a_chain.swap()            # (bh, cb)
-                b_cur = state.b_chain.swap().T          # (cb, bw)
-                bank = state.bank_grid()
-                for s in range(scale):
-                    va = a_cur[:, s * vec:(s + 1) * vec]            # (bh, vec)
-                    vb = b_cur[s * vec:(s + 1) * vec, :]            # (vec, bw)
-                    products = va[:, None, :] * vb.T[None, :, :]    # (bh, bw, vec)
-                    bank += tree_reduce(products)
-                    stats.compute_cycles += slot_cycles
-                stats.a_blocks += 1
-                stats.b_blocks += 1
-            # output sequence: the bank drains through OMods to the global drain
-            state.drain.emit(state.bank_grid().copy(), out, bi * bh, bj * bw, relu, stats)
-            state.reset_accumulators()
-
-    layer_stats = CycleStats(
-        compute_cycles=stats.compute_cycles - start.compute_cycles,
-        a_blocks=stats.a_blocks - start.a_blocks,
-        b_blocks=stats.b_blocks - start.b_blocks,
-        drain_elements=stats.drain_elements - start.drain_elements,
-        flush_events=stats.flush_events - start.flush_events,
-    )
-    return out[:m, :n].copy(), layer_stats
+        acc = out[bi * bh:(bi + 1) * bh]                             # the row's banks
+        for kk in range(kb):
+            a_blk = packed_a.data[bi, kk].T                          # (cb, bh)
+            for s in range(0, cb, vec):
+                acc += tree_reduce(a_blk[s:s + vec, :, None] * b_cols[kk, s:s + vec, None, :])
+                stats.compute_cycles += nb * cfg.interleave ** 2
+            stats.a_blocks += nb
+            stats.b_blocks += nb
+        # drain: the finished row leaves one element per cycle through the bias/ReLU stage
+        acc += bias_row
+        if relu:
+            np.maximum(acc, np.float32(0.0), out=acc)
+        stats.drain_elements += acc.size
+    return out[:m, :n].copy(), stats
 
 
 def run_network(
@@ -263,7 +166,7 @@ def run_network(
     inputs: np.ndarray,
     cfg: SystolicConfig | None = None,
 ) -> tuple[np.ndarray, list[CycleStats]]:
-    """Drive all layers of a network through one shared array, flushing between them.
+    """Run each layer as one simulate_layer call on the previous layer's output.
 
     ``params`` is a list of objects with ``weights`` (in x out) and ``bias``
     attributes, one per described layer.
@@ -275,7 +178,6 @@ def run_network(
     if len(params) != len(desc.layers):
         raise SimulationError(f"expected {len(desc.layers)} layer params, got {len(params)}")
 
-    state = ArrayState(cfg)
     x = np.asarray(inputs, dtype=np.float32)
     per_layer: list[CycleStats] = []
     for layer, p in zip(desc.layers, params):
@@ -288,10 +190,8 @@ def run_network(
             x, p.weights, cfg,
             bias=p.bias if layer.bias else None,
             relu=layer.activation == "relu",
-            state=state,
         )
         per_layer.append(layer_stats)
-        simulate_flush(state)
     return x, per_layer
 
 

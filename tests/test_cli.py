@@ -49,3 +49,12 @@ def test_worker_command_is_gone(capsys):
         cli.main(["worker", "--eval-type", "hwDBJob"])
     assert exc.value.code == 2
     assert "invalid choice: 'worker'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--m", "-3"), ("--m", "0"), ("--k", "0"),
+                                        ("--n", "0"), ("--limit", "0")])
+def test_simulate_array_rejects_sizes_below_one(capsys, flag, value):
+    assert cli.main(["simulate-array", "--cfg", "1,1,1,1,1", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be at least 1")

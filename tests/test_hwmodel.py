@@ -6,7 +6,6 @@ import pytest
 from ecad.config import HwConfig
 from ecad.hwmodel import (
     ModelError,
-    ResourceModel,
     SystolicConfig,
     block_geometry,
     compute_cycles,
@@ -221,10 +220,11 @@ class TestResources:
         assert feasible
 
     def test_coefficients_configurable(self):
-        model = ResourceModel(k_dsp=2.0, c_dsp=0.0, k_mem=0.5, c_mem=10.0)
-        dsp, mem, _ = resource_estimate(SystolicConfig(2, 2, 2, 2, 2), ARRIA10, model)
-        assert dsp == 16.0
-        assert mem == pytest.approx(0.5 * 4 * 2 * 2 * 4 * 4 / 1024 + 10.0)
+        # memory: (rows + cols) double-buffered caches of interleave blocks of
+        # vec * scale floats, plus the fixed 256 KiB drain/bias allowance
+        dsp, mem, _ = resource_estimate(SystolicConfig(2, 2, 2, 2, 2), ARRIA10)
+        assert dsp == 2 * 2 * 2 + 32
+        assert mem == pytest.approx((2 + 2) * 2 * 2 * 4 * 4 / 1024 + 256.0)
 
     def test_infeasible_drives_worker_failure(self):
         # estimate still reports metrics; feasibility is a flag

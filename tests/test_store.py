@@ -56,3 +56,14 @@ def test_corrupt_middle_line_names_its_line(tmp_path, listing_cfg, capsys):
     assert cli.main(["compact", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and ":2: corrupt record" in err
+
+
+def test_open_does_not_parse_records(tmp_path, listing_cfg):
+    path = tmp_path / "ecad.db.jsonl"
+    fill(EcadDb(path), listing_cfg, 3)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = "not json\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    db = EcadDb(path)
+    with pytest.raises(StoreError, match=r":2: corrupt record"):
+        list(db.scan())

@@ -6,13 +6,11 @@ import pytest
 from ecad.hwmodel import SystolicConfig, block_geometry, compute_cycles
 from ecad.nnsim import LayerParams
 from ecad.sysarray import (
-    ArrayState,
     SimulationError,
     block_pack,
     block_unpack,
     classify,
     run_network,
-    simulate_flush,
     simulate_layer,
     tree_reduce,
 )
@@ -36,8 +34,8 @@ class TestBlocking:
         a = np.arange(9, dtype=np.float32).reshape(3, 3)
         bm = block_pack(a, 2, 2)
         assert bm.data.shape == (2, 2, 2, 2)
-        assert np.array_equal(bm.block(0, 0), [[0, 1], [3, 4]])
-        assert np.array_equal(bm.block(1, 1), [[8, 0], [0, 0]])   # zero padding
+        assert np.array_equal(bm.data[0, 0], [[0, 1], [3, 4]])
+        assert np.array_equal(bm.data[1, 1], [[8, 0], [0, 0]])   # zero padding
         assert np.array_equal(block_unpack(bm), a)
 
     def test_common_dim_784_by_144(self):
@@ -70,7 +68,7 @@ class TestTreeReduce:
         rng = np.random.default_rng(0)
         for n in [1, 2, 3, 4, 5, 7, 8, 11, 16, 30]:
             x = rng.uniform(-1, 1, (4, n)).astype(np.float32)
-            got = tree_reduce(x)
+            got = tree_reduce(x.T)
             for i in range(4):
                 vals = [np.float32(v) for v in x[i]]
                 while len(vals) > 1:
@@ -110,6 +108,17 @@ class TestSimulateLayer:
                                       cfg.rows * cfg.interleave, cfg.cols * cfg.interleave,
                                       bias=bias, relu=relu)
             assert np.array_equal(c, expected)
+
+    def test_bit_exact_at_table2_shape(self):
+        # first layer of the paper's Table 2 network on its (4,4,8,8,8) array
+        cfg = SystolicConfig(4, 4, 8, 8, 8)
+        data = np.random.default_rng(12)
+        a = data.uniform(0, 1, (64, 784)).astype(np.float32)
+        b = data.uniform(-0.1, 0.1, (784, 196)).astype(np.float32)
+        bias = data.uniform(-0.1, 0.1, 196).astype(np.float32)
+        c, _ = simulate_layer(a, b, cfg, bias=bias, relu=True)
+        expected = ordered_oracle(a, b, cfg.vec, cfg.scale, 32, 32, bias=bias, relu=True)
+        assert np.array_equal(c, expected)
 
     def test_both_oracles_agree_on_tiny_cases(self):
         # validates the vectorized oracle itself against explicit scalar loops
@@ -174,52 +183,22 @@ class TestSimulateLayer:
             simulate_layer(np.zeros((2, 3), dtype=np.float32),
                            np.zeros((4, 2), dtype=np.float32), SystolicConfig(1, 1, 1, 1, 1))
 
+    @pytest.mark.parametrize("m,k,n", [(0, 3, 2), (2, 0, 2), (2, 3, 0)])
+    def test_empty_gemm_rejected(self, m, k, n):
+        with pytest.raises(SimulationError, match="empty GEMM"):
+            simulate_layer(np.zeros((m, k), dtype=np.float32),
+                           np.zeros((k, n), dtype=np.float32), SystolicConfig(1, 1, 1, 1, 1))
 
-class TestFlush:
-    def test_flush_zeroes_accumulators(self):
-        cfg = SystolicConfig(2, 2, 2, 2, 2)
-        state = ArrayState(cfg)
-        rng = np.random.default_rng(7)
-        a = rng.uniform(-1, 1, (4, 8)).astype(np.float32)
-        b = rng.uniform(-1, 1, (8, 4)).astype(np.float32)
-        simulate_layer(a, b, cfg, state=state)
-        simulate_flush(state)
-        assert np.all(state.acc == 0)
-
-    def test_layer_after_flush_sees_no_residue(self):
-        cfg = SystolicConfig(2, 2, 2, 2, 2)
-        state = ArrayState(cfg)
-        rng = np.random.default_rng(8)
-        a = rng.uniform(-1, 1, (4, 8)).astype(np.float32)
-        b = rng.uniform(-1, 1, (8, 4)).astype(np.float32)
-        simulate_layer(a, b, cfg, state=state)
-        simulate_flush(state)
-        bias = np.array([1.0, -1.0, 2.0, 0.0], dtype=np.float32)
-        c, _ = simulate_layer(np.zeros((4, 8), dtype=np.float32), b, cfg,
-                              bias=bias, state=state)
-        assert np.array_equal(c, np.tile(bias, (4, 1)))
-
-    def test_double_flush_idempotent(self):
-        cfg = SystolicConfig(2, 2, 2, 2, 2)
-        state = ArrayState(cfg)
-        simulate_flush(state)
-        acc_copy = state.acc.copy()
-        simulate_flush(state)
-        assert np.array_equal(state.acc, acc_copy)
-        assert state.stats.flush_events == 2
-
-    def test_mid_sequence_flush_differential(self):
-        # run half a layer, flush, then a full layer: result equals a clean run
+    def test_repeated_call_is_identical(self):
         cfg = SystolicConfig(2, 2, 2, 2, 2)
         rng = np.random.default_rng(9)
-        a = rng.uniform(-1, 1, (4, 8)).astype(np.float32)
-        b = rng.uniform(-1, 1, (8, 4)).astype(np.float32)
-        state = ArrayState(cfg)
-        simulate_layer(a[:2], b, cfg, state=state)      # partial work
-        simulate_flush(state)
-        c, _ = simulate_layer(a, b, cfg, state=state)
-        clean, _ = simulate_layer(a, b, cfg)
-        assert np.array_equal(c, clean)
+        a = rng.uniform(-1, 1, (5, 9)).astype(np.float32)
+        b = rng.uniform(-1, 1, (9, 6)).astype(np.float32)
+        bias = rng.uniform(-1, 1, 6).astype(np.float32)
+        first, first_stats = simulate_layer(a, b, cfg, bias=bias, relu=True)
+        again, again_stats = simulate_layer(a, b, cfg, bias=bias, relu=True)
+        assert first.tobytes() == again.tobytes()
+        assert first_stats == again_stats
 
 
 class TestRunNetwork:
@@ -235,6 +214,25 @@ class TestRunNetwork:
         out, stats = run_network(desc, params, x)
         assert np.array_equal(out, np.tile([-1.0, 0.0, 1.0, 2.0], (5, 1)))
         assert len(stats) == 2
+
+    def test_equals_chained_simulate_layer(self):
+        # each layer starts from empty accumulators: no residue of the previous layer
+        desc = mlp_desc([12, 10, 7, 3], batch=5, cfg=(2, 2, 2, 2, 2))
+        rng = np.random.default_rng(8)
+        params = [LayerParams(rng.uniform(-1, 1, (l.in_features, l.out_features)).astype(np.float32),
+                              rng.uniform(-1, 1, l.out_features).astype(np.float32))
+                  for l in desc.layers]
+        x = rng.uniform(0, 1, (5, 12)).astype(np.float32)
+        out, stats = run_network(desc, params, x)
+        cfg = SystolicConfig(2, 2, 2, 2, 2)
+        chained, chained_stats = x, []
+        for layer, p in zip(desc.layers, params):
+            chained, s = simulate_layer(chained, p.weights, cfg,
+                                        bias=p.bias if layer.bias else None,
+                                        relu=layer.activation == "relu")
+            chained_stats.append(s)
+        assert out.tobytes() == chained.tobytes()
+        assert stats == chained_stats
 
     def test_matches_forward_small_net(self, small_dataset):
         from ecad.nnsim import forward, train
