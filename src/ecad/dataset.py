@@ -17,6 +17,8 @@ _TRAIN_LABELS = "train-labels-idx1-ubyte"
 _TEST_IMAGES = "t10k-images-idx3-ubyte"
 _TEST_LABELS = "t10k-labels-idx1-ubyte"
 
+SYNTHETIC_CHUNK_ROWS = 4096   # rows of synthetic noise drawn per call
+
 
 class DatasetError(ValueError):
     pass
@@ -136,9 +138,15 @@ def synthetic_mnist(
 
     def make(n: int) -> tuple[np.ndarray, np.ndarray]:
         labels = rng.integers(0, num_classes, size=n)
-        x = prototypes[labels] + rng.normal(0.0, noise, size=(n, num_features)).astype(np.float32)
-        np.clip(x, 0.0, 1.0, out=x)
-        return x.astype(np.float32), one_hot(labels, num_classes)
+        x = np.empty((n, num_features), dtype=np.float32)
+        # row chunks draw the same normal stream as one (n, num_features) call
+        # without its float64 intermediate
+        for lo in range(0, n, SYNTHETIC_CHUNK_ROWS):
+            rows = x[lo:lo + SYNTHETIC_CHUNK_ROWS]
+            noise_rows = rng.normal(0.0, noise, size=rows.shape).astype(np.float32)
+            np.add(prototypes[labels[lo:lo + rows.shape[0]]], noise_rows, out=rows)
+            np.clip(rows, 0.0, 1.0, out=rows)
+        return x, one_hot(labels, num_classes)
 
     train_x, train_y = make(n_train)
     test_x, test_y = make(n_test)

@@ -79,6 +79,7 @@ class BlockGeometry:
     m_pad: int
     k_pad: int
     n_pad: int
+    block_cycles: int    # accumulation of one output block = (K'/V) * I^2
 
     @property
     def m_blocks(self) -> int:
@@ -104,6 +105,22 @@ class BlockGeometry:
     def n_efficiency(self) -> float:
         return self.n / self.n_pad
 
+    @property
+    def compute_cycles(self) -> int:
+        """Exact PE-grid cycle count: every output block accumulates in turn."""
+        return self.m_blocks * self.n_blocks * self.block_cycles
+
+    @property
+    def drain_cycles(self) -> int:
+        """Global-drain cycles: one element per cycle over the padded output."""
+        return self.m_pad * self.n_pad
+
+    @property
+    def stream_bytes(self) -> int:
+        """DDR traffic: A/B blocks streamed per output block plus the output write."""
+        per_pair = (self.block_height * self.common_block + self.common_block * self.block_width) * 4
+        return self.m_blocks * self.n_blocks * self.k_blocks * per_pair + self.m_pad * self.n_pad * 4
+
 
 def block_geometry(cfg: SystolicConfig, m: int, k: int, n: int) -> BlockGeometry:
     if min(m, k, n) < 1:
@@ -111,30 +128,28 @@ def block_geometry(cfg: SystolicConfig, m: int, k: int, n: int) -> BlockGeometry
     bh = cfg.rows * cfg.interleave
     bw = cfg.cols * cfg.interleave
     cb = cfg.vec * cfg.scale
+    k_pad = _pad_up(k, cb)
     return BlockGeometry(
         block_height=bh, block_width=bw, common_block=cb,
         m=m, k=k, n=n,
-        m_pad=_pad_up(m, bh), k_pad=_pad_up(k, cb), n_pad=_pad_up(n, bw),
+        m_pad=_pad_up(m, bh), k_pad=k_pad, n_pad=_pad_up(n, bw),
+        block_cycles=(k_pad // cfg.vec) * cfg.interleave ** 2,
     )
 
 
 def compute_cycles(cfg: SystolicConfig, m: int, k: int, n: int) -> int:
     """Exact PE-grid cycle count for one blocked GEMM."""
-    g = block_geometry(cfg, m, k, n)
-    return g.m_blocks * g.n_blocks * (g.k_pad // cfg.vec) * cfg.interleave ** 2
+    return block_geometry(cfg, m, k, n).compute_cycles
 
 
 def drain_cycles(cfg: SystolicConfig, m: int, k: int, n: int) -> int:
     """Global-drain cycles: one element per cycle over the padded output."""
-    g = block_geometry(cfg, m, k, n)
-    return g.m_pad * g.n_pad
+    return block_geometry(cfg, m, k, n).drain_cycles
 
 
 def stream_bytes(cfg: SystolicConfig, m: int, k: int, n: int) -> int:
     """DDR traffic: A/B blocks streamed per output block plus the output write."""
-    g = block_geometry(cfg, m, k, n)
-    per_pair = (g.block_height * g.common_block + g.common_block * g.block_width) * 4
-    return g.m_blocks * g.n_blocks * g.k_blocks * per_pair + g.m_pad * g.n_pad * 4
+    return block_geometry(cfg, m, k, n).stream_bytes
 
 
 def potential_gops(cfg: SystolicConfig) -> float:
@@ -225,14 +240,12 @@ def estimate(
 
     timings: list[LayerTiming] = []
     for layer in desc.layers:
-        m, k, n = desc.batch, layer.in_features, layer.out_features
-        cc = compute_cycles(cfg, m, k, n)
-        dc = drain_cycles(cfg, m, k, n)
-        nbytes = stream_bytes(cfg, m, k, n)
+        g = block_geometry(cfg, desc.batch, layer.in_features, layer.out_features)
+        cc, dc, nbytes = g.compute_cycles, g.drain_cycles, g.stream_bytes
         t_compute = (cc + dc) / freq_hz
         t_memory = nbytes / bandwidth
         timings.append(LayerTiming(
-            name=layer.name, m=m, k=k, n=n,
+            name=layer.name, m=g.m, k=g.k, n=g.n,
             compute_cycles=cc, drain_cycles=dc, bytes=nbytes,
             seconds=max(t_compute, t_memory),
             memory_bound=t_memory > t_compute,
@@ -243,11 +256,8 @@ def estimate(
     effective = ops / total_s / 1e9
 
     # latency: all earlier layers complete, then the last layer's first
-    # output block finishes its accumulation sequence
-    last_k_pad = block_geometry(cfg, desc.batch, desc.layers[-1].in_features,
-                                desc.layers[-1].out_features).k_pad
-    first_block_cycles = (last_k_pad // cfg.vec) * cfg.interleave ** 2
-    latency_s = math.fsum(t.seconds for t in timings[:-1]) + first_block_cycles / freq_hz
+    # output block (g is the last layer's geometry) finishes its accumulation
+    latency_s = math.fsum(t.seconds for t in timings[:-1]) + g.block_cycles / freq_hz
 
     dsp_est, mem_kb_est, feasible = resource_estimate(cfg, hw)
     return HwEstimate(

@@ -2,11 +2,30 @@
 mini-batch Adam on softmax cross-entropy, reports test accuracy and exports
 the weights and biases in the binary interchange format (16-byte header of
 four little-endian int32 dimensions, then row-major float32 data).
+
+All parameters of a network live in one flat buffer: each layer's weights
+(in x out, row-major) then its bias, layer after layer, and every
+``LayerParams`` array is a view into it. Training keeps a gradient buffer
+of the same layout, which backprop fills through per-layer views, so one
+Adam step is a dozen in-place ufunc passes over three flat buffers (first
+and second moments and one scratch) with no per-tensor loop and no
+temporaries. The step runs entirely in the parameter dtype (float32): the
+bias-corrected step size lr * sqrt(1 - b2^t) / (1 - b1^t) is a Python float,
+which numpy treats as a weak scalar, so no pass is promoted to float64.
+
+A weight whose gradient stays 0 has its first moment decay by b1 = 0.9 per
+step into float32's subnormal range, where arithmetic is about 50x slower.
+Every FLUSH_EVERY = 256 steps, first-moment entries below FLUSH_BELOW = 1e-20
+in magnitude are set to 0. An entry that survives a flush is at least
+1e-20 * 0.9^256 ~ 1.9e-32 at the next one, a normal float32 (the smallest is
+1.2e-38), and so is the 0.1x update term computed from it. An entry that is
+flushed would have moved its weight by at most lr * 1e-20 / eps = 1e-15.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -22,6 +41,8 @@ ADAM_LR = 0.001
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+FLUSH_EVERY = 256     # steps between first-moment flushes
+FLUSH_BELOW = 1e-20   # first-moment magnitude flushed to 0
 
 
 class TrainingDiverged(RuntimeError):
@@ -67,18 +88,32 @@ class TrainReport:
         Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8")
 
 
+def _flat_layers(shapes: list[tuple[int, int]], dtype) -> tuple[np.ndarray, list[LayerParams]]:
+    """One zeroed flat buffer plus (weights, bias) views into it, layer by layer."""
+    flat = np.zeros(sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes), dtype=dtype)
+    layers, off = [], 0
+    for fan_in, fan_out in shapes:
+        w = flat[off:off + fan_in * fan_out].reshape(fan_in, fan_out)
+        off += fan_in * fan_out
+        layers.append(LayerParams(weights=w, bias=flat[off:off + fan_out]))
+        off += fan_out
+    return flat, layers
+
+
+def _init_params(desc: NetworkDescription, seed: int, dtype) -> tuple[np.ndarray, Mlp]:
+    """Seeded uniform +-sqrt(6 / (in + out)) weight init, zero biases, in one flat buffer."""
+    rng = np.random.default_rng(seed)
+    flat, layers = _flat_layers([(l.in_features, l.out_features) for l in desc.layers], dtype)
+    for params in layers:
+        fan_in, fan_out = params.weights.shape
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        params.weights[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return flat, Mlp(layers=layers, activations=[l.activation for l in desc.layers])
+
+
 def init_mlp(desc: NetworkDescription, seed: int, dtype=np.float32) -> Mlp:
     """Seeded uniform +-sqrt(6 / (in + out)) weight init, zero biases."""
-    rng = np.random.default_rng(seed)
-    layers, activations = [], []
-    for layer in desc.layers:
-        fan_in, fan_out = layer.in_features, layer.out_features
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
-        b = np.zeros(fan_out, dtype=dtype)
-        layers.append(LayerParams(weights=w, bias=b))
-        activations.append(layer.activation)
-    return Mlp(layers=layers, activations=activations)
+    return _init_params(desc, seed, dtype)[1]
 
 
 def forward(m: Mlp, batch: np.ndarray) -> np.ndarray:
@@ -117,23 +152,25 @@ def _trace(m: Mlp, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 
 def _backprop(m: Mlp, pre: list[np.ndarray], post: list[np.ndarray],
-              labels: np.ndarray) -> list[LayerParams]:
+              labels: np.ndarray, grads: list[LayerParams]) -> None:
+    """Write the gradients of mean softmax cross-entropy into ``grads``."""
     n = post[0].shape[0]
     delta = (softmax(post[-1]) - labels) / n
-    grads: list[LayerParams] = [None] * len(m.layers)  # type: ignore[list-item]
     for i in range(len(m.layers) - 1, -1, -1):
-        grads[i] = LayerParams(weights=post[i].T @ delta, bias=delta.sum(axis=0))
+        np.matmul(post[i].T, delta, out=grads[i].weights)
+        np.sum(delta, axis=0, out=grads[i].bias)
         if i > 0:
             delta = delta @ m.layers[i].weights.T
             if m.activations[i - 1] == "relu":
-                delta = delta * (pre[i - 1] > 0)
-    return grads
+                delta *= pre[i - 1] > 0
 
 
 def grad(m: Mlp, batch: np.ndarray, labels: np.ndarray) -> list[LayerParams]:
     """Exact gradients of mean softmax cross-entropy, same shapes as the parameters."""
     pre, post = _trace(m, np.asarray(batch))
-    return _backprop(m, pre, post, labels)
+    _, grads = _flat_layers([p.weights.shape for p in m.layers], post[-1].dtype)
+    _backprop(m, pre, post, labels, grads)
+    return grads
 
 
 def accuracy(m: Mlp, x: np.ndarray, y: np.ndarray, chunk: int = 2048) -> float:
@@ -145,23 +182,33 @@ def accuracy(m: Mlp, x: np.ndarray, y: np.ndarray, chunk: int = 2048) -> float:
 
 
 class _Adam:
-    def __init__(self, layers: list[LayerParams], lr: float = ADAM_LR) -> None:
+    """Adam over one flat parameter buffer, updated in place in its own dtype."""
+
+    def __init__(self, params: np.ndarray, lr: float = ADAM_LR) -> None:
         self.lr = lr
         self.t = 0
-        self.m = [LayerParams(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in layers]
-        self.v = [LayerParams(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in layers]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self.scratch = np.empty_like(params)
 
-    def step(self, layers: list[LayerParams], grads: list[LayerParams]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
-        correction = np.sqrt(1 - ADAM_BETA2 ** self.t) / (1 - ADAM_BETA1 ** self.t)
-        for p, g, mo, ve in zip(layers, grads, self.m, self.v):
-            for attr in ("weights", "bias"):
-                gv = getattr(g, attr)
-                mv = getattr(mo, attr)
-                vv = getattr(ve, attr)
-                mv += (1 - ADAM_BETA1) * (gv - mv)
-                vv += (1 - ADAM_BETA2) * (gv * gv - vv)
-                getattr(p, attr)[...] -= self.lr * correction * mv / (np.sqrt(vv) + ADAM_EPS)
+        step_size = self.lr * math.sqrt(1 - ADAM_BETA2 ** self.t) / (1 - ADAM_BETA1 ** self.t)
+        m, v, s = self.m, self.v, self.scratch
+        np.subtract(grads, m, out=s)           # m += (1 - b1) * (g - m)
+        np.multiply(s, 1 - ADAM_BETA1, out=s)
+        np.add(m, s, out=m)
+        np.multiply(grads, grads, out=s)       # v += (1 - b2) * (g * g - v)
+        np.subtract(s, v, out=s)
+        np.multiply(s, 1 - ADAM_BETA2, out=s)
+        np.add(v, s, out=v)
+        np.sqrt(v, out=s)                      # p -= step_size * m / (sqrt(v) + eps)
+        np.add(s, ADAM_EPS, out=s)
+        np.divide(m, s, out=s)
+        np.multiply(s, step_size, out=s)
+        np.subtract(params, s, out=params)
+        if self.t % FLUSH_EVERY == 0:
+            m[np.abs(m, out=s) < FLUSH_BELOW] = 0
 
 
 def train(
@@ -180,8 +227,9 @@ def train(
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
     t0 = time.perf_counter()
-    m = init_mlp(desc, seed=seed)
-    opt = _Adam(m.layers, lr=lr)
+    flat, m = _init_params(desc, seed, np.float32)
+    grad_flat, grads = _flat_layers([p.weights.shape for p in m.layers], flat.dtype)
+    opt = _Adam(flat, lr=lr)
     rng = np.random.default_rng(seed + 1)
     n = data.train_x.shape[0]
     epoch_acc: list[float] = []
@@ -194,7 +242,8 @@ def train(
             pre, post = _trace(m, xb)
             if not np.isfinite(post[-1]).all():
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, offset {lo}")
-            opt.step(m.layers, _backprop(m, pre, post, yb))
+            _backprop(m, pre, post, yb, grads)
+            opt.step(flat, grad_flat)
         acc = accuracy(m, data.test_x, data.test_y)
         epoch_acc.append(acc)
         if verbose:

@@ -76,10 +76,12 @@ class EcadDb:
 
     def append(self, genome: NetworkGenome, card: ScoreCard, generation: int,
                combined: float) -> DbRecord:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        first = self._seq is None
+        if first:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a+b") as fh:
             _cut_torn_tail(fh)
-            if self._seq is None:
+            if first:
                 fh.seek(0)
                 self._seq = sum(1 for raw in fh if raw.strip())
             rec = DbRecord(genome=genome, card=card, generation=generation,

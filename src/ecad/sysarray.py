@@ -126,6 +126,8 @@ def simulate_layer(
     n = b.shape[1]
     if min(m, k, n) < 1:
         raise SimulationError(f"empty GEMM: m={m}, k={k}, n={n}")
+    if bias is not None and np.shape(bias) != (n,):
+        raise SimulationError(f"bias shape {np.shape(bias)} does not match ({n},)")
     vec, scale = cfg.vec, cfg.scale
     bh = cfg.rows * cfg.interleave
     bw = cfg.cols * cfg.interleave
@@ -138,8 +140,7 @@ def simulate_layer(
     b_cols = packed_b.data.transpose(1, 3, 0, 2).reshape(kb, cb, nb * bw)
     bias_row = np.zeros(nb * bw, dtype=np.float32)
     if bias is not None:
-        seg = np.asarray(bias, dtype=np.float32)[:nb * bw]
-        bias_row[:seg.shape[0]] = seg
+        bias_row[:n] = bias
 
     stats = CycleStats()
     out = np.zeros((mb * bh, nb * bw), dtype=np.float32)

@@ -1,6 +1,6 @@
 """Independent reference implementations the simulator and trainer are checked
 against. These deliberately share no code with the package: the dense oracle
-is a float64 matmul, the ordered oracles re-implement the documented
+is a float64 matmul, the Adam oracle a float64 textbook update, the ordered oracles re-implement the documented
 single-precision accumulation order (adjacent-pair tree over the vec axis,
 then sequential accumulation over the scale vectors and the common-dimension
 blocks) without any of the package's blocking or state machinery.
@@ -138,3 +138,22 @@ def finite_difference_grads(loss_fn, params: list[np.ndarray], eps: float = 1e-5
             it.iternext()
         grads.append(g)
     return grads
+
+
+def adam_reference(params: np.ndarray, grads: list[np.ndarray], lr: float, beta1: float,
+                   beta2: float, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float64 Adam over a gradient sequence; returns (params, m, v).
+
+    Kingma & Ba, Algorithm 1, with the bias correction folded into the step
+    size (their Section 2): alpha_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t).
+    """
+    p = np.asarray(params, dtype=np.float64).copy()
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    for t, g in enumerate(grads, start=1):
+        g = np.asarray(g, dtype=np.float64)
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        alpha_t = lr * np.sqrt(1 - beta2 ** t) / (1 - beta1 ** t)
+        p = p - alpha_t * m / (np.sqrt(v) + eps)
+    return p, m, v

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ecad.dataset import (
+    SYNTHETIC_CHUNK_ROWS,
     DatasetError,
     load_mnist,
     one_hot,
@@ -107,6 +108,22 @@ class TestSynthetic:
         data = synthetic_mnist(seed=0, n_train=100, n_test=40).subset(30)
         assert data.train_x.shape == (30, 784)
         assert data.test_x.shape == (40, 784)
+
+    def test_chunked_build_equals_one_shot(self):
+        # one-shot reference: every noise row drawn in a single call
+        n_train, n_test, features, classes = 2 * SYNTHETIC_CHUNK_ROWS + 7, 33, 20, 10
+        rng = np.random.default_rng(5)
+        prototypes = (0.5 + 0.18 * (rng.uniform(0.0, 1.0, size=(classes, features)) - 0.5)).astype(np.float32)
+        expected = []
+        for n in (n_train, n_test):
+            labels = rng.integers(0, classes, size=n)
+            x = prototypes[labels] + rng.normal(0.0, 0.30, size=(n, features)).astype(np.float32)
+            expected += [np.clip(x, 0.0, 1.0), one_hot(labels, classes)]
+        data = synthetic_mnist(seed=5, n_train=n_train, n_test=n_test,
+                               num_features=features, num_classes=classes)
+        for got, want in zip((data.train_x, data.train_y, data.test_x, data.test_y), expected):
+            assert got.dtype == want.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
 
 
 def test_one_hot_basic():

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from ecad import nnsim
 from ecad.dataset import Dataset, synthetic_mnist
 from ecad.nnsim import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     LayerParams,
     Mlp,
     TrainingDiverged,
@@ -18,10 +22,11 @@ from ecad.nnsim import (
     save_params,
     softmax,
     train,
+    _Adam,
 )
 
 from helpers import mlp_desc
-from oracles import finite_difference_grads
+from oracles import adam_reference, finite_difference_grads
 
 
 def toy_mlp(dims=(6, 5, 4), seed=0, dtype=np.float64):
@@ -140,7 +145,8 @@ class TestTrain:
 
     def test_divergence_detected(self, small_dataset):
         desc = mlp_desc([784, 8, 10], batch=50)
-        with pytest.raises(TrainingDiverged):
+        # the overflow is the point: it must surface as TrainingDiverged
+        with pytest.raises(TrainingDiverged), np.errstate(over="ignore", invalid="ignore"):
             train(desc, small_dataset, epochs=2, batch_size=50, seed=0, lr=1e30)
 
     def test_loss_nonincreasing_over_epochs(self):
@@ -178,6 +184,65 @@ class TestTrain:
         logits = forward(mlp, small_dataset.test_x)
         frac = np.mean(np.argmax(logits, axis=1) == np.argmax(small_dataset.test_y, axis=1))
         assert report.accuracy == frac
+
+
+class TestAdam:
+    def test_matches_float64_reference(self):
+        rng = np.random.default_rng(11)
+        scales = 10.0 ** rng.integers(-4, 2, 600)   # gradient magnitudes 1e-4 .. 10
+        start = rng.uniform(-1, 1, 600).astype(np.float32)
+        grads = [(rng.normal(0, 1, 600) * scales).astype(np.float32) for _ in range(20)]
+        params = start.copy()
+        opt = _Adam(params, lr=0.01)
+        for g in grads:
+            opt.step(params, g)
+        ref_p, ref_m, ref_v = adam_reference(start, grads, 0.01, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+        assert params.dtype == opt.m.dtype == opt.v.dtype == np.float32
+        # float32 tolerance: a few ulps per step over 20 steps, of |p| <= 1.2 for
+        # the parameters, of the largest gradient for m (a signed sum that can
+        # cancel) and of v itself (a sum of squares)
+        tol = 20 * 4 * np.finfo(np.float32).eps
+        g_max = np.max(np.abs(grads), axis=0)
+        assert np.max(np.abs(params - ref_p)) <= tol
+        assert np.all(np.abs(opt.m - ref_m) <= tol * g_max)
+        assert np.all(np.abs(opt.v - ref_v) <= tol * ref_v)
+
+    def test_zero_gradients_leave_no_subnormal_first_moment(self):
+        rng = np.random.default_rng(12)
+        params = rng.uniform(-1, 1, 1000).astype(np.float32)
+        opt = _Adam(params)
+        opt.m[...] = rng.uniform(-1, 1, 1000) * 10.0 ** rng.integers(-30, 1, 1000)
+        opt.v[...] = rng.uniform(0, 1, 1000)
+        zero = np.zeros_like(params)
+        for _ in range(1000):
+            opt.step(params, zero)
+        tiny = np.finfo(np.float32).smallest_normal
+        assert not np.any((opt.m != 0) & (np.abs(opt.m) < tiny))
+        assert np.all(np.isfinite(params))
+
+
+    def test_flush_moves_no_weight(self, monkeypatch):
+        # half the entries stop receiving gradients after 10 steps; their first
+        # moments fall below the flush threshold by the flush at step 512
+        start = np.random.default_rng(13).uniform(-1, 1, 2000).astype(np.float32)
+
+        def run():
+            rng = np.random.default_rng(14)
+            live = rng.uniform(size=2000) < 0.5
+            params = start.copy()
+            opt = _Adam(params)
+            for t in range(600):
+                g = rng.normal(0, 0.1, 2000).astype(np.float32)
+                if t >= 10:
+                    g[~live] = 0
+                opt.step(params, g)
+            return params, opt.m
+
+        flushed_p, flushed_m = run()
+        monkeypatch.setattr(nnsim, "FLUSH_EVERY", 10 ** 9)
+        kept_p, kept_m = run()
+        assert np.any((kept_m != 0) & (flushed_m == 0))
+        assert flushed_p.tobytes() == kept_p.tobytes()
 
 
 class TestParamsIo:

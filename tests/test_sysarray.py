@@ -189,6 +189,14 @@ class TestSimulateLayer:
             simulate_layer(np.zeros((m, k), dtype=np.float32),
                            np.zeros((k, n), dtype=np.float32), SystolicConfig(1, 1, 1, 1, 1))
 
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_mis_sized_bias_rejected(self, length):
+        # n = 4: a short bias must not be zero-padded, a long one not truncated
+        a = np.ones((2, 8), dtype=np.float32)
+        b = np.ones((8, 4), dtype=np.float32)
+        with pytest.raises(SimulationError, match="bias shape"):
+            simulate_layer(a, b, SystolicConfig(2, 2, 2, 2, 2), bias=np.ones(length, dtype=np.float32))
+
     def test_repeated_call_is_identical(self):
         cfg = SystolicConfig(2, 2, 2, 2, 2)
         rng = np.random.default_rng(9)
@@ -252,6 +260,13 @@ class TestRunNetwork:
         bad = [LayerParams(np.zeros((8, 5), dtype=np.float32), np.zeros(5, dtype=np.float32))]
         with pytest.raises(SimulationError, match="weights shape"):
             run_network(desc, bad, np.zeros((2, 8), dtype=np.float32))
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_mis_sized_bias_rejected(self, length):
+        desc = mlp_desc([8, 4], batch=2, cfg=(2, 2, 2, 2, 2))
+        params = [LayerParams(np.ones((8, 4), dtype=np.float32), np.ones(length, dtype=np.float32))]
+        with pytest.raises(SimulationError, match="bias shape"):
+            run_network(desc, params, np.ones((2, 8), dtype=np.float32))
 
     def test_requires_systolic_config(self):
         desc = mlp_desc([8, 4], batch=2)
