@@ -5,8 +5,8 @@ new record). The search engine stamps records with a logical sequence number
 so fixed-seed reruns produce byte-identical files.
 
 A crash during an append can leave a last line without its newline. Readers
-skip that torn line and the next append cuts it off before writing; a corrupt
-line anywhere else raises StoreError.
+skip that torn line and the first append of a process cuts it off before
+writing; a corrupt line anywhere else raises StoreError.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class EcadDb:
         if first:
             self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a+b") as fh:
-            _cut_torn_tail(fh)
-            if first:
+            if first:   # only a crash before this process opened the file can tear its tail
+                _cut_torn_tail(fh)
                 fh.seek(0)
                 self._seq = sum(1 for raw in fh if raw.strip())
             rec = DbRecord(genome=genome, card=card, generation=generation,

@@ -1,18 +1,18 @@
 """Functional, cycle-counting simulator of the blocked 2D systolic dataflow.
 
-A is packed into zero-padded (rows*interleave) x (vec*scale) blocks and B,
-transposed on the host, into (cols*interleave) x (vec*scale) blocks. One row
-of output blocks (each the interleave^2 accumulator banks of the PE grid)
-advances in lockstep through the common dimension, one vec-wide slice per
-step in (common-block, scale-vector) order; a step costs each block of the
-row interleave^2 cycles. Finished blocks drain one element per cycle, with
-the optional bias and ReLU applied at the drain.
+On the array, A is packed into zero-padded (rows*interleave) x (vec*scale)
+blocks and B, transposed on the host, into (cols*interleave) x (vec*scale)
+blocks (the ``block_pack`` DDR layout). Each output block advances through
+the common dimension one vec-wide slice per step, interleave^2 cycles a step,
+then drains one element per cycle through the optional bias and ReLU.
+``CycleStats`` is this blocked count, from ``hwmodel.block_geometry``.
 
-Numerics are float32 in a fixed accumulation order: each step's vec-wide
-products are reduced level-wise over adjacent pairs (an odd trailing element
-passes through to the next level), then the steps accumulate sequentially.
-This matches the pipelined reduction-tree hardware and makes results
-bit-reproducible.
+Numerics are float32 in a fixed order: each step's vec-wide products are
+reduced level-wise over adjacent pairs (an odd trailing element passes
+through), then the steps accumulate sequentially in K order, as in the
+pipelined reduction-tree hardware. Output elements are independent, so the
+block grouping of rows and columns moves no bit: the simulator computes only
+the real M x N output, in row tiles, over K padded to a multiple of vec.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .genome import NetworkDescription
-from .hwmodel import SystolicConfig
+from .hwmodel import SystolicConfig, block_geometry
 
 
 class SimulationError(ValueError):
@@ -98,12 +98,15 @@ def tree_reduce(products: np.ndarray) -> np.ndarray:
 
 # --- layer simulation -----------------------------------------------------------
 
+TILE_BYTES = 512 * 1024   # one step's product array per row tile; fits a 2 MiB L2
+
+
 @dataclass
 class CycleStats:
-    compute_cycles: int = 0
-    a_blocks: int = 0
-    b_blocks: int = 0
-    drain_elements: int = 0
+    compute_cycles: int
+    a_blocks: int
+    b_blocks: int
+    drain_elements: int
 
 
 def simulate_layer(
@@ -115,8 +118,15 @@ def simulate_layer(
 ) -> tuple[np.ndarray, CycleStats]:
     """Run one M x K by K x N GEMM through the array dataflow.
 
-    Returns the M x N result (plus optional bias and ReLU applied at the
-    drain) and the cycle statistics for this layer.
+    Returns the M x N result, with the optional bias and ReLU applied at the
+    drain, and the layer's cycle statistics. Each output element gets
+    ``acc += tree_reduce(products)`` for consecutive vec-wide K slices in K
+    order, over row tiles sized so one step's (vec, rows, N) product array
+    stays near ``TILE_BYTES``; padded M rows and N columns are not computed.
+    Skipping the all-zero K slices between k rounded up to vec and to vec*scale
+    is exact: the accumulator starts at +0.0, and in round-to-nearest an exactly
+    zero sum is +0.0 unless both terms are -0.0, so the accumulator is never
+    -0.0 and adding a zero slice sum leaves its bits unchanged.
     """
     a = np.asarray(a, dtype=np.float32)
     b = np.asarray(b, dtype=np.float32)
@@ -128,37 +138,27 @@ def simulate_layer(
         raise SimulationError(f"empty GEMM: m={m}, k={k}, n={n}")
     if bias is not None and np.shape(bias) != (n,):
         raise SimulationError(f"bias shape {np.shape(bias)} does not match ({n},)")
-    vec, scale = cfg.vec, cfg.scale
-    bh = cfg.rows * cfg.interleave
-    bw = cfg.cols * cfg.interleave
+    vec = cfg.vec
+    steps = -(-k // vec)
+    a = np.pad(a, ((0, 0), (0, steps * vec - k)))
+    b_steps = np.pad(b, ((0, steps * vec - k), (0, 0))).reshape(steps, vec, 1, n)
+    tile_rows = max(1, TILE_BYTES // (vec * n * 4))
 
-    packed_a = block_pack(a, bh, vec * scale)
-    packed_b = block_pack(b, bw, vec * scale, transposed=True)
-    mb, kb, _, cb = packed_a.data.shape
-    nb = packed_b.data.shape[0]
-    # b_cols[kk] is common block kk of B as seen by the whole block row: (cb, nb * bw)
-    b_cols = packed_b.data.transpose(1, 3, 0, 2).reshape(kb, cb, nb * bw)
-    bias_row = np.zeros(nb * bw, dtype=np.float32)
+    out = np.zeros((m, n), dtype=np.float32)
+    for r0 in range(0, m, tile_rows):
+        acc = out[r0:r0 + tile_rows]
+        a_steps = np.ascontiguousarray(a[r0:r0 + tile_rows].T).reshape(steps, vec, -1, 1)
+        for s in range(steps):
+            acc += tree_reduce(a_steps[s] * b_steps[s])
+    # drain: one element per cycle through the bias/ReLU stage
     if bias is not None:
-        bias_row[:n] = bias
+        out += np.asarray(bias, dtype=np.float32)
+    if relu:
+        np.maximum(out, np.float32(0.0), out=out)
 
-    stats = CycleStats()
-    out = np.zeros((mb * bh, nb * bw), dtype=np.float32)
-    for bi in range(mb):
-        acc = out[bi * bh:(bi + 1) * bh]                             # the row's banks
-        for kk in range(kb):
-            a_blk = packed_a.data[bi, kk].T                          # (cb, bh)
-            for s in range(0, cb, vec):
-                acc += tree_reduce(a_blk[s:s + vec, :, None] * b_cols[kk, s:s + vec, None, :])
-                stats.compute_cycles += nb * cfg.interleave ** 2
-            stats.a_blocks += nb
-            stats.b_blocks += nb
-        # drain: the finished row leaves one element per cycle through the bias/ReLU stage
-        acc += bias_row
-        if relu:
-            np.maximum(acc, np.float32(0.0), out=acc)
-        stats.drain_elements += acc.size
-    return out[:m, :n].copy(), stats
+    g = block_geometry(cfg, m, k, n)
+    blocks = g.m_blocks * g.n_blocks * g.k_blocks
+    return out, CycleStats(g.compute_cycles, blocks, blocks, g.drain_cycles)
 
 
 def run_network(

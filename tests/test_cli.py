@@ -58,3 +58,10 @@ def test_simulate_array_rejects_sizes_below_one(capsys, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} must be at least 1")
+
+
+def test_simulate_array_hand_computed_cycles(capsys):
+    # the counts worked by hand in test_sysarray.py::TestSimulateLayer::test_hand_computed_cycles
+    assert cli.main(["simulate-array", "--cfg", "2,2,2,2,2", "--m", "5", "--k", "9", "--n", "6"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["compute_cycles"], doc["a_blocks"], doc["b_blocks"], doc["drain_elements"]) == (96, 12, 12, 64)

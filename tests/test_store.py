@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ecad import cli
+from ecad import cli, store
 from ecad.fitness import ScoreCard
 from ecad.genome import spawn
 from ecad.store import EcadDb, StoreError
@@ -67,3 +67,13 @@ def test_open_does_not_parse_records(tmp_path, listing_cfg):
     db = EcadDb(path)
     with pytest.raises(StoreError, match=r":2: corrupt record"):
         list(db.scan())
+
+
+def test_only_first_append_checks_the_tail(tmp_path, listing_cfg, monkeypatch):
+    calls = []
+    real = store._cut_torn_tail
+    monkeypatch.setattr(store, "_cut_torn_tail", lambda fh: (calls.append(1), real(fh)))
+    path = tmp_path / "ecad.db.jsonl"
+    fill(EcadDb(path), listing_cfg, 4)
+    assert len(calls) == 1
+    assert [r.seq for r in EcadDb(path).scan()] == [0, 1, 2, 3]

@@ -7,6 +7,7 @@ from ecad.hwmodel import SystolicConfig, block_geometry, compute_cycles
 from ecad.nnsim import LayerParams
 from ecad.sysarray import (
     SimulationError,
+    TILE_BYTES,
     block_pack,
     block_unpack,
     classify,
@@ -108,6 +109,37 @@ class TestSimulateLayer:
                                       cfg.rows * cfg.interleave, cfg.cols * cfg.interleave,
                                       bias=bias, relu=relu)
             assert np.array_equal(c, expected)
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_bit_exact_across_tiles_skipped_slices_and_signed_zeros(self, with_bias):
+        # vec 64, scale 3: k = 128 leaves one whole all-zero K slice of the last
+        # common block; m spans two full row tiles and a short one
+        cfg = SystolicConfig(2, 4, 64, 2, 3)
+        n, k = 256, 128
+        tile_rows = TILE_BYTES // (cfg.vec * n * 4)
+        m = 2 * tile_rows + 5
+        data = np.random.default_rng(13)
+        a = data.uniform(-1, 1, (m, k)).astype(np.float32)
+        b = data.uniform(-1, 1, (k, n)).astype(np.float32)
+        a[[0, tile_rows, m - 1]] = -0.0
+        b[:, [0, 5, n - 1]] = 0.0
+        b[:, 7] = -0.0
+        bias = data.uniform(-1, 1, n).astype(np.float32) if with_bias else None
+        c, _ = simulate_layer(a, b, cfg, bias=bias, relu=with_bias)
+        expected = ordered_oracle(a, b, cfg.vec, cfg.scale,
+                                  cfg.rows * cfg.interleave, cfg.cols * cfg.interleave,
+                                  bias=bias, relu=with_bias)
+        assert c.tobytes() == expected.tobytes()
+
+    def test_hand_computed_cycles(self):
+        # (2,2,2,2,2): 4x4 output blocks, common block 4 -> m 5->8, k 9->12, n 6->8;
+        # 2*2 output blocks * (12/2 slices * 2^2 cycles) = 96, 2*2*3 = 12 block pairs
+        a = np.ones((5, 9), dtype=np.float32)
+        b = np.ones((9, 6), dtype=np.float32)
+        _, stats = simulate_layer(a, b, SystolicConfig(2, 2, 2, 2, 2))
+        assert stats.compute_cycles == 96
+        assert stats.a_blocks == stats.b_blocks == 12
+        assert stats.drain_elements == 64
 
     def test_bit_exact_at_table2_shape(self):
         # first layer of the paper's Table 2 network on its (4,4,8,8,8) array
