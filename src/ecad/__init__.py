@@ -1,6 +1,6 @@
 """Evolutionary co-design search for MLP architectures and systolic-array hardware."""
 
-from .config import EcadConfig, HwConfig, parse_config, serialize_config
+from .config import EcadConfig, HwConfig, parse_config
 from .genome import NetworkDescription, NetworkGenome, mutate, spawn, to_description
 from .hwmodel import SystolicConfig, block_geometry, estimate, potential_gops
 from .sysarray import simulate_layer, run_network
@@ -17,7 +17,6 @@ __all__ = [
     "parse_config",
     "potential_gops",
     "run_network",
-    "serialize_config",
     "simulate_layer",
     "spawn",
     "to_description",

@@ -32,6 +32,13 @@ class CliError(RuntimeError):
     pass
 
 
+def _require_at_least_one(args: argparse.Namespace, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise CliError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+
+
 def _load_description(path: str | Path) -> NetworkDescription:
     try:
         return NetworkDescription.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
@@ -71,6 +78,7 @@ def _build_dispatcher(cfg: EcadConfig, mnist_dir: str | None,
 # --- commands --------------------------------------------------------------------
 
 def cmd_search(args: argparse.Namespace) -> int:
+    _require_at_least_one(args, "train_subset")
     cfg = parse_config(args.config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -94,6 +102,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    _require_at_least_one(args, "epochs", "batch_size", "train_subset")
     desc = _load_description(args.network)
     data = _resolve_dataset(args.mnist_dir, args.train_subset)
     dest = Path(args.dest_dir)
@@ -110,9 +119,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _require_at_least_one(args, "batch")
     desc = _load_description(args.network)
     hw = parse_config(args.config).hw if args.config else DEFAULT_HW
-    if args.batch:
+    if args.batch is not None:
         desc = NetworkDescription(id=desc.id, batch=args.batch,
                                   layers=desc.layers, systolic=desc.systolic)
     if args.cfg:
@@ -127,15 +137,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate_array(args: argparse.Namespace) -> int:
-    for flag in ("m", "k", "n", "limit"):
-        if getattr(args, flag) < 1:
-            raise CliError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    _require_at_least_one(args, "m", "k", "n", "limit")
     cfg = hwmodel.SystolicConfig.parse(args.cfg)
     if args.network:
         desc = _load_description(args.network)
         if not args.params_dir:
             raise CliError("--params-dir is required with --network")
-        params = nnsim.load_params(args.params_dir, [l.name for l in desc.layers])
+        try:
+            params = nnsim.load_params(args.params_dir, [l.name for l in desc.layers])
+        except (OSError, ValueError) as exc:
+            raise CliError(f"cannot load parameters from {args.params_dir}: {exc}") from exc
         data = _resolve_dataset(args.mnist_dir, None)
         x = data.test_x[:args.limit]
         y = data.test_y[:args.limit]

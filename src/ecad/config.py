@@ -1,17 +1,18 @@
-"""Parse, validate and serialize ECAD configuration files.
+"""Parse and validate ECAD configuration files.
 
 The configuration is a JSON document (conventionally ``*.ecad.cfg``) that
 declares the population parameters, the fitness objectives, the cell types
 with their mutable trait ranges, the target device budget, and the cell
 array describing the network skeleton. Include files are merged shallowly
-with the main file winning on key conflicts.
+with the main file winning on key conflicts. Keys the search does not read
+are ignored, at the top level and inside each section.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -22,14 +23,6 @@ class ConfigError(ValueError):
 
 EVAL_TYPES = ("simJob", "hwDBJob", "physJob")
 CELL_TYPES = ("input", "dense", "relu", "output")
-
-#: cell-type keys that are bookkeeping, not traits or static cell fields
-_NON_TRAIT_KEYS = {"cell_type", "templateFile", "mainFuncName"}
-
-#: dense-cell fields that are computed geometry caches, never user inputs
-_COMPUTED_CACHE_KEYS = {
-    "row_blocks", "col_blocks", "vec_blocks", "arows_pad", "acols_pad", "bcols_pad",
-}
 
 
 def _is_comment_key(key: str) -> bool:
@@ -79,18 +72,6 @@ class TraitSpec:
             return list(range(start, hi + 1, m))
         return list(range(lo, hi + 1))
 
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"minValue": self.min_value, "maxValue": self.max_value}
-        if self.mod_value is not None:
-            out["modValue"] = self.mod_value
-        if self.change_rate is not None:
-            out["changeRate"] = self.change_rate
-        if self.pow_value is not None:
-            out["powValue"] = self.pow_value
-        if self.func is not None:
-            out["func"] = self.func
-        return out
-
     @classmethod
     def from_json(cls, name: str, raw: dict[str, Any]) -> "TraitSpec":
         spec = cls(
@@ -136,25 +117,6 @@ class EvalTypeConfig:
             return self.metric or "effective_gops"
         return self.metric or "phys_metric"
 
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "type": self.type,
-            "weight": self.weight,
-            "minValue": self.min_value,
-            "maxValue": self.max_value,
-            "active": self.active,
-            "allowOverflow": self.allow_overflow,
-        }
-        if self.minimize:
-            out["minimize"] = True
-        if self.epochs is not None:
-            out["epochs"] = self.epochs
-        if self.batch_size is not None:
-            out["batchSize"] = self.batch_size
-        if self.metric is not None:
-            out["metric"] = self.metric
-        return out
-
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "EvalTypeConfig":
         et = cls(
@@ -178,7 +140,6 @@ class PopConfig:
     initial_pop_size: int
     max_pop_size: int
     change_rate: float
-    min_indiv_eval_complete: int
     max_generations: int
     fitness_score_goal: float
     eval_types: tuple[EvalTypeConfig, ...]
@@ -194,24 +155,12 @@ class PopConfig:
     def active_eval_types(self) -> list[EvalTypeConfig]:
         return [et for et in self.eval_types if et.active]
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "initialPopSize": self.initial_pop_size,
-            "maxPopSize": self.max_pop_size,
-            "changeRate": self.change_rate,
-            "minIndivEvalCompleteBeforeFitSelect": self.min_indiv_eval_complete,
-            "maxGenerations": self.max_generations,
-            "fitnessScoreGoal": self.fitness_score_goal,
-            "evalTypes": [et.to_json() for et in self.eval_types],
-        }
-
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "PopConfig":
         pop = cls(
             initial_pop_size=int(raw["initialPopSize"]),
             max_pop_size=int(raw["maxPopSize"]),
             change_rate=float(raw["changeRate"]),
-            min_indiv_eval_complete=int(raw.get("minIndivEvalCompleteBeforeFitSelect", 1)),
             max_generations=int(raw["maxGenerations"]),
             fitness_score_goal=float(raw.get("fitnessScoreGoal", math.inf)),
             eval_types=tuple(
@@ -226,34 +175,27 @@ class PopConfig:
 
 @dataclass(frozen=True)
 class CellTypeConfig:
-    """A declared cell type: its mutable traits plus static fields."""
+    """A declared cell type and its mutable traits.
+
+    A key is a trait when its value is an object with minValue and maxValue
+    and it is not a comment key; every other key is ignored.
+    """
 
     cell_type: str
-    traits: dict[str, TraitSpec] = field(default_factory=dict)
-    statics: dict[str, Any] = field(default_factory=dict)
-
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"cell_type": self.cell_type}
-        for name, spec in self.traits.items():
-            out[name] = spec.to_json()
-        out.update(self.statics)
-        return out
+    traits: dict[str, TraitSpec]
 
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "CellTypeConfig":
         ctype = raw.get("cell_type")
         if ctype not in CELL_TYPES:
             raise ConfigError(f"unknown cell_type '{ctype}' in cellTypes")
-        traits: dict[str, TraitSpec] = {}
-        statics: dict[str, Any] = {}
-        for key, val in raw.items():
-            if key in _NON_TRAIT_KEYS or _is_comment_key(key) or key in _COMPUTED_CACHE_KEYS:
-                continue
-            if isinstance(val, dict) and "minValue" in val and "maxValue" in val:
-                traits[key] = TraitSpec.from_json(f"{ctype}.{key}", val)
-            else:
-                statics[key] = val
-        return cls(cell_type=ctype, traits=traits, statics=statics)
+        traits = {
+            key: TraitSpec.from_json(f"{ctype}.{key}", val)
+            for key, val in raw.items()
+            if not _is_comment_key(key)
+            and isinstance(val, dict) and "minValue" in val and "maxValue" in val
+        }
+        return cls(cell_type=ctype, traits=traits)
 
 
 @dataclass(frozen=True)
@@ -276,17 +218,6 @@ class HwConfig:
     @property
     def bandwidth_bytes_per_s(self) -> float:
         return self.mem_banks * self.mem_speed * 1e6 * self.mem_rate
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "deviceType": self.device_type,
-            "dsp": self.dsp,
-            "freq": self.freq,
-            "sram": self.sram,
-            "mem_banks": self.mem_banks,
-            "mem_speed": self.mem_speed,
-            "mem_rate": self.mem_rate,
-        }
 
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "HwConfig":
@@ -346,14 +277,11 @@ class CellInstance:
 class EcadConfig:
     name: str
     version: str
-    includes: tuple[str, ...]
     pop: PopConfig
     def_change_rate: float
     cell_types: tuple[CellTypeConfig, ...]
-    net_type: str
     hw: HwConfig
     cell_array: tuple[CellInstance, ...]
-    extras: dict[str, Any] = field(default_factory=dict)   # unknown top-level keys, preserved verbatim
 
     def cell_type_config(self, cell_type: str) -> CellTypeConfig:
         for ct in self.cell_types:
@@ -411,12 +339,6 @@ def _validate(cfg: EcadConfig) -> EcadConfig:
     return cfg
 
 
-_KNOWN_TOP_KEYS = {
-    "name", "version", "includes", "popConfigValues", "traitConfigValues",
-    "cellConfigValues", "cellTypes", "netConfig", "hwConfig", "cellArray",
-}
-
-
 def _merge_includes(doc: dict[str, Any], base_dir: Path | None) -> dict[str, Any]:
     merged: dict[str, Any] = {}
     for inc in doc.get("includes", []):
@@ -447,8 +369,7 @@ def parse_config(source: str | Path) -> EcadConfig:
     """Parse JSON text or a file path into a validated EcadConfig.
 
     Include files are resolved relative to the including file and merged
-    shallowly (main file keys win). Comment-style keys are ignored; unknown
-    top-level keys are preserved in ``extras``.
+    shallowly (main file keys win). Keys the search does not read are ignored.
     """
     def _is_existing_path(s: str) -> bool:
         try:
@@ -472,37 +393,14 @@ def parse_config(source: str | Path) -> EcadConfig:
     if not isinstance(hw_raw, dict):
         raise ConfigError("missing 'hwConfig'")
 
-    extras = {
-        k: v for k, v in doc.items()
-        if k not in _KNOWN_TOP_KEYS and not _is_comment_key(k)
-    }
     cfg = EcadConfig(
         name=str(doc.get("name", "")),
         version=str(doc.get("version", "")),
-        includes=tuple(doc.get("includes", [])),
         pop=PopConfig.from_json(pop_raw),
         def_change_rate=float(doc.get("traitConfigValues", {}).get("defChangeRate", 0.1)),
         cell_types=tuple(CellTypeConfig.from_json(ct) for ct in doc.get("cellTypes", [])),
-        net_type=str(doc.get("netConfig", {}).get("netType", "mlp")),
         hw=HwConfig.from_json(hw_raw),
         cell_array=tuple(CellInstance.from_json(c) for c in doc.get("cellArray", [])),
-        extras=extras,
     )
     return _validate(cfg)
 
-
-def serialize_config(cfg: EcadConfig) -> str:
-    """Serialize to canonical JSON text; reparsing yields a structurally equal config."""
-    doc: dict[str, Any] = {
-        "name": cfg.name,
-        "version": cfg.version,
-        "includes": [],   # includes are already merged into this document
-        "popConfigValues": cfg.pop.to_json(),
-        "traitConfigValues": {"defChangeRate": cfg.def_change_rate},
-        "cellTypes": [ct.to_json() for ct in cfg.cell_types],
-        "netConfig": {"netType": cfg.net_type},
-        "hwConfig": cfg.hw.to_json(),
-        "cellArray": [c.to_json() for c in cfg.cell_array],
-    }
-    doc.update(cfg.extras)
-    return json.dumps(doc, indent=2) + "\n"

@@ -1,9 +1,9 @@
 """Routing of evaluation jobs to fitness workers.
 
 Each eval type maps to one worker callable in this process. A job runs once,
-in job order, and yields exactly one result (ok or failed); results carry the
-genome id, so the engine matches them to genomes by id. A worker that raises
-fails only its own job. Workers are deterministic, so a failed job is not
+in job order, and yields exactly one result (ok or failed); the engine matches
+each result to its job by genome id and eval type. A worker that raises fails
+only its own job. Workers are deterministic, so a failed job is not
 retried: a retry would repeat the same exception.
 """
 
@@ -21,7 +21,6 @@ class DispatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvalJob:
-    job_id: int
     genome_id: int
     eval_type: str
     network: NetworkDescription
@@ -30,7 +29,6 @@ class EvalJob:
 
 @dataclass(frozen=True)
 class EvalResult:
-    job_id: int
     genome_id: int
     eval_type: str
     metrics: dict[str, float] = field(default_factory=dict)
@@ -46,8 +44,8 @@ Worker = Callable[[EvalJob], EvalResult]
 
 
 def failed_result(job: EvalJob, diagnostics: str) -> EvalResult:
-    return EvalResult(job_id=job.job_id, genome_id=job.genome_id,
-                      eval_type=job.eval_type, status="failed", diagnostics=diagnostics)
+    return EvalResult(genome_id=job.genome_id, eval_type=job.eval_type,
+                      status="failed", diagnostics=diagnostics)
 
 
 class Dispatcher:

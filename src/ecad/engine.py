@@ -1,15 +1,17 @@
 """Steady-state evolutionary search loop.
 
-Each cycle dispatches every unevaluated member to the fitness workers, sorts
-the population by combined score, mutates the top performers into children
-(round-robin over the top slice), inserts them and evicts the worst scored
-members on overflow. The loop stops at the generation cap or when the best
-combined score reaches the configured goal. All randomness flows from one
-seeded generator, so trajectories are bit-reproducible.
+Each generation scores the genomes created since the last one (the initial
+spawn, then the previous generation's children), ranks the whole population
+by combined score, mutates the top performers into children (round-robin over
+the top slice) and evicts the worst members on overflow. The loop stops at
+the generation cap or when the best combined score reaches the configured
+goal. All randomness flows from one seeded generator, so trajectories are
+bit-reproducible.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -30,8 +32,7 @@ class EngineError(RuntimeError):
 class Member:
     genome: NetworkGenome
     card: ScoreCard
-    scored: bool = False
-    combined: float = 0.0
+    combined: float
 
 
 @dataclass
@@ -72,33 +73,6 @@ class SearchReport:
         }
 
 
-class Population:
-    """Owned by the engine; maps genome id to member state."""
-
-    def __init__(self) -> None:
-        self.members: dict[int, Member] = {}
-        self.generation = 0
-        self.next_id = 0
-
-    def allocate_id(self) -> int:
-        gid = self.next_id
-        self.next_id += 1
-        return gid
-
-    def add(self, genome: NetworkGenome) -> None:
-        self.members[genome.id] = Member(genome=genome, card=ScoreCard(genome_id=genome.id))
-
-    def scored_members(self) -> list[Member]:
-        return [m for m in self.members.values() if m.scored]
-
-    def unscored_members(self) -> list[Member]:
-        return [m for m in self.members.values() if not m.scored]
-
-    def ranked(self) -> list[Member]:
-        """Scored members, best combined first, older id winning ties."""
-        return sorted(self.scored_members(), key=lambda m: (-m.combined, m.genome.id))
-
-
 def _genome_summary(member: Member) -> dict[str, Any]:
     desc = to_description(member.genome)
     traits = {
@@ -121,74 +95,59 @@ def run(
     dispatcher: Dispatcher,
     store: EcadDb | None = None,
     seed: int = 0,
-) -> tuple[SearchReport, Population]:
-    """Run the full search; returns the report and the final population."""
+) -> tuple[SearchReport, dict[int, Member]]:
+    """Run the full search; returns the report and the final population by genome id."""
     active = cfg.pop.active_eval_types()
     if not active:
         raise EngineError("config has no active eval types")
 
     rng = random.Random(seed)
-    pop = Population()
-    next_job_id = 0
-
-    for _ in range(cfg.pop.initial_pop_size):
-        pop.add(spawn(cfg, rng, pop.allocate_id(), generation=0))
+    ids = itertools.count()
+    members: dict[int, Member] = {}
+    fresh = [spawn(cfg, rng, next(ids), generation=0) for _ in range(cfg.pop.initial_pop_size)]
 
     history: list[GenerationStats] = []
     stop_reason = "max generations reached"
 
     for generation in range(1, cfg.pop.max_generations + 1):
-        pop.generation = generation
-
-        # 1. evaluate everyone who still lacks a score
+        # 1. score the genomes created since the last generation; the dispatcher
+        #    returns one result, ok or failed, per job, so every card completes
+        cards = {g.id: ScoreCard(genome_id=g.id) for g in fresh}
         jobs: list[EvalJob] = []
-        for member in pop.unscored_members():
-            desc = to_description(member.genome)
+        for genome in fresh:
+            desc = to_description(genome)
             for et in active:
                 params: dict[str, Any] = {}
                 if et.type == "simJob":
                     params = {"epochs": et.epochs or 1,
                               "batchSize": et.batch_size or desc.batch,
-                              "seed": seed * 1_000_003 + member.genome.id}
-                jobs.append(EvalJob(job_id=next_job_id, genome_id=member.genome.id,
-                                    eval_type=et.type, network=desc, params=params))
-                next_job_id += 1
+                              "seed": seed * 1_000_003 + genome.id}
+                jobs.append(EvalJob(genome_id=genome.id, eval_type=et.type,
+                                    network=desc, params=params))
         for result in dispatcher.dispatch_all(jobs):
-            member = pop.members[result.genome_id]
+            card = cards[result.genome_id]
             et = next(e for e in active if e.type == result.eval_type)
             if result.ok:
-                member.card.record(et, result.metrics)
+                card.record(et, result.metrics)
             else:
-                member.card.record_failure(et, result.diagnostics)
-        newly_scored: list[Member] = []
-        for member in pop.unscored_members():
-            if member.card.is_complete(cfg.pop):
-                member.scored = True
-                member.combined = member.card.combined(cfg.pop)
-                newly_scored.append(member)
+                card.record_failure(et, result.diagnostics)
+        for genome in fresh:
+            card = cards[genome.id]
+            combined = card.combined(cfg.pop)
+            members[genome.id] = Member(genome=genome, card=card, combined=combined)
+            if store is not None:
+                store.append(genome, card, generation, combined)
 
-        scored = pop.scored_members()
-        min_scored = min(cfg.pop.min_indiv_eval_complete, len(pop.members))
-        if len(scored) < min_scored:
-            raise EngineError(
-                f"only {len(scored)} members evaluated; "
-                f"need {min_scored} before fitness selection"
-            )
-
-        # 2. snapshot statistics and persist this generation's new records
-        ranked = pop.ranked()
+        # 2. rank (best combined first, older id winning ties) and snapshot statistics
+        ranked = sorted(members.values(), key=lambda m: (-m.combined, m.genome.id))
         best = ranked[0]
-        stats = GenerationStats(
+        history.append(GenerationStats(
             generation=generation,
-            evaluated=len(scored),
+            evaluated=len(members),
             best=best.combined,
-            mean=math.fsum(m.combined for m in scored) / len(scored),
+            mean=math.fsum(m.combined for m in members.values()) / len(members),
             best_genome=_genome_summary(best),
-        )
-        history.append(stats)
-        if store is not None:
-            for member in sorted(newly_scored, key=lambda m: m.genome.id):
-                store.append(member.genome, member.card, generation, member.combined)
+        ))
 
         # 3. stop conditions
         if best.combined >= cfg.pop.fitness_score_goal:
@@ -200,33 +159,30 @@ def run(
         # 4. mutate the top slice into children, round-robin
         n_children = math.ceil(cfg.pop.change_rate * cfg.pop.max_pop_size)
         parents = [m.genome for m in ranked[:min(n_children, len(ranked))]]
-        children = [
-            mutate(parents[i % len(parents)], cfg, rng, pop.allocate_id(), generation=generation)
+        fresh = [
+            mutate(parents[i % len(parents)], cfg, rng, next(ids), generation=generation)
             for i in range(n_children)
         ]
 
-        # 5. insert children; evict the worst scored members on overflow,
-        #    never the unscored and never the current best (elitism)
-        overflow = len(pop.members) + len(children) - cfg.pop.max_pop_size
+        # 5. make room for the children: evict the worst members on overflow,
+        #    never the current best (elitism)
+        overflow = len(members) + len(fresh) - cfg.pop.max_pop_size
         if overflow > 0:
             evictable = [m for m in reversed(ranked) if m.genome.id != best.genome.id]
             if len(evictable) < overflow:
-                raise EngineError("population overflow cannot be resolved from scored members")
+                raise EngineError("population overflow cannot be resolved without evicting the best member")
             for member in evictable[:overflow]:
-                del pop.members[member.genome.id]
-        for child in children:
-            pop.add(child)
+                del members[member.genome.id]
 
-    best_summary = _genome_summary(pop.ranked()[0]) if pop.scored_members() else {}
     report = SearchReport(
         config_name=cfg.name,
         seed=seed,
         generations_run=len(history),
         stop_reason=stop_reason,
-        best=best_summary,
+        best=history[-1].best_genome if history else {},
         history=history,
     )
-    return report, pop
+    return report, members
 
 
 def report_csv_rows(report: SearchReport) -> list[list[Any]]:

@@ -47,16 +47,6 @@ class NetworkGenome:
     generation: int
     cells: tuple[CellState, ...]
 
-    def cell(self, name: str) -> CellState:
-        for c in self.cells:
-            if c.cell_name == name:
-                return c
-        raise KeyError(name)
-
-    def trait_map(self) -> dict[str, dict[str, int]]:
-        """cell_name -> {trait: value}, the mutable payload of the genome."""
-        return {c.cell_name: dict(c.trait_values) for c in self.cells}
-
     def to_json(self) -> dict[str, Any]:
         return {
             "id": self.id,
@@ -319,36 +309,3 @@ def to_description(genome: NetworkGenome) -> NetworkDescription:
             width = cell.instance.output_size
     return NetworkDescription(id=genome.id, batch=batch, layers=tuple(layers), systolic=systolic)
 
-
-def from_description(desc: NetworkDescription, cfg: EcadConfig, parent_id: int | None = None,
-                     generation: int = 0) -> NetworkGenome:
-    """Rebuild a genome over cfg's cell array from a description.
-
-    Inverse of :func:`to_description` for genomes produced from the same
-    config; trait values not visible in the description keep spec minimums.
-    """
-    dense_layers = [l for l in desc.layers]
-    cells: list[CellState] = []
-    li = 0
-    for inst in cfg.chain():
-        specs = cfg.cell_type_config(inst.cell_type).traits
-        traits = {name: spec.legal_values()[0] for name, spec in specs.items()}
-        if inst.cell_type == "input":
-            if "batch_size" in specs:
-                traits["batch_size"] = desc.batch
-        elif inst.cell_type == "dense":
-            if li >= len(dense_layers):
-                raise GenomeError("description has fewer layers than the config's dense cells")
-            layer = dense_layers[li]
-            li += 1
-            traits["neurons"] = layer.out_features
-            if "enableBias" in specs:
-                traits["enableBias"] = int(layer.bias)
-            if desc.systolic is not None and "sys_rows" in specs:
-                traits[_SYS_ROWS] = desc.systolic.rows
-                traits[_SYS_COLS] = desc.systolic.cols
-                traits["sys_vec"] = desc.systolic.vec
-                traits[_SYS_INTRLV] = desc.systolic.interleave
-                traits["sys_scale"] = desc.systolic.scale
-        cells.append(CellState(instance=inst, trait_values=traits))
-    return NetworkGenome(id=desc.id, parent_id=parent_id, generation=generation, cells=tuple(cells))

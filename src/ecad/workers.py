@@ -28,13 +28,13 @@ def make_hwdb_worker(hw: HwConfig) -> Worker:
             return failed_result(job, str(exc))
         if not est.feasible:
             return EvalResult(
-                job_id=job.job_id, genome_id=job.genome_id, eval_type=job.eval_type,
+                genome_id=job.genome_id, eval_type=job.eval_type,
                 metrics=est.metrics(), status="failed",
                 diagnostics=f"resource budget exceeded: dsp {est.dsp_est:.0f}/{hw.dsp}, "
                             f"mem {est.mem_kb_est:.0f}/{hw.sram}",
             )
-        return EvalResult(job_id=job.job_id, genome_id=job.genome_id,
-                          eval_type=job.eval_type, metrics=est.metrics())
+        return EvalResult(genome_id=job.genome_id, eval_type=job.eval_type,
+                          metrics=est.metrics())
 
     return worker
 
@@ -54,7 +54,7 @@ def make_sim_worker(data: Dataset) -> Worker:
         except TrainingDiverged as exc:
             return failed_result(job, str(exc))
         return EvalResult(
-            job_id=job.job_id, genome_id=job.genome_id, eval_type=job.eval_type,
+            genome_id=job.genome_id, eval_type=job.eval_type,
             metrics={"accuracy": report.accuracy, "epochs": float(report.epochs),
                      "batch_size": float(report.batch_size)},
         )
@@ -70,7 +70,7 @@ def make_phys_stub() -> Worker:
     """
 
     def worker(job: EvalJob) -> EvalResult:
-        return EvalResult(job_id=job.job_id, genome_id=job.genome_id,
-                          eval_type=job.eval_type, metrics={"phys_metric": 0.0})
+        return EvalResult(genome_id=job.genome_id, eval_type=job.eval_type,
+                          metrics={"phys_metric": 0.0})
 
     return worker

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
+from typing import Any
 
 from ecad.genome import LayerDesc, NetworkDescription, SystolicDesc
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 LISTING_CONFIG = REPO_ROOT / "configs" / "mlp_mnist.ecad.cfg"
+
+
+def listing_doc() -> dict[str, Any]:
+    """The listing config as one JSON document with its includes merged in, for editing."""
+    doc = json.loads(LISTING_CONFIG.read_text(encoding="utf-8"))
+    merged: dict[str, Any] = {}
+    for inc in doc.pop("includes"):
+        merged.update(json.loads((LISTING_CONFIG.parent / inc).read_text(encoding="utf-8")))
+    merged.update(doc)
+    return merged
 
 # published modeled performance for the (4, 4, 8, 8, 8) configuration running
 # the 784/196/190/150/10 MLP at 250 MHz: batch -> (effective GOP/s, time ms)

@@ -1,15 +1,24 @@
+import hashlib
 import json
 import math
 import shutil
+import struct
 
 import pytest
 
 from ecad import cli
 from ecad.config import parse_config
 
-from helpers import LISTING_CONFIG
+from helpers import LISTING_CONFIG, mlp_desc
 
 GENERATIONS = 30
+
+
+@pytest.fixture
+def network_file(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(mlp_desc([784, 4, 10], batch=4, cfg=(2, 2, 2, 4, 2)).to_json()))
+    return path
 
 
 @pytest.fixture
@@ -44,6 +53,20 @@ def test_search_is_byte_reproducible(tmp_path, hw_only_config):
     assert report["generations_run"] == GENERATIONS
 
 
+def test_search_matches_golden_digests(tmp_path, hw_only_config):
+    # the hardware-only path uses only Python floats and random.Random, so these
+    # digests pin the trajectory on every supported Python; a change that alters
+    # the trajectory on purpose updates them and says why in CHANGES.md
+    out = tmp_path / "out"
+    assert cli.main(["search", str(hw_only_config), "--seed", "3", "--out-dir", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("ecad.db.jsonl", "report.json")}
+    assert digests == {
+        "ecad.db.jsonl": "101d58a122358d7ef815023223d8e6de09102af0a99ea38d1e22a3f8f9c1ed32",
+        "report.json": "d8677bd305fbaefda8da73a6f26e2e5c454f59cbb3af3a5fb651dab6315eef4f",
+    }
+
+
 def test_worker_command_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["worker", "--eval-type", "hwDBJob"])
@@ -65,3 +88,42 @@ def test_simulate_array_hand_computed_cycles(capsys):
     assert cli.main(["simulate-array", "--cfg", "2,2,2,2,2", "--m", "5", "--k", "9", "--n", "6"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["compute_cycles"], doc["a_blocks"], doc["b_blocks"], doc["drain_elements"]) == (96, 12, 12, 64)
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("train", "--epochs", "0"), ("train", "--batch-size", "0"),
+    ("train", "--train-subset", "0"), ("train", "--train-subset", "-5"),
+    ("search", "--train-subset", "0"), ("eval", "--batch", "0")])
+def test_sizes_below_one_rejected(tmp_path, network_file, hw_only_config, capsys,
+                                  command, flag, value):
+    positional = {
+        "train": [str(network_file), str(tmp_path / "dest")],
+        "search": [str(hw_only_config), "--out-dir", str(tmp_path / "out")],
+        "eval": [str(network_file)],
+    }[command]
+    assert cli.main([command, *positional, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be at least 1, got {value}")
+    assert not (tmp_path / "dest").exists() and not (tmp_path / "out").exists()
+
+
+def write_bin(path, dims, values):
+    path.write_bytes(struct.pack("<4i", *dims) + struct.pack(f"<{len(values)}f", *values))
+
+
+@pytest.mark.parametrize("fault", ["missing dir", "short header", "bias length"])
+def test_simulate_array_bad_params_dir(tmp_path, network_file, capsys, fault):
+    params = tmp_path / "params"
+    if fault != "missing dir":
+        params.mkdir()
+        write_bin(params / "dense00_weights.bin", (784, 4, 1, 1), [0.0] * (784 * 4))
+        write_bin(params / "dense00_biases.bin", (3, 1, 1, 1), [0.0] * 3)
+        if fault == "short header":
+            (params / "dense00_weights.bin").write_bytes(b"\x00" * 8)
+    argv = ["simulate-array", "--cfg", "2,2,2,4,2", "--network", str(network_file),
+            "--params-dir", str(params)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot load parameters from {params}: ")

@@ -1,16 +1,8 @@
-import dataclasses
 import json
 
 import pytest
 
-from ecad.config import (
-    ConfigError,
-    TraitSpec,
-    parse_config,
-    serialize_config,
-)
-
-from helpers import LISTING_CONFIG
+from ecad.config import ConfigError, TraitSpec, parse_config
 
 
 def minimal_doc(**overrides):
@@ -64,7 +56,6 @@ class TestParseListing:
         assert listing_cfg.pop.initial_pop_size == 20
         assert listing_cfg.pop.max_pop_size == 40
         assert listing_cfg.pop.change_rate == 0.20
-        assert listing_cfg.pop.min_indiv_eval_complete == 10
         assert listing_cfg.pop.max_generations == 2000
         assert listing_cfg.pop.fitness_score_goal == 2.0
 
@@ -89,30 +80,55 @@ class TestParseListing:
         assert dense.traits["neurons"].legal_values()[:3] == [2, 4, 6]
         assert dense.traits["neurons"].legal_values()[-1] == 1024
         assert dense.traits["enableBias"].legal_values() == [0, 1]
-        # computed geometry caches are not traits and not statics
-        assert "row_blocks" not in dense.traits
-        assert "row_blocks" not in dense.statics
+        # static fields, computed geometry caches and comments are not traits
+        assert {ct.cell_type: set(ct.traits) for ct in listing_cfg.cell_types} == {
+            "input": {"batch_size"},
+            "dense": {"neurons", "sys_rows", "sys_cols", "sys_vec", "sys_intrlv",
+                      "sys_scale", "enableBias"},
+            "relu": set(),
+            "output": set(),
+        }
 
     def test_chain_order(self, listing_cfg):
         assert [c.cell_name for c in listing_cfg.chain()] == ["X", "dense00", "relu00", "Y"]
         assert listing_cfg.chain()[0].input_size == 784
         assert listing_cfg.chain()[-1].output_size == 10
 
-    def test_comment_keys_ignored(self, listing_cfg):
-        assert "comment" not in listing_cfg.extras
-        assert "includes_comment" not in listing_cfg.extras
+    def test_metric_override_preserved(self):
+        doc = minimal_doc()
+        doc["popConfigValues"]["evalTypes"][0]["metric"] = "img_per_s"
+        cfg = parse_config(json.dumps(doc))
+        assert cfg.pop.eval_types[0].scored_metric == "img_per_s"
+
+    def test_comment_keys_ignored(self):
+        doc = minimal_doc()
+        trait_shaped = {"minValue": 2, "maxValue": 4}
+        doc["cellTypes"][1].update({"comment": trait_shaped, "neurons_comment": trait_shaped,
+                                    "sys_rows-comment": trait_shaped})
+        dense = parse_config(json.dumps(doc)).cell_type_config("dense")
+        assert not {"comment", "neurons_comment", "sys_rows-comment"} & dense.traits.keys()
+        assert dense.traits["neurons"].legal_values()[-1] == 16
+
+    def test_unread_keys_ignored(self):
+        plain = parse_config(json.dumps(minimal_doc()))
+        doc = minimal_doc(custom_key={"anything": 1}, netConfig={"netType": "cnn"},
+                          cellConfigValues=[1, 2])
+        doc["popConfigValues"]["minIndivEvalCompleteBeforeFitSelect"] = 10_000
+        doc["cellTypes"][1]["HWGenMode"] = "MSA"
+        assert parse_config(json.dumps(doc)) == plain
 
 
 class TestIncludes:
     def test_main_file_wins(self, tmp_path):
         (tmp_path / "base.cfg").write_text(json.dumps(
-            {"name": "from-include", "custom_key": "included"}))
+            {"name": "from-include", "traitConfigValues": {"defChangeRate": 0.5}}))
         doc = minimal_doc(includes=["base.cfg"])
+        del doc["traitConfigValues"]
         main = tmp_path / "main.cfg"
         main.write_text(json.dumps(doc))
         cfg = parse_config(main)
         assert cfg.name == "minimal"               # main file wins
-        assert cfg.extras["custom_key"] == "included"
+        assert cfg.def_change_rate == 0.5          # the include fills what main lacks
 
     def test_missing_include(self, tmp_path):
         doc = minimal_doc(includes=["nope.cfg"])
@@ -122,13 +138,17 @@ class TestIncludes:
             parse_config(main)
 
     def test_nested_include(self, tmp_path):
-        (tmp_path / "inner.cfg").write_text(json.dumps({"level": "inner"}))
+        (tmp_path / "inner.cfg").write_text(json.dumps(
+            {"name": "inner", "traitConfigValues": {"defChangeRate": 0.25}}))
         (tmp_path / "outer.cfg").write_text(json.dumps(
-            {"includes": ["inner.cfg"], "level": "outer"}))
+            {"includes": ["inner.cfg"], "traitConfigValues": {"defChangeRate": 0.5}}))
         doc = minimal_doc(includes=["outer.cfg"])
+        del doc["name"], doc["traitConfigValues"]
         main = tmp_path / "main.cfg"
         main.write_text(json.dumps(doc))
-        assert parse_config(main).extras["level"] == "outer"
+        cfg = parse_config(main)
+        assert cfg.def_change_rate == 0.5          # outer wins over inner
+        assert cfg.name == "inner"                 # inner reaches main through outer
 
 
 class TestValidation:
@@ -210,36 +230,3 @@ class TestTraitSpec:
         spec = TraitSpec.from_json("t", {"minValue": 4, "maxValue": 4, "modValue": 2})
         assert spec.legal_values() == [4]
 
-
-class TestRoundTrip:
-    def test_parse_serialize_parse_identity(self, listing_cfg):
-        text = serialize_config(listing_cfg)
-        reparsed = parse_config(text)
-        # includes are consumed by merging; everything else is identical
-        assert dataclasses.replace(listing_cfg, includes=()) == reparsed
-
-    def test_serialize_is_idempotent_bytes(self, listing_cfg):
-        text1 = serialize_config(listing_cfg)
-        text2 = serialize_config(parse_config(text1))
-        assert text1 == text2
-
-    def test_optional_fields_omitted(self):
-        cfg = parse_config(json.dumps(minimal_doc()))
-        text = serialize_config(cfg)
-        assert "powValue" in text           # sys_cols carries it
-        assert '"minimize"' not in text     # default false is omitted
-
-    def test_metric_override_preserved(self):
-        doc = minimal_doc()
-        doc["popConfigValues"]["evalTypes"][0]["metric"] = "img_per_s"
-        cfg = parse_config(json.dumps(doc))
-        assert cfg.pop.eval_types[0].scored_metric == "img_per_s"
-        assert parse_config(serialize_config(cfg)).pop.eval_types[0].scored_metric == "img_per_s"
-
-    def test_listing_file_reparse(self):
-        cfg = parse_config(LISTING_CONFIG)
-        again = parse_config(serialize_config(cfg))
-        assert again.pop == cfg.pop
-        assert again.hw == cfg.hw
-        assert again.cell_array == cfg.cell_array
-        assert again.cell_types == cfg.cell_types

@@ -10,15 +10,14 @@ from helpers import mlp_desc
 NET = mlp_desc([784, 16, 10], batch=2, cfg=(2, 2, 2, 4, 2))
 
 
-def job(job_id: int, eval_type: str) -> EvalJob:
-    return EvalJob(job_id=job_id, genome_id=100 + job_id, eval_type=eval_type, network=NET)
+def job(genome_id: int, eval_type: str) -> EvalJob:
+    return EvalJob(genome_id=genome_id, eval_type=eval_type, network=NET)
 
 
 def echo(tag: float, calls: list):
     def worker(j: EvalJob) -> EvalResult:
-        calls.append(j.job_id)
-        return EvalResult(job_id=j.job_id, genome_id=j.genome_id,
-                          eval_type=j.eval_type, metrics={"tag": tag})
+        calls.append(j.genome_id)
+        return EvalResult(genome_id=j.genome_id, eval_type=j.eval_type, metrics={"tag": tag})
     return worker
 
 
@@ -27,8 +26,7 @@ def test_mixed_eval_types_come_back_in_job_order():
     disp = Dispatcher({"simJob": echo(1.0, calls), "hwDBJob": echo(2.0, calls)})
     jobs = [job(i, "simJob" if i % 3 else "hwDBJob") for i in range(7)]
     results = disp.dispatch_all(jobs)
-    assert [r.job_id for r in results] == [j.job_id for j in jobs]
-    assert [r.genome_id for r in results] == [j.genome_id for j in jobs]
+    assert [(r.genome_id, r.eval_type) for r in results] == [(j.genome_id, j.eval_type) for j in jobs]
     assert [r.metrics["tag"] for r in results] == [
         1.0 if j.eval_type == "simJob" else 2.0 for j in jobs]
     assert calls == list(range(7))
@@ -47,14 +45,14 @@ def test_raising_worker_yields_one_failed_result():
     calls: list[int] = []
 
     def boom(j: EvalJob) -> EvalResult:
-        calls.append(j.job_id)
+        calls.append(j.genome_id)
         raise ZeroDivisionError("bad layer")
 
     results = Dispatcher({"simJob": boom}).dispatch_all([job(5, "simJob")])
     assert calls == [5]
     assert len(results) == 1
     res = results[0]
-    assert (res.job_id, res.genome_id, res.eval_type) == (5, 105, "simJob")
+    assert (res.genome_id, res.eval_type) == (5, "simJob")
     assert not res.ok and res.status == "failed"
     assert "ZeroDivisionError" in res.diagnostics and "bad layer" in res.diagnostics
 
@@ -70,14 +68,13 @@ def test_engine_scores_a_worker_exception_as_zero(listing_cfg):
     def worker(j: EvalJob) -> EvalResult:
         if j.genome_id == broken:
             raise RuntimeError("model crashed")
-        return EvalResult(job_id=j.job_id, genome_id=j.genome_id,
-                          eval_type=j.eval_type, metrics={"effective_gops": 500.0})
+        return EvalResult(genome_id=j.genome_id, eval_type=j.eval_type,
+                          metrics={"effective_gops": 500.0})
 
-    _, pop = engine.run(cfg, Dispatcher({"hwDBJob": worker}), seed=0)
-    member = pop.members[broken]
-    assert member.scored
+    _, members = engine.run(cfg, Dispatcher({"hwDBJob": worker}), seed=0)
+    member = members[broken]
     assert member.card.scores["hwDBJob"] == 0.0
     assert member.combined == 0.0
     assert "RuntimeError: model crashed" in member.card.failed["hwDBJob"]
-    others = [m for gid, m in pop.members.items() if gid != broken]
+    others = [m for gid, m in members.items() if gid != broken]
     assert all(m.card.scores["hwDBJob"] == 0.5 for m in others)

@@ -1,0 +1,124 @@
+import math
+from dataclasses import replace
+
+import pytest
+
+from ecad import engine
+from ecad.dispatch import Dispatcher, EvalJob, EvalResult
+from ecad.store import EcadDb
+
+GENERATIONS = 12
+MAX_GOPS = 2048.0
+
+
+def width_worker(job: EvalJob) -> EvalResult:
+    """hwDBJob stub whose metric is the hidden width, so the score is width / MAX_GOPS."""
+    return EvalResult(genome_id=job.genome_id, eval_type=job.eval_type,
+                      metrics={"effective_gops": float(job.network.layers[0].out_features)})
+
+
+def hw_only(cfg, **pop_values):
+    """cfg scored by hwDBJob alone, with an unclamped width score and the given pop values."""
+    eval_types = tuple(replace(et, active=et.type == "hwDBJob", max_value=MAX_GOPS)
+                       for et in cfg.pop.eval_types)
+    return replace(cfg, pop=replace(cfg.pop, eval_types=eval_types, **pop_values))
+
+
+@pytest.fixture
+def small_cfg(listing_cfg):
+    # two founders and five children per generation: the first generation's
+    # children reuse each parent, and the population overflows in generation 3
+    return hw_only(listing_cfg, initial_pop_size=2, max_pop_size=10, change_rate=0.5,
+                   max_generations=GENERATIONS, fitness_score_goal=math.inf)
+
+
+def search(cfg, tmp_path, seed=5):
+    store = EcadDb(tmp_path / f"seed{seed}-goal{cfg.pop.fitness_score_goal}.jsonl")
+    report, _ = engine.run(cfg, Dispatcher({"hwDBJob": width_worker}), store=store, seed=seed)
+    return report, list(store.scan())
+
+
+def n_children(cfg) -> int:
+    return math.ceil(cfg.pop.change_rate * cfg.pop.max_pop_size)
+
+
+def width(rec) -> int:
+    return next(c for c in rec.genome.cells if c.cell_type == "dense").trait_values["neurons"]
+
+
+def test_records_per_generation(small_cfg, tmp_path):
+    report, records = search(small_cfg, tmp_path)
+    assert report.generations_run == GENERATIONS
+    assert [r.seq for r in records] == list(range(len(records)))
+    for g in range(1, GENERATIONS + 1):
+        upto = [r for r in records if r.generation <= g]
+        assert len(upto) == small_cfg.pop.initial_pop_size + n_children(small_cfg) * (g - 1)
+    assert all(rec.combined == width(rec) / MAX_GOPS for rec in records)
+
+
+def test_population_never_exceeds_max(small_cfg, tmp_path):
+    report, _ = search(small_cfg, tmp_path)
+    pop = small_cfg.pop
+    sizes = [h.evaluated for h in report.history]
+    assert sizes == [min(pop.initial_pop_size + n_children(small_cfg) * (g - 1), pop.max_pop_size)
+                     for g in range(1, GENERATIONS + 1)]
+    assert max(sizes) == pop.max_pop_size
+
+
+def test_best_never_decreases(small_cfg, tmp_path):
+    report, _ = search(small_cfg, tmp_path)
+    bests = [h.best for h in report.history]
+    assert bests == sorted(bests)
+    assert report.best["combined"] == bests[-1]
+
+
+def test_children_come_round_robin_from_previous_top(small_cfg, tmp_path):
+    """Replays ranking and eviction from the records: each generation's children
+    descend, in id order, from the previous generation's top slice in rank order."""
+    report, records = search(small_cfg, tmp_path)
+    c, max_pop = n_children(small_cfg), small_cfg.pop.max_pop_size
+    alive: dict[int, float] = {}
+    top: list[int] = []
+    for g in range(1, GENERATIONS + 1):
+        fresh = [r for r in records if r.generation == g]
+        if g > 1:
+            assert [r.genome.parent_id for r in fresh] == [top[i % len(top)] for i in range(c)]
+            assert all(r.genome.generation == g - 1 for r in fresh)
+        alive.update((r.genome.id, r.combined) for r in fresh)
+        ranked = sorted(alive, key=lambda gid: (-alive[gid], gid))
+        assert report.history[g - 1].best_genome["id"] == ranked[0]
+        assert report.history[g - 1].evaluated == len(alive)
+        top = ranked[:min(c, len(ranked))]
+        overflow = len(alive) + c - max_pop
+        for gid in [gid for gid in reversed(ranked) if gid != ranked[0]][:max(overflow, 0)]:
+            del alive[gid]
+    assert len(top) == c   # the later generations used a full top slice
+
+
+def test_stops_when_goal_reached(small_cfg, tmp_path):
+    full, _ = search(small_cfg, tmp_path)
+    bests = [h.best for h in full.history]
+    # the first generation whose best beats the generation before it
+    g = next(i for i in range(1, len(bests)) if bests[i] > bests[i - 1]) + 1
+    goal_cfg = replace(small_cfg, pop=replace(small_cfg.pop, fitness_score_goal=bests[g - 1]))
+    report, records = search(goal_cfg, tmp_path)
+    assert report.stop_reason == "fitness goal reached"
+    assert report.generations_run == g < GENERATIONS
+    assert [h.best for h in report.history] == bests[:g]
+    assert max(r.generation for r in records) == g
+    assert full.stop_reason == "max generations reached"
+
+
+def test_no_active_eval_type_raises(listing_cfg):
+    eval_types = tuple(replace(et, active=False) for et in listing_cfg.pop.eval_types)
+    cfg = replace(listing_cfg, pop=replace(listing_cfg.pop, eval_types=eval_types))
+    with pytest.raises(engine.EngineError, match="no active eval types"):
+        engine.run(cfg, Dispatcher({"hwDBJob": width_worker}))
+
+
+def test_overflow_that_would_evict_the_best_raises(small_cfg):
+    # with changeRate 1 the children alone fill the population, so only
+    # evicting the best member could make room for them
+    cfg = replace(small_cfg, pop=replace(small_cfg.pop, change_rate=1.0))
+    with pytest.raises(engine.EngineError, match="population overflow"):
+        engine.run(cfg, Dispatcher({"hwDBJob": width_worker}))

@@ -16,8 +16,7 @@ def et(type="hwDBJob", weight=1.0, min_value=0.0, max_value=1000.0, active=True,
 
 
 def pop_with(eval_types):
-    return PopConfig(initial_pop_size=2, max_pop_size=4, change_rate=0.5,
-                     min_indiv_eval_complete=1, max_generations=1,
+    return PopConfig(initial_pop_size=2, max_pop_size=4, change_rate=0.5, max_generations=1,
                      fitness_score_goal=2.0, eval_types=tuple(eval_types))
 
 

@@ -3,21 +3,22 @@ import random
 
 import pytest
 
-from ecad.config import parse_config, serialize_config
-from ecad.genome import (
-    GenomeError,
-    NetworkGenome,
-    from_description,
-    mutate,
-    spawn,
-    to_description,
-)
+from ecad.config import parse_config
+from ecad.genome import GenomeError, NetworkGenome, mutate, spawn, to_description
 
-from helpers import LISTING_CONFIG
+from helpers import listing_doc
+
+
+def traits_of(genome, cell_name):
+    return next(c.trait_values for c in genome.cells if c.cell_name == cell_name)
 
 
 def dense_traits(genome):
-    return genome.cell("dense00").trait_values
+    return traits_of(genome, "dense00")
+
+
+def all_traits(genome):
+    return [c.trait_values for c in genome.cells]
 
 
 def genome_valid(genome, cfg):
@@ -50,7 +51,7 @@ class TestSpawn:
         g2 = spawn(listing_cfg, random.Random(11), 0)
         assert g1 == g2
         g3 = spawn(listing_cfg, random.Random(12), 0)
-        assert g1.trait_map() != g3.trait_map()
+        assert all_traits(g1) != all_traits(g3)
 
     def test_sys_vec_covers_all_legal_powers(self, listing_cfg):
         legal = set(listing_cfg.cell_type_config("dense").traits["sys_vec"].legal_values())
@@ -58,14 +59,14 @@ class TestSpawn:
         seen = {dense_traits(spawn(listing_cfg, rng, i))["sys_vec"] for i in range(10_000)}
         assert seen == legal == {2, 4, 8, 16, 32, 64}
 
-    def test_singleton_range_is_constant(self, listing_cfg):
-        doc = json.loads(serialize_config(listing_cfg))
+    def test_singleton_range_is_constant(self):
+        doc = listing_doc()
         for ct in doc["cellTypes"]:
             if ct["cell_type"] == "input":
                 ct["batch_size"] = {"minValue": 4, "maxValue": 4, "modValue": 2}
         cfg = parse_config(json.dumps(doc))
         rng = random.Random(0)
-        assert all(spawn(cfg, rng, i).cell("X").trait_values["batch_size"] == 4
+        assert all(traits_of(spawn(cfg, rng, i), "X")["batch_size"] == 4
                    for i in range(20))
 
 
@@ -76,12 +77,12 @@ class TestMutate:
         for gid in range(1, 200):
             child = mutate(parent, listing_cfg, rng, gid)
             assert child.id == gid and child.parent_id == parent.id
-            assert child.trait_map() != parent.trait_map()
+            assert all_traits(child) != all_traits(parent)
             assert genome_valid(child, listing_cfg)
             parent = child
 
-    def test_zero_rates_force_exactly_one_change(self, listing_cfg):
-        doc = json.loads(serialize_config(listing_cfg))
+    def test_zero_rates_force_exactly_one_change(self):
+        doc = listing_doc()
         for ct in doc["cellTypes"]:
             for key, val in ct.items():
                 if isinstance(val, dict) and "minValue" in val:
@@ -176,11 +177,6 @@ class TestDescription:
         again = type(desc).from_json(json.loads(json.dumps(desc.to_json())))
         assert again == desc
 
-    def test_description_genome_fixed_point(self, listing_cfg):
-        desc = to_description(spawn(listing_cfg, random.Random(4), 9))
-        rebuilt = from_description(desc, listing_cfg)
-        assert to_description(rebuilt) == desc
-
     def test_genome_json_round_trip(self, listing_cfg):
         g = spawn(listing_cfg, random.Random(6), 3)
         assert NetworkGenome.from_json(json.loads(json.dumps(g.to_json()))) == g
@@ -192,8 +188,8 @@ class TestDescription:
 
 
 class TestErrors:
-    def test_unsatisfiable_interleave(self, listing_cfg):
-        doc = json.loads(serialize_config(listing_cfg))
+    def test_unsatisfiable_interleave(self):
+        doc = listing_doc()
         for ct in doc["cellTypes"]:
             if ct["cell_type"] == "dense":
                 ct["sys_intrlv"] = {"minValue": 2, "maxValue": 4, "modValue": 2}
