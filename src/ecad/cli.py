@@ -1,4 +1,4 @@
-"""Command-line surface: search, train, eval, simulate-array, export, actualize, compact.
+"""Command-line surface: search, train, eval, simulate-array, export, actualize.
 
 Every command exits 0 only on success and writes diagnostics to stderr.
 """
@@ -81,13 +81,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     _require_at_least_one(args, "train_subset")
     cfg = parse_config(args.config)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    db_path = out_dir / DB_FILENAME
-    if db_path.exists():
-        db_path.unlink()   # each search run produces a fresh database
-    store = EcadDb(db_path)
-    dispatcher = _build_dispatcher(cfg, args.mnist_dir, args.train_subset)
-    report, _ = engine.run(cfg, dispatcher, store=store, seed=args.seed)
+    with EcadDb.create(out_dir / DB_FILENAME) as store:   # each search writes a fresh database
+        dispatcher = _build_dispatcher(cfg, args.mnist_dir, args.train_subset)
+        report, _ = engine.run(cfg, dispatcher, store=store, seed=args.seed)
 
     (out_dir / "report.json").write_text(
         json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8")
@@ -198,12 +194,6 @@ def cmd_actualize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compact(args: argparse.Namespace) -> int:
-    kept = EcadDb(args.db).compact()
-    print(f"compacted {args.db}: {kept} records kept")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ecad",
                                      description="evolutionary NN/hardware co-design search")
@@ -259,10 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument("out")
     p.set_defaults(func=cmd_actualize)
-
-    p = sub.add_parser("compact", help="keep only the latest record per genome")
-    p.add_argument("db")
-    p.set_defaults(func=cmd_compact)
 
     return parser
 

@@ -52,6 +52,8 @@ class TraitSpec:
                 )
         if self.func == "PowFunction" and self.pow_value is None:
             raise ConfigError(f"trait '{name}': func PowFunction requires powValue")
+        if self.change_rate is not None and not 0 <= self.change_rate <= 1:
+            raise ConfigError(f"trait '{name}': changeRate must be in [0, 1], got {self.change_rate}")
         if not self.legal_values():
             raise ConfigError(f"trait '{name}': no legal value in [{self.min_value}, {self.max_value}]")
 
@@ -108,6 +110,9 @@ class EvalTypeConfig:
             raise ConfigError(f"evalType '{self.type}': weight must be >= 0")
         if not self.min_value < self.max_value:
             raise ConfigError(f"evalType '{self.type}': minValue must be < maxValue")
+        for key, value in (("epochs", self.epochs), ("batchSize", self.batch_size)):
+            if value is not None and value < 1:
+                raise ConfigError(f"evalType '{self.type}': {key} must be >= 1, got {value}")
 
     @property
     def scored_metric(self) -> str:
@@ -151,6 +156,13 @@ class PopConfig:
             raise ConfigError("popConfigValues: need 0 < changeRate <= 1")
         if self.max_generations < 1:
             raise ConfigError("popConfigValues: maxGenerations must be >= 1")
+        children = math.ceil(self.change_rate * self.max_pop_size)
+        if self.max_generations > 1 and children >= self.max_pop_size:
+            # the children alone would fill the population, evicting the best member
+            raise ConfigError(
+                f"popConfigValues: changeRate {self.change_rate} with maxPopSize "
+                f"{self.max_pop_size} makes {children} children per generation; "
+                "need ceil(changeRate * maxPopSize) < maxPopSize")
 
     def active_eval_types(self) -> list[EvalTypeConfig]:
         return [et for et in self.eval_types if et.active]

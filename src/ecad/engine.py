@@ -20,8 +20,8 @@ from typing import Any
 from .config import EcadConfig
 from .dispatch import Dispatcher, EvalJob
 from .fitness import ScoreCard
-from .genome import NetworkGenome, mutate, spawn, to_description
-from .store import EcadDb
+from .genome import mutate, spawn, to_description
+from .store import DbRecord, EcadDb
 
 
 class EngineError(RuntimeError):
@@ -29,16 +29,9 @@ class EngineError(RuntimeError):
 
 
 @dataclass
-class Member:
-    genome: NetworkGenome
-    card: ScoreCard
-    combined: float
-
-
-@dataclass
 class GenerationStats:
     generation: int
-    evaluated: int
+    population: int
     best: float
     mean: float
     best_genome: dict[str, Any]
@@ -46,7 +39,7 @@ class GenerationStats:
     def to_json(self) -> dict[str, Any]:
         return {
             "generation": self.generation,
-            "evaluated": self.evaluated,
+            "population": self.population,
             "best": self.best,
             "mean": self.mean,
             "best_genome": self.best_genome,
@@ -73,7 +66,7 @@ class SearchReport:
         }
 
 
-def _genome_summary(member: Member) -> dict[str, Any]:
+def _genome_summary(member: DbRecord) -> dict[str, Any]:
     desc = to_description(member.genome)
     traits = {
         "neurons": [l.out_features for l in desc.layers[:-1]] or [desc.layers[-1].out_features],
@@ -95,7 +88,7 @@ def run(
     dispatcher: Dispatcher,
     store: EcadDb | None = None,
     seed: int = 0,
-) -> tuple[SearchReport, dict[int, Member]]:
+) -> tuple[SearchReport, dict[int, DbRecord]]:
     """Run the full search; returns the report and the final population by genome id."""
     active = cfg.pop.active_eval_types()
     if not active:
@@ -103,7 +96,8 @@ def run(
 
     rng = random.Random(seed)
     ids = itertools.count()
-    members: dict[int, Member] = {}
+    seqs = itertools.count()
+    members: dict[int, DbRecord] = {}
     fresh = [spawn(cfg, rng, next(ids), generation=0) for _ in range(cfg.pop.initial_pop_size)]
 
     history: list[GenerationStats] = []
@@ -133,17 +127,17 @@ def run(
                 card.record_failure(et, result.diagnostics)
         for genome in fresh:
             card = cards[genome.id]
-            combined = card.combined(cfg.pop)
-            members[genome.id] = Member(genome=genome, card=card, combined=combined)
+            rec = DbRecord(genome, card, generation, card.combined(cfg.pop), seq=next(seqs))
+            members[genome.id] = rec
             if store is not None:
-                store.append(genome, card, generation, combined)
+                store.append(rec)
 
         # 2. rank (best combined first, older id winning ties) and snapshot statistics
         ranked = sorted(members.values(), key=lambda m: (-m.combined, m.genome.id))
         best = ranked[0]
         history.append(GenerationStats(
             generation=generation,
-            evaluated=len(members),
+            population=len(members),
             best=best.combined,
             mean=math.fsum(m.combined for m in members.values()) / len(members),
             best_genome=_genome_summary(best),

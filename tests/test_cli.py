@@ -1,13 +1,17 @@
+import builtins
 import hashlib
+import itertools
 import json
 import math
 import shutil
 import struct
+from pathlib import Path
 
 import pytest
 
-from ecad import cli
+from ecad import cli, store
 from ecad.config import parse_config
+from ecad.store import EcadDb
 
 from helpers import LISTING_CONFIG, mlp_desc
 
@@ -63,8 +67,83 @@ def test_search_matches_golden_digests(tmp_path, hw_only_config):
                for name in ("ecad.db.jsonl", "report.json")}
     assert digests == {
         "ecad.db.jsonl": "101d58a122358d7ef815023223d8e6de09102af0a99ea38d1e22a3f8f9c1ed32",
-        "report.json": "d8677bd305fbaefda8da73a6f26e2e5c454f59cbb3af3a5fb651dab6315eef4f",
+        "report.json": "1bf88218ff6e00de28717e50f98265f7e936e61caf70b5d2858ff5e439a018d3",
     }
+
+
+def spy_store_opens(monkeypatch) -> list:
+    """Record (path, mode, handle) for every file the store module opens."""
+    opened = []
+
+    def spy(file, mode="r", *args, **kwargs):
+        fh = builtins.open(file, mode, *args, **kwargs)
+        opened.append((Path(file), mode, fh))
+        return fh
+
+    monkeypatch.setattr(store, "open", spy, raising=False)
+    return opened
+
+
+def search(config, seed, out) -> int:
+    return cli.main(["search", str(config), "--seed", str(seed), "--out-dir", str(out)])
+
+
+def test_search_opens_its_database_for_writing_once(tmp_path, hw_only_config, monkeypatch):
+    opened = spy_store_opens(monkeypatch)
+    out = tmp_path / "out"
+    assert search(hw_only_config, 3, out) == 0
+    writes = [(path, mode, fh) for path, mode, fh in opened if mode != "r"]
+    assert [(path, mode) for path, mode, _ in writes] == [(out / "ecad.db.jsonl", "wb")]
+    assert writes[0][2].closed
+
+
+def test_interrupted_search_leaves_completed_generations(tmp_path, hw_only_config,
+                                                         monkeypatch):
+    full = tmp_path / "full"
+    assert search(hw_only_config, 3, full) == 0
+    pop = parse_config(hw_only_config).pop
+    done = pop.initial_pop_size + math.ceil(pop.change_rate * pop.max_pop_size)  # generations 1-2
+    real_factory = cli.make_hwdb_worker
+
+    def interrupting_factory(hw):
+        worker, calls = real_factory(hw), itertools.count(1)
+
+        def interrupting(job):
+            if next(calls) == done + 3:   # the third job of generation 3
+                raise KeyboardInterrupt
+            return worker(job)
+        return interrupting
+
+    monkeypatch.setattr(cli, "make_hwdb_worker", interrupting_factory)
+    opened = spy_store_opens(monkeypatch)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        search(hw_only_config, 3, out)
+    assert [mode for _, mode, _ in opened] == ["wb"] and opened[0][2].closed
+    data = (out / "ecad.db.jsonl").read_bytes()
+    assert data.endswith(b"\n")
+    lines = data.splitlines(keepends=True)
+    assert lines == (full / "ecad.db.jsonl").read_bytes().splitlines(keepends=True)[:done]
+    assert [r.seq for r in EcadDb(out / "ecad.db.jsonl").scan()] == list(range(done))
+    assert not (out / "report.json").exists()
+
+
+def test_second_search_into_same_dir_matches_fresh_run(tmp_path, hw_only_config):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert search(hw_only_config, 3, fresh) == 0
+    assert search(hw_only_config, 4, reused) == 0
+    with open(reused / "ecad.db.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"seq":999,"gen')   # torn tail left by an earlier crash
+    assert search(hw_only_config, 3, reused) == 0
+    for name in ("ecad.db.jsonl", "report.json", "generations.csv"):
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_compact_command_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compact", "ecad.db.jsonl"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'compact'" in capsys.readouterr().err
 
 
 def test_worker_command_is_gone(capsys):

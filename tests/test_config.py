@@ -198,6 +198,32 @@ class TestValidation:
         with pytest.raises(ConfigError, match="minValue"):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("change_rate,max_pop", [(1.0, 4), (0.99, 40)])
+    def test_children_that_fill_population(self, change_rate, max_pop):
+        doc = minimal_doc()
+        doc["popConfigValues"]["changeRate"] = change_rate
+        doc["popConfigValues"]["maxPopSize"] = max_pop
+        with pytest.raises(ConfigError, match=rf"changeRate {change_rate} with maxPopSize {max_pop}"):
+            parse_config(json.dumps(doc))
+        doc["popConfigValues"]["maxGenerations"] = 1   # no children are ever made
+        assert parse_config(json.dumps(doc)).pop.change_rate == change_rate
+
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_sim_epochs_at_least_one(self, value):
+        doc = minimal_doc()
+        doc["popConfigValues"]["evalTypes"].append(
+            {"type": "simJob", "minValue": 0, "maxValue": 1, "epochs": value})
+        with pytest.raises(ConfigError, match=rf"simJob': epochs must be >= 1, got {value}"):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [0, -100])
+    def test_sim_batch_size_at_least_one(self, value):
+        doc = minimal_doc()
+        doc["popConfigValues"]["evalTypes"].append(
+            {"type": "simJob", "minValue": 0, "maxValue": 1, "batchSize": value})
+        with pytest.raises(ConfigError, match=rf"simJob': batchSize must be >= 1, got {value}"):
+            parse_config(json.dumps(doc))
+
     def test_hw_positive(self):
         doc = minimal_doc()
         doc["hwConfig"]["dsp"] = 0
@@ -222,6 +248,14 @@ class TestTraitSpec:
         with pytest.raises(ConfigError, match="no legal value"):
             TraitSpec.from_json("t", {"minValue": 5, "maxValue": 7, "powValue": 2,
                                       "func": "PowFunction"})
+
+    @pytest.mark.parametrize("rate", [5, -1, 1.01])
+    def test_change_rate_in_unit_interval(self, rate):
+        with pytest.raises(ConfigError, match=r"trait 't': changeRate must be in \[0, 1\]"):
+            TraitSpec.from_json("t", {"minValue": 2, "maxValue": 8, "changeRate": rate})
+        for edge in (0, 1):
+            assert TraitSpec.from_json("t", {"minValue": 2, "maxValue": 8,
+                                             "changeRate": edge}).change_rate == edge
 
     def test_legal_values(self):
         spec = TraitSpec.from_json("t", {"minValue": 2, "maxValue": 64, "powValue": 2,

@@ -33,8 +33,8 @@ def small_cfg(listing_cfg):
 
 
 def search(cfg, tmp_path, seed=5):
-    store = EcadDb(tmp_path / f"seed{seed}-goal{cfg.pop.fitness_score_goal}.jsonl")
-    report, _ = engine.run(cfg, Dispatcher({"hwDBJob": width_worker}), store=store, seed=seed)
+    with EcadDb.create(tmp_path / f"seed{seed}-goal{cfg.pop.fitness_score_goal}.jsonl") as store:
+        report, _ = engine.run(cfg, Dispatcher({"hwDBJob": width_worker}), store=store, seed=seed)
     return report, list(store.scan())
 
 
@@ -59,7 +59,7 @@ def test_records_per_generation(small_cfg, tmp_path):
 def test_population_never_exceeds_max(small_cfg, tmp_path):
     report, _ = search(small_cfg, tmp_path)
     pop = small_cfg.pop
-    sizes = [h.evaluated for h in report.history]
+    sizes = [h.population for h in report.history]
     assert sizes == [min(pop.initial_pop_size + n_children(small_cfg) * (g - 1), pop.max_pop_size)
                      for g in range(1, GENERATIONS + 1)]
     assert max(sizes) == pop.max_pop_size
@@ -87,7 +87,7 @@ def test_children_come_round_robin_from_previous_top(small_cfg, tmp_path):
         alive.update((r.genome.id, r.combined) for r in fresh)
         ranked = sorted(alive, key=lambda gid: (-alive[gid], gid))
         assert report.history[g - 1].best_genome["id"] == ranked[0]
-        assert report.history[g - 1].evaluated == len(alive)
+        assert report.history[g - 1].population == len(alive)
         top = ranked[:min(c, len(ranked))]
         overflow = len(alive) + c - max_pop
         for gid in [gid for gid in reversed(ranked) if gid != ranked[0]][:max(overflow, 0)]:
