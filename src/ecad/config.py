@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -164,8 +165,13 @@ class PopConfig:
                 f"{self.max_pop_size} makes {children} children per generation; "
                 "need ceil(changeRate * maxPopSize) < maxPopSize")
 
-    def active_eval_types(self) -> list[EvalTypeConfig]:
-        return [et for et in self.eval_types if et.active]
+    def active_eval_types(self) -> tuple[EvalTypeConfig, ...]:
+        """The active objectives, in declaration order."""
+        return self._active_eval_types
+
+    @cached_property
+    def _active_eval_types(self) -> tuple[EvalTypeConfig, ...]:
+        return tuple(et for et in self.eval_types if et.active)
 
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "PopConfig":
@@ -258,7 +264,8 @@ class CellInstance:
     output_size: int | None = None
     fixed: bool = False
 
-    def to_json(self) -> dict[str, Any]:
+    @cached_property
+    def _json(self) -> dict[str, Any]:
         out: dict[str, Any] = {
             "cell_type": self.cell_type,
             "cell_name": self.cell_name,
@@ -271,6 +278,10 @@ class CellInstance:
             out["output_size"] = self.output_size
         out["fixed"] = self.fixed
         return out
+
+    def to_json(self) -> dict[str, Any]:
+        """The instance as a JSON object; built once, so callers must not mutate it."""
+        return self._json
 
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "CellInstance":
@@ -285,6 +296,10 @@ class CellInstance:
         )
 
 
+#: one trait's mutation data: name, effective change rate, legal values ascending
+TraitRow = tuple[str, float, tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class EcadConfig:
     name: str
@@ -296,10 +311,32 @@ class EcadConfig:
     cell_array: tuple[CellInstance, ...]
 
     def cell_type_config(self, cell_type: str) -> CellTypeConfig:
+        try:
+            return self.cell_type_map[cell_type]
+        except KeyError:
+            raise ConfigError(f"unknown cell_type '{cell_type}'") from None
+
+    @cached_property
+    def cell_type_map(self) -> dict[str, CellTypeConfig]:
+        """cell_type -> its declaration; the first one wins if a type is declared twice."""
+        by_type: dict[str, CellTypeConfig] = {}
         for ct in self.cell_types:
-            if ct.cell_type == cell_type:
-                return ct
-        raise ConfigError(f"unknown cell_type '{cell_type}'")
+            by_type.setdefault(ct.cell_type, ct)
+        return by_type
+
+    @cached_property
+    def mutation_rows(self) -> dict[str, tuple[TraitRow, ...]]:
+        """cell_type -> one (trait, effective change rate, legal values) row per
+        trait, in declaration order; a trait without its own changeRate takes
+        defChangeRate."""
+        return {
+            ctype: tuple(
+                (name,
+                 self.def_change_rate if spec.change_rate is None else spec.change_rate,
+                 tuple(spec.legal_values()))
+                for name, spec in ct.traits.items())
+            for ctype, ct in self.cell_type_map.items()
+        }
 
     def chain(self) -> list[CellInstance]:
         """Cell array ordered by following the input/output links."""

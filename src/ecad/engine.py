@@ -93,6 +93,7 @@ def run(
     active = cfg.pop.active_eval_types()
     if not active:
         raise EngineError("config has no active eval types")
+    active_by_type = {et.type: et for et in active}
 
     rng = random.Random(seed)
     ids = itertools.count()
@@ -120,7 +121,7 @@ def run(
                                     network=desc, params=params))
         for result in dispatcher.dispatch_all(jobs):
             card = cards[result.genome_id]
-            et = next(e for e in active if e.type == result.eval_type)
+            et = active_by_type[result.eval_type]
             if result.ok:
                 card.record(et, result.metrics)
             else:

@@ -8,16 +8,23 @@ the caller's ``random.Random`` so runs are reproducible from a seed.
 
 from __future__ import annotations
 
+import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from .config import CellInstance, EcadConfig, TraitSpec
 
 #: traits whose values participate in the interleave constraint
 _SYS_ROWS, _SYS_COLS, _SYS_INTRLV = "sys_rows", "sys_cols", "sys_intrlv"
+_SYS_TRAITS = frozenset((_SYS_ROWS, _SYS_COLS, _SYS_INTRLV))
 
 _MUTATE_RETRIES = 16
+
+#: canonical JSON of genomes and database records: sorted keys, no spaces,
+#: so a fixed seed gives fixed bytes
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class GenomeError(ValueError):
@@ -39,6 +46,14 @@ class CellState:
     def cell_type(self) -> str:
         return self.instance.cell_type
 
+    @cached_property
+    def json_text(self) -> str:
+        """The cell as canonical JSON, encoded on first use. A child shares its
+        parent's unchanged cells, so a cell is encoded once however many
+        database records hold it."""
+        return CANONICAL_JSON.encode(
+            {"instance": self.instance.to_json(), "trait_values": self.trait_values})
+
 
 @dataclass(frozen=True)
 class NetworkGenome:
@@ -47,16 +62,12 @@ class NetworkGenome:
     generation: int
     cells: tuple[CellState, ...]
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "parent_id": self.parent_id,
-            "generation": self.generation,
-            "cells": [
-                {"instance": c.instance.to_json(), "trait_values": c.trait_values}
-                for c in self.cells
-            ],
-        }
+    def to_json_text(self) -> str:
+        """The genome as the text CANONICAL_JSON would give, assembled around
+        each cell's cached text."""
+        cells = ",".join(c.json_text for c in self.cells)
+        return (f'{{"cells":[{cells}],"generation":{self.generation},"id":{self.id},'
+                f'"parent_id":{CANONICAL_JSON.encode(self.parent_id)}}}')
 
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "NetworkGenome":
@@ -74,26 +85,25 @@ class NetworkGenome:
         )
 
 
-def _sample(spec: TraitSpec, rng: random.Random) -> int:
-    values = spec.legal_values()
+def _sample(values: tuple[int, ...], rng: random.Random) -> int:
     if not values:
         raise GenomeError("unsatisfiable trait: no legal value")
-    return values[rng.randrange(len(values))]
+    return rng.choice(values)
 
 
 def _interleave_choices(spec: TraitSpec, rows: int, cols: int) -> list[int]:
     """Powers of two within the trait range that satisfy interleave >= rows + cols."""
-    lo = rows + cols
+    lo = max(rows + cols, spec.min_value)
     vals, v = [], 1
     while v <= spec.max_value:
-        if v >= max(lo, spec.min_value):
+        if v >= lo:
             vals.append(v)
         v *= 2
     return vals
 
 
 def _apply_interleave_rule(traits: dict[str, int], specs: dict[str, TraitSpec], rng: random.Random) -> None:
-    if not {_SYS_ROWS, _SYS_COLS, _SYS_INTRLV} <= specs.keys():
+    if not _SYS_TRAITS <= specs.keys():
         return
     choices = _interleave_choices(specs[_SYS_INTRLV], traits[_SYS_ROWS], traits[_SYS_COLS])
     if not choices:
@@ -101,11 +111,11 @@ def _apply_interleave_rule(traits: dict[str, int], specs: dict[str, TraitSpec], 
             f"unsatisfiable trait: no power of two >= sys_rows+sys_cols "
             f"({traits[_SYS_ROWS]}+{traits[_SYS_COLS]}) within the sys_intrlv range"
         )
-    traits[_SYS_INTRLV] = choices[rng.randrange(len(choices))]
+    traits[_SYS_INTRLV] = rng.choice(choices)
 
 
 def _interleave_ok(traits: dict[str, int], specs: dict[str, TraitSpec]) -> bool:
-    if not {_SYS_ROWS, _SYS_COLS, _SYS_INTRLV} <= specs.keys():
+    if not _SYS_TRAITS <= specs.keys():
         return True
     iv = traits[_SYS_INTRLV]
     return iv >= traits[_SYS_ROWS] + traits[_SYS_COLS] and iv & (iv - 1) == 0
@@ -116,7 +126,7 @@ def spawn(cfg: EcadConfig, rng: random.Random, genome_id: int, generation: int =
     cells = []
     for inst in cfg.chain():
         specs = cfg.cell_type_config(inst.cell_type).traits
-        traits = {name: _sample(spec, rng) for name, spec in specs.items()}
+        traits = {name: _sample(values, rng) for name, _, values in cfg.mutation_rows[inst.cell_type]}
         _apply_interleave_rule(traits, specs, rng)
         cells.append(CellState(instance=inst, trait_values=traits))
     return NetworkGenome(id=genome_id, parent_id=None, generation=generation, cells=tuple(cells))
@@ -125,18 +135,22 @@ def spawn(cfg: EcadConfig, rng: random.Random, genome_id: int, generation: int =
 def _mutation_pass(
     parent: NetworkGenome, cfg: EcadConfig, rng: random.Random
 ) -> list[CellState]:
+    rows_by_type = cfg.mutation_rows
     cells = []
     for cell in parent.cells:
-        specs = cfg.cell_type_config(cell.cell_type).traits
+        ctype = cell.cell_type
+        specs = cfg.cell_type_config(ctype).traits
+        if not specs:
+            cells.append(cell)   # nothing to mutate; genomes are immutable, so the child shares it
+            continue
+        drawn = [(name, _sample(values, rng))
+                 for name, rate, values in rows_by_type[ctype] if rng.random() < rate]
+        if not drawn and _interleave_ok(cell.trait_values, specs):
+            cells.append(cell)
+            continue
         traits = dict(cell.trait_values)
-        structural_change = False
-        for name, spec in specs.items():
-            rate = spec.change_rate if spec.change_rate is not None else cfg.def_change_rate
-            if rng.random() < rate:
-                traits[name] = _sample(spec, rng)
-                if name in (_SYS_ROWS, _SYS_COLS, _SYS_INTRLV):
-                    structural_change = True
-        if structural_change or not _interleave_ok(traits, specs):
+        traits.update(drawn)
+        if any(name in _SYS_TRAITS for name, _ in drawn) or not _interleave_ok(traits, specs):
             _apply_interleave_rule(traits, specs, rng)
         cells.append(CellState(instance=cell.instance, trait_values=traits))
     return cells
@@ -146,12 +160,8 @@ def _force_single_change(
     parent: NetworkGenome, cfg: EcadConfig, rng: random.Random
 ) -> list[CellState]:
     """Change exactly one trait, preferring values that keep constraints intact."""
-    candidates: list[tuple[int, str]] = []
-    for idx, cell in enumerate(parent.cells):
-        specs = cfg.cell_type_config(cell.cell_type).traits
-        for name, spec in specs.items():
-            if len(spec.legal_values()) > 1:
-                candidates.append((idx, name))
+    candidates = [(idx, name) for idx, cell in enumerate(parent.cells)
+                  for name, _, values in cfg.mutation_rows[cell.cell_type] if len(values) > 1]
     cells = [CellState(instance=c.instance, trait_values=dict(c.trait_values)) for c in parent.cells]
     if not candidates:
         return cells   # every trait is a singleton; the child cannot differ
@@ -164,7 +174,8 @@ def _force_single_change(
         if name == _SYS_INTRLV:
             options = [v for v in _interleave_choices(specs[name], traits[_SYS_ROWS], traits[_SYS_COLS]) if v != current]
         else:
-            options = [v for v in specs[name].legal_values() if v != current]
+            legal = next(values for n, _, values in cfg.mutation_rows[cell.cell_type] if n == name)
+            options = [v for v in legal if v != current]
             if name in (_SYS_ROWS, _SYS_COLS) and _SYS_INTRLV in traits:
                 # keep the existing interleave valid so only this trait changes
                 other = traits[_SYS_COLS if name == _SYS_ROWS else _SYS_ROWS]
@@ -172,7 +183,7 @@ def _force_single_change(
                 options = safe or options
         if not options:
             continue
-        traits[name] = options[rng.randrange(len(options))]
+        traits[name] = rng.choice(options)
         if not _interleave_ok(traits, specs):
             _apply_interleave_rule(traits, specs, rng)
         cells[idx] = CellState(instance=cell.instance, trait_values=traits)
@@ -275,7 +286,7 @@ def to_description(genome: NetworkGenome) -> NetworkDescription:
     """
     batch = 1
     systolic: SystolicDesc | None = None
-    layers: list[LayerDesc] = []
+    layers: list[list[Any]] = []   # [name, in, out, activation, bias] per layer
     width: int | None = None
     last_bias = True
 
@@ -292,7 +303,7 @@ def to_description(genome: NetworkGenome) -> NetworkDescription:
                 raise GenomeError(f"dense cell '{cell.cell_name}' appears before the input cell")
             neurons = traits["neurons"]
             last_bias = bool(traits.get("enableBias", 1))
-            layers.append(LayerDesc(cell.cell_name, width, neurons, "none", last_bias))
+            layers.append([cell.cell_name, width, neurons, "none", last_bias])
             width = neurons
             if systolic is None and _SYS_ROWS in traits:
                 systolic = SystolicDesc(
@@ -301,11 +312,12 @@ def to_description(genome: NetworkGenome) -> NetworkDescription:
                 )
         elif kind == "relu":
             if layers:
-                layers[-1] = replace(layers[-1], activation="relu")
+                layers[-1][3] = "relu"
         elif kind == "output":
             if width is None or cell.instance.output_size is None:
                 raise GenomeError(f"output cell '{cell.cell_name}' needs an output_size")
-            layers.append(LayerDesc(cell.cell_name, width, cell.instance.output_size, "none", last_bias))
+            layers.append([cell.cell_name, width, cell.instance.output_size, "none", last_bias])
             width = cell.instance.output_size
-    return NetworkDescription(id=genome.id, batch=batch, layers=tuple(layers), systolic=systolic)
+    return NetworkDescription(id=genome.id, batch=batch,
+                              layers=tuple(LayerDesc(*layer) for layer in layers), systolic=systolic)
 

@@ -1,8 +1,15 @@
 """Analytical performance and resource model for the 2D systolic array.
 
-Maps a network description onto an array configuration and returns the five
-fitness metrics (total time, potential and effective GOP/s, images/s,
-latency) plus a resource feasibility screen, without touching hardware.
+Maps a network description onto an array configuration without touching
+hardware. Two parts:
+  - the resource screen (`resource_estimate`) reads only the array shape and
+    the device budget and says whether the design fits. The hwDBJob worker
+    runs it first: a design that does not fit fails its job with only the
+    screen's metrics (`dsp_est`, `mem_kb_est`, `feasible` 0.0) and is never
+    timed.
+  - the timing model (`estimate`) returns the five fitness metrics (total
+    time, potential and effective GOP/s, images/s, latency) with the
+    screen's metrics and a per-layer breakdown.
 
 Timing model per layer (GEMM of M x K by K x N):
   - compute: each PE consumes one vec-wide vector per cycle and owns
@@ -53,7 +60,10 @@ class SystolicConfig:
     @classmethod
     def parse(cls, text: str, freq_mhz: float = 250.0) -> "SystolicConfig":
         """Parse the "rows,cols,vec,interleave,scale" notation."""
-        parts = [int(p) for p in text.split(",")]
+        try:
+            parts = [int(p) for p in text.split(",")]
+        except ValueError:
+            raise ModelError(f"expected 5 comma-separated integers, got {text!r}") from None
         if len(parts) != 5:
             raise ModelError(f"expected 5 comma-separated values, got {text!r}")
         return cls(*parts, freq_mhz=freq_mhz)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Iterator
 
 from .fitness import ScoreCard
-from .genome import NetworkGenome, to_description
+from .genome import CANONICAL_JSON, NetworkGenome, to_description
 
 DB_FILENAME = "ecad.db.jsonl"
 
@@ -33,14 +33,13 @@ class DbRecord:
     combined: float
     seq: int
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "generation": self.generation,
-            "combined": self.combined,
-            "genome": self.genome.to_json(),
-            "card": self.card.to_json(),
-        }
+    def to_json_text(self) -> str:
+        """The record as the text CANONICAL_JSON would give, assembled around the
+        genome's text; one database line without its newline."""
+        return (f'{{"card":{CANONICAL_JSON.encode(self.card.to_json())},'
+                f'"combined":{CANONICAL_JSON.encode(self.combined)},'
+                f'"generation":{self.generation},"genome":{self.genome.to_json_text()},'
+                f'"seq":{self.seq}}}')
 
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "DbRecord":
@@ -76,13 +75,12 @@ class EcadDb:
             self._fh.close()
 
     def append(self, rec: DbRecord) -> None:
-        line = json.dumps(rec.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
-        self._fh.write(line.encode("utf-8"))
+        self._fh.write((rec.to_json_text() + "\n").encode("utf-8"))
         self._fh.flush()
 
     def scan(self) -> Iterator[DbRecord]:
         if not self.path.exists():
-            return
+            raise StoreError(f"database file {self.path} does not exist")
         with open(self.path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.endswith("\n"):

@@ -1,12 +1,18 @@
-"""Independent reference implementations the simulator and trainer are checked
-against. These deliberately share no code with the package: the dense oracle
-is a float64 matmul, the Adam oracle a float64 textbook update, the ordered oracles re-implement the documented
+"""Independent reference implementations the simulator, trainer and genome
+operators are checked against. These deliberately share no code with the
+package: the dense oracle is a float64 matmul, the Adam oracle a float64
+textbook update, the ordered oracles re-implement the documented
 single-precision accumulation order (adjacent-pair tree over the vec axis,
 then sequential accumulation over the scale vectors and the common-dimension
-blocks) without any of the package's blocking or state machinery.
+blocks) without any of the package's blocking or state machinery, and the
+genome oracles re-derive every trait's legal values and change rate from its
+spec on every draw, the way spawn and mutate did before they read per-config
+tables.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -157,3 +163,133 @@ def adam_reference(params: np.ndarray, grads: list[np.ndarray], lr: float, beta1
         alpha_t = lr * np.sqrt(1 - beta2 ** t) / (1 - beta1 ** t)
         p = p - alpha_t * m / (np.sqrt(v) + eps)
     return p, m, v
+
+
+# --- genome operators -----------------------------------------------------------
+# Traits are plain {name: value} dicts per cell; a genome is a list of
+# (cell_name, traits) pairs in chain order. Draws come from the caller's
+# random.Random in the documented order, so a run of these consumes exactly the
+# same random numbers as the package's spawn and mutate.
+
+_SYS = ("sys_rows", "sys_cols", "sys_intrlv")
+_MUTATE_RETRIES = 16
+
+
+def _trait_specs(cfg, cell_type: str) -> dict:
+    return next(ct.traits for ct in cfg.cell_types if ct.cell_type == cell_type)
+
+
+def _legal_values(spec) -> list[int]:
+    lo, hi = spec.min_value, spec.max_value
+    if spec.func == "PowFunction":
+        vals, v = [], 1
+        while v <= hi:
+            if v >= lo:
+                vals.append(v)
+            v *= spec.pow_value
+        return vals
+    if spec.mod_value:
+        return list(range(lo + (-lo) % spec.mod_value, hi + 1, spec.mod_value))
+    return list(range(lo, hi + 1))
+
+
+def _sample(spec, rng: random.Random) -> int:
+    values = _legal_values(spec)
+    return values[rng.randrange(len(values))]
+
+
+def _interleave_choices(spec, rows: int, cols: int) -> list[int]:
+    vals, v = [], 1
+    while v <= spec.max_value:
+        if v >= max(rows + cols, spec.min_value):
+            vals.append(v)
+        v *= 2
+    return vals
+
+
+def _apply_interleave_rule(traits: dict, specs: dict, rng: random.Random) -> None:
+    if not set(_SYS) <= specs.keys():
+        return
+    choices = _interleave_choices(specs["sys_intrlv"], traits["sys_rows"], traits["sys_cols"])
+    traits["sys_intrlv"] = choices[rng.randrange(len(choices))]
+
+
+def _interleave_ok(traits: dict, specs: dict) -> bool:
+    if not set(_SYS) <= specs.keys():
+        return True
+    iv = traits["sys_intrlv"]
+    return iv >= traits["sys_rows"] + traits["sys_cols"] and iv & (iv - 1) == 0
+
+
+def reference_spawn(cfg, chain, rng: random.Random) -> list[tuple[str, dict]]:
+    """Every trait of every cell in ``chain`` drawn from its spec, then the interleave rule."""
+    cells = []
+    for inst in chain:
+        specs = _trait_specs(cfg, inst.cell_type)
+        traits = {name: _sample(spec, rng) for name, spec in specs.items()}
+        _apply_interleave_rule(traits, specs, rng)
+        cells.append((inst.cell_name, traits))
+    return cells
+
+
+def _reference_mutation_pass(cfg, parent: list[tuple[str, str, dict]],
+                             rng: random.Random) -> list[dict]:
+    out = []
+    for _, cell_type, parent_traits in parent:
+        specs = _trait_specs(cfg, cell_type)
+        traits = dict(parent_traits)
+        structural = False
+        for name, spec in specs.items():
+            rate = spec.change_rate if spec.change_rate is not None else cfg.def_change_rate
+            if rng.random() < rate:
+                traits[name] = _sample(spec, rng)
+                structural = structural or name in _SYS
+        if structural or not _interleave_ok(traits, specs):
+            _apply_interleave_rule(traits, specs, rng)
+        out.append(traits)
+    return out
+
+
+def _reference_force_single_change(cfg, parent: list[tuple[str, str, dict]],
+                                   rng: random.Random) -> list[dict]:
+    candidates = [(idx, name) for idx, (_, cell_type, _) in enumerate(parent)
+                  for name, spec in _trait_specs(cfg, cell_type).items()
+                  if len(_legal_values(spec)) > 1]
+    out = [dict(traits) for _, _, traits in parent]
+    if not candidates:
+        return out
+    rng.shuffle(candidates)
+    for idx, name in candidates:
+        specs = _trait_specs(cfg, parent[idx][1])
+        traits = dict(out[idx])
+        current = traits[name]
+        if name == "sys_intrlv":
+            options = [v for v in _interleave_choices(specs[name], traits["sys_rows"],
+                                                      traits["sys_cols"]) if v != current]
+        else:
+            options = [v for v in _legal_values(specs[name]) if v != current]
+            if name in ("sys_rows", "sys_cols") and "sys_intrlv" in traits:
+                other = traits["sys_cols" if name == "sys_rows" else "sys_rows"]
+                options = [v for v in options if v + other <= traits["sys_intrlv"]] or options
+        if not options:
+            continue
+        traits[name] = options[rng.randrange(len(options))]
+        if not _interleave_ok(traits, specs):
+            _apply_interleave_rule(traits, specs, rng)
+        out[idx] = traits
+        return out
+    return out
+
+
+def reference_mutate(cfg, parent: list[tuple[str, str, dict]],
+                     rng: random.Random) -> list[dict]:
+    """Child traits per cell of ``parent``, given as (cell_name, cell_type, traits) triples.
+
+    Up to 16 passes in which each trait redraws with its change rate; if none
+    changes anything, one trait is forced to a different legal value.
+    """
+    for _ in range(_MUTATE_RETRIES):
+        child = _reference_mutation_pass(cfg, parent, rng)
+        if child != [traits for _, _, traits in parent]:
+            return child
+    return _reference_force_single_change(cfg, parent, rng)

@@ -25,20 +25,25 @@ def network_file(tmp_path):
     return path
 
 
-@pytest.fixture
-def hw_only_config(tmp_path):
-    """The listing config with simJob deactivated and a short generation cap."""
+def write_hw_only_config(directory: Path, generations: int) -> Path:
+    """The listing config with simJob deactivated and the given generation cap."""
     doc = json.loads(LISTING_CONFIG.read_text(encoding="utf-8"))
     pop = doc["popConfigValues"]
-    pop["maxGenerations"] = GENERATIONS
+    pop["maxGenerations"] = generations
     for et in pop["evalTypes"]:
         if et["type"] == "simJob":
             et["active"] = False
     for inc in doc["includes"]:
-        shutil.copy(LISTING_CONFIG.parent / inc, tmp_path / inc)
-    path = tmp_path / LISTING_CONFIG.name
+        shutil.copy(LISTING_CONFIG.parent / inc, directory / inc)
+    path = directory / LISTING_CONFIG.name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def hw_only_config(tmp_path):
+    """The listing config with simJob deactivated and a short generation cap."""
+    return write_hw_only_config(tmp_path, GENERATIONS)
 
 
 def test_search_is_byte_reproducible(tmp_path, hw_only_config):
@@ -68,6 +73,20 @@ def test_search_matches_golden_digests(tmp_path, hw_only_config):
     assert digests == {
         "ecad.db.jsonl": "101d58a122358d7ef815023223d8e6de09102af0a99ea38d1e22a3f8f9c1ed32",
         "report.json": "1bf88218ff6e00de28717e50f98265f7e936e61caf70b5d2858ff5e439a018d3",
+    }
+
+
+def test_long_search_matches_golden_digests(tmp_path):
+    # a ten times longer run at another seed, pinned like the digests above
+    config = write_hw_only_config(tmp_path, 300)
+    out = tmp_path / "out"
+    assert cli.main(["search", str(config), "--seed", "0", "--out-dir", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("ecad.db.jsonl", "report.json", "generations.csv")}
+    assert digests == {
+        "ecad.db.jsonl": "5276f387f463e57a7a3af0b60684590429c6f67ce5e6565dc9c0fc1fcdabb317",
+        "report.json": "ed974b59de0e9703e3439af18ee6e6ed401926392d8effe34f519b7335d586bd",
+        "generations.csv": "58dd751718bffe962f5d7c14cfeba25daf716806146e44b3ac6f08481667d224",
     }
 
 
@@ -160,6 +179,15 @@ def test_simulate_array_rejects_sizes_below_one(capsys, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} must be at least 1")
+
+
+@pytest.mark.parametrize("command", ["simulate-array", "eval"])
+def test_non_integer_array_field_is_an_error(network_file, capsys, command):
+    argv = {"simulate-array": ["simulate-array"], "eval": ["eval", str(network_file)]}[command]
+    assert cli.main([*argv, "--cfg", "4,4,x,8,8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected 5 comma-separated integers, got '4,4,x,8,8'\n"
 
 
 def test_simulate_array_hand_computed_cycles(capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -88,6 +89,35 @@ class TestParseListing:
             "relu": set(),
             "output": set(),
         }
+
+    def test_mutation_rows(self, listing_cfg):
+        rows = listing_cfg.mutation_rows
+        assert [name for name, _, _ in rows["dense"]] == list(
+            listing_cfg.cell_type_config("dense").traits)
+        dense = {name: (rate, values) for name, rate, values in rows["dense"]}
+        assert dense["sys_cols"] == (0.5, (2, 4, 8, 16, 32, 64))
+        assert dense["sys_intrlv"][0] == 0.1          # no changeRate: defChangeRate
+        assert dense["neurons"][1] == tuple(range(2, 1025, 2))
+        assert rows["input"] == (("batch_size", 0.1, tuple(range(2, 1025, 2))),)
+        assert rows["relu"] == rows["output"] == ()
+
+    def test_per_config_data_follows_replaced_values(self, listing_cfg):
+        dense = listing_cfg.cell_type_config("dense")
+        narrowed = replace(dense, traits={
+            **dense.traits, "neurons": replace(dense.traits["neurons"], max_value=8)})
+        cfg = replace(listing_cfg, def_change_rate=0.3, cell_types=tuple(
+            narrowed if ct.cell_type == "dense" else ct for ct in listing_cfg.cell_types))
+        rows = {name: (rate, values) for name, rate, values in cfg.mutation_rows["dense"]}
+        assert rows["neurons"] == (0.1, (2, 4, 6, 8))
+        assert rows["sys_intrlv"][0] == 0.3
+        assert cfg.cell_type_config("dense") is narrowed
+        assert listing_cfg.cell_type_config("dense") is dense
+        assert listing_cfg.mutation_rows["dense"][0] == ("neurons", 0.1, tuple(range(2, 1025, 2)))
+
+        pop = replace(listing_cfg.pop, eval_types=tuple(
+            replace(et, active=not et.active) for et in listing_cfg.pop.eval_types))
+        assert [et.type for et in listing_cfg.pop.active_eval_types()] == ["simJob", "hwDBJob"]
+        assert [et.type for et in pop.active_eval_types()] == ["physJob"]
 
     def test_chain_order(self, listing_cfg):
         assert [c.cell_name for c in listing_cfg.chain()] == ["X", "dense00", "relu00", "Y"]

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +8,7 @@ from ecad.config import parse_config
 from ecad.genome import GenomeError, NetworkGenome, mutate, spawn, to_description
 
 from helpers import listing_doc
+from oracles import reference_mutate, reference_spawn
 
 
 def traits_of(genome, cell_name):
@@ -122,7 +124,7 @@ class TestMutate:
         child_a = mutate(parent, listing_cfg, random.Random(42), 1)
         child_b = mutate(parent, listing_cfg, random.Random(42), 1)
         assert child_a == child_b
-        assert json.dumps(child_a.to_json()) == json.dumps(child_b.to_json())
+        assert child_a.to_json_text() == child_b.to_json_text()
 
     def test_mass_mutation_never_invalid(self, listing_cfg):
         # long random walk; every intermediate genome satisfies all invariants
@@ -135,6 +137,47 @@ class TestMutate:
             assert iv >= tv["sys_rows"] + tv["sys_cols"] and iv & (iv - 1) == 0
             assert tv["neurons"] % 2 == 0 and 2 <= tv["neurons"] <= 1024
         assert genome_valid(g, listing_cfg)
+
+
+def edited_configs(cfg):
+    """The listing config and two copies changed with dataclasses.replace.
+
+    One narrows neurons and changes rates (one trait falls back to a new
+    defChangeRate); the other zeroes every rate so that each child comes from
+    the forced single change.
+    """
+    dense = cfg.cell_type_config("dense")
+    narrowed = replace(dense, traits={
+        **dense.traits,
+        "neurons": replace(dense.traits["neurons"], max_value=64, change_rate=0.9),
+        "sys_rows": replace(dense.traits["sys_rows"], change_rate=None),
+    })
+    edited = replace(cfg, def_change_rate=0.02, cell_types=tuple(
+        narrowed if ct.cell_type == "dense" else ct for ct in cfg.cell_types))
+    still = replace(cfg, def_change_rate=0.0, cell_types=tuple(
+        replace(ct, traits={n: replace(t, change_rate=0.0) for n, t in ct.traits.items()})
+        for ct in cfg.cell_types))
+    return [cfg, edited, still]
+
+
+class TestMatchesReference:
+    """spawn and mutate read per-config tables; they must draw exactly as the
+    per-trait loop in oracles.py does, one random number for one."""
+
+    @pytest.mark.parametrize("which", ["listing", "edited", "zero rates"])
+    def test_same_genomes_and_draws(self, listing_cfg, which):
+        cfg = edited_configs(listing_cfg)[["listing", "edited", "zero rates"].index(which)]
+        for seed in range(300):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            genome = spawn(cfg, rng, 0)
+            assert [(c.cell_name, c.trait_values) for c in genome.cells] == \
+                reference_spawn(cfg, cfg.chain(), ref_rng)
+            for gid in range(1, 4):
+                parent = [(c.cell_name, c.cell_type, c.trait_values) for c in genome.cells]
+                genome = mutate(genome, cfg, rng, gid)
+                assert all_traits(genome) == reference_mutate(cfg, parent, ref_rng)
+                assert genome_valid(genome, cfg)
+            assert rng.getstate() == ref_rng.getstate()
 
 
 class TestDescription:
@@ -179,7 +222,7 @@ class TestDescription:
 
     def test_genome_json_round_trip(self, listing_cfg):
         g = spawn(listing_cfg, random.Random(6), 3)
-        assert NetworkGenome.from_json(json.loads(json.dumps(g.to_json()))) == g
+        assert NetworkGenome.from_json(json.loads(g.to_json_text())) == g
 
     def test_systolic_string(self, listing_cfg):
         desc = to_description(spawn(listing_cfg, random.Random(2), 0))

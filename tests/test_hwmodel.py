@@ -242,6 +242,11 @@ class TestParse:
         with pytest.raises(ModelError):
             SystolicConfig.parse("4,8,8")
 
+    @pytest.mark.parametrize("text", ["4,4,x,8,8", "4,4,8,8,", "4,4,2.5,8,8"])
+    def test_non_integer_field(self, text):
+        with pytest.raises(ModelError, match="5 comma-separated integers"):
+            SystolicConfig.parse(text)
+
     def test_invalid_values(self):
         with pytest.raises(ModelError):
             SystolicConfig(0, 1, 1, 1, 1)

@@ -1,11 +1,12 @@
 import json
 import random
+import re
 
 import pytest
 
 from ecad import cli
 from ecad.fitness import ScoreCard
-from ecad.genome import spawn
+from ecad.genome import mutate, spawn
 from ecad.store import DbRecord, EcadDb, StoreError
 
 
@@ -15,6 +16,26 @@ def fill(path, cfg, n: int) -> None:
         for gid in range(n):
             card = ScoreCard(genome_id=gid, scores={"hwDBJob": gid / 10})
             db.append(DbRecord(spawn(cfg, rng, gid), card, 1, gid / 10, seq=gid))
+
+
+def test_lines_are_canonical_json(tmp_path, listing_cfg):
+    # lines are assembled from each cell's cached text; each must parse back to
+    # its record and equal the canonical encoding of what it parses to
+    rng = random.Random(0)
+    genomes = [spawn(listing_cfg, rng, 0)]
+    for gid in range(1, 60):
+        genomes.append(mutate(genomes[-1], listing_cfg, rng, gid))
+    path = tmp_path / "ecad.db.jsonl"
+    with EcadDb.create(path) as db:
+        for g in genomes:
+            card = ScoreCard(genome_id=g.id, metrics={"hwDBJob": {"img_per_s": 1.5e3 / (g.id + 1)}},
+                             scores={"hwDBJob": g.id / 7}, failed={"simJob": "diverged: \"nan\""})
+            db.append(DbRecord(g, card, g.generation + 1, g.id / 7, seq=g.id))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(genomes)
+    for line in lines:
+        assert json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) == line
+    assert [r.genome for r in EcadDb(path).scan()] == genomes
 
 
 def test_torn_last_line_is_skipped_by_readers(tmp_path, listing_cfg):
@@ -40,6 +61,15 @@ def test_corrupt_middle_line_names_its_line(tmp_path, listing_cfg, capsys):
     assert cli.main(["export", str(path), "2", str(tmp_path / "net.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and ":2: corrupt record" in err
+
+
+def test_missing_database_file_is_named(tmp_path, capsys):
+    path = tmp_path / "nonexistent.jsonl"
+    with pytest.raises(StoreError, match=re.escape(f"database file {path} does not exist")):
+        EcadDb(path).get(3)
+    assert cli.main(["export", str(path), "3", str(tmp_path / "net.json")]) == 1
+    assert capsys.readouterr().err == f"error: database file {path} does not exist\n"
+    assert not (tmp_path / "net.json").exists()
 
 
 def test_open_does_not_parse_records(tmp_path, listing_cfg):

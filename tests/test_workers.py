@@ -1,0 +1,85 @@
+import random
+
+import pytest
+
+from ecad import hwmodel, workers
+from ecad.cli import DEFAULT_HW
+from ecad.dispatch import EvalJob
+from ecad.genome import NetworkDescription, SystolicDesc, spawn, to_description
+
+from helpers import mlp_desc
+
+RESOURCE_METRICS = ("dsp_est", "mem_kb_est", "feasible")
+
+
+@pytest.fixture
+def estimate_calls(monkeypatch):
+    """Descriptions the worker passes to hwmodel.estimate, in call order."""
+    calls = []
+
+    def spy(desc, cfg, hw):
+        calls.append(desc)
+        return hwmodel.estimate(desc, cfg, hw)
+
+    monkeypatch.setattr(workers, "estimate", spy)
+    return calls
+
+
+def run(desc, hw=DEFAULT_HW):
+    return workers.make_hwdb_worker(hw)(EvalJob(genome_id=7, eval_type="hwDBJob", network=desc))
+
+
+@pytest.mark.parametrize("cfg,dsp,mem", [
+    ((16, 16, 16, 64, 8), 4128.0, 2304.0),       # over the DSP budget
+    ((2, 2, 64, 256, 256), 288.0, 131328.0),     # over the memory budget only
+])
+def test_infeasible_design_never_reaches_estimate(estimate_calls, cfg, dsp, mem):
+    res = run(mlp_desc([784, 196, 10], batch=64, cfg=cfg))
+    assert estimate_calls == []
+    assert (res.genome_id, res.eval_type, res.status) == (7, "hwDBJob", "failed")
+    assert res.metrics == {"dsp_est": dsp, "mem_kb_est": mem, "feasible": 0.0}
+    assert res.diagnostics == f"resource budget exceeded: dsp {dsp:.0f}/1518, mem {mem:.0f}/54260"
+
+
+def test_feasible_metrics_are_the_estimate(estimate_calls):
+    desc = mlp_desc([784, 196, 10], batch=64, cfg=(4, 4, 8, 8, 8))
+    res = run(desc)
+    assert estimate_calls == [desc]
+    array = hwmodel.SystolicConfig.from_desc(desc.systolic, freq_mhz=DEFAULT_HW.freq)
+    assert (res.status, res.diagnostics) == ("ok", "")
+    assert res.metrics == hwmodel.estimate(desc, array, DEFAULT_HW).metrics()
+    assert res.metrics["feasible"] == 1.0
+
+
+def test_rejected_description_keeps_its_model_error(estimate_calls):
+    desc = NetworkDescription(id=7, batch=8, layers=(), systolic=SystolicDesc(4, 4, 8, 8, 8))
+    res = run(desc)
+    assert estimate_calls == [desc]
+    assert (res.status, res.diagnostics, res.metrics) == (
+        "failed", "network description has no layers", {})
+    res = run(mlp_desc([784, 196, 10], batch=64, cfg=(0, 4, 8, 8, 8)))
+    assert (res.status, res.diagnostics) == ("failed", "systolic config: rows must be >= 1")
+
+
+def test_every_searched_design_matches_the_full_model(listing_cfg, estimate_calls):
+    # a screened result carries exactly the resource metrics estimate reports,
+    # and estimate runs once per design that fits
+    rng = random.Random(4)
+    worker = workers.make_hwdb_worker(listing_cfg.hw)
+    feasible = 0
+    for gid in range(300):
+        desc = to_description(spawn(listing_cfg, rng, gid))
+        array = hwmodel.SystolicConfig.from_desc(desc.systolic, freq_mhz=listing_cfg.hw.freq)
+        full = hwmodel.estimate(desc, array, listing_cfg.hw)
+        res = worker(EvalJob(genome_id=gid, eval_type="hwDBJob", network=desc))
+        if full.feasible:
+            feasible += 1
+            assert res.ok and res.metrics == full.metrics()
+        else:
+            assert not res.ok
+            assert res.metrics == {k: full.metrics()[k] for k in RESOURCE_METRICS}
+            assert res.diagnostics == (
+                f"resource budget exceeded: dsp {full.dsp_est:.0f}/{listing_cfg.hw.dsp}, "
+                f"mem {full.mem_kb_est:.0f}/{listing_cfg.hw.sram}")
+    assert len(estimate_calls) == feasible
+    assert 0 < feasible < 300
