@@ -20,12 +20,12 @@ from .config import ConfigError, EcadConfig, HwConfig, parse_config
 from .dispatch import Dispatcher, Worker
 from .genome import NetworkDescription
 from .store import DB_FILENAME, EcadDb, StoreError
-from .workers import make_hwdb_worker, make_phys_stub, make_sim_worker
+from .workers import make_hwdb_worker, make_sim_worker
 
 MACRO_NAMES = ("SYS_ROWS", "SYS_COLS", "SYS_VEC", "INTERLEAVE", "SCALE")
 
-DEFAULT_HW = HwConfig(device_type="Arria10-1150", dsp=1518, freq=250,
-                      sram=54260, mem_banks=1, mem_speed=2400, mem_rate=8)
+DEFAULT_HW = HwConfig(dsp=1518, freq=250, sram=54260,
+                      mem_banks=1, mem_speed=2400, mem_rate=8)
 
 
 class CliError(RuntimeError):
@@ -70,8 +70,6 @@ def _build_dispatcher(cfg: EcadConfig, mnist_dir: str | None,
             workers["hwDBJob"] = make_hwdb_worker(cfg.hw)
         elif et.type == "simJob":
             workers["simJob"] = make_sim_worker(_resolve_dataset(mnist_dir, train_subset))
-        elif et.type == "physJob":
-            workers["physJob"] = make_phys_stub()
     return Dispatcher(workers)
 
 

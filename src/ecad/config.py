@@ -15,14 +15,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 
 class ConfigError(ValueError):
     """Raised for syntax errors, broken references or invariant violations."""
 
 
-EVAL_TYPES = ("simJob", "hwDBJob", "physJob")
+EVAL_TYPES = ("simJob", "hwDBJob", "physJob")   # physJob has no worker: accepted only when inactive
 CELL_TYPES = ("input", "dense", "relu", "output")
 
 
@@ -51,8 +51,8 @@ class TraitSpec:
                 raise ConfigError(
                     f"trait '{name}': minValue/maxValue must be multiples of modValue {self.mod_value}"
                 )
-        if self.func == "PowFunction" and self.pow_value is None:
-            raise ConfigError(f"trait '{name}': func PowFunction requires powValue")
+        if self.func == "PowFunction" and (self.pow_value is None or self.pow_value < 2):
+            raise ConfigError(f"trait '{name}': func PowFunction requires powValue >= 2, got {self.pow_value}")
         if self.change_rate is not None and not 0 <= self.change_rate <= 1:
             raise ConfigError(f"trait '{name}': changeRate must be in [0, 1], got {self.change_rate}")
         if not self.legal_values():
@@ -107,6 +107,8 @@ class EvalTypeConfig:
     def validate(self) -> None:
         if self.type not in EVAL_TYPES:
             raise ConfigError(f"unknown evalType '{self.type}'")
+        if self.type == "physJob" and self.active:
+            raise ConfigError("evalType 'physJob' has no worker; it must be inactive")
         if self.weight < 0:
             raise ConfigError(f"evalType '{self.type}': weight must be >= 0")
         if not self.min_value < self.max_value:
@@ -119,9 +121,7 @@ class EvalTypeConfig:
     def scored_metric(self) -> str:
         if self.type == "simJob":
             return "accuracy"
-        if self.type == "hwDBJob":
-            return self.metric or "effective_gops"
-        return self.metric or "phys_metric"
+        return self.metric or "effective_gops"
 
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "EvalTypeConfig":
@@ -220,7 +220,6 @@ class CellTypeConfig:
 class HwConfig:
     """Device resource budget and memory-system parameters."""
 
-    device_type: str
     dsp: int
     freq: float            # MHz
     sram: float            # embedded-memory budget (Kb per the device sheet)
@@ -240,7 +239,6 @@ class HwConfig:
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "HwConfig":
         hw = cls(
-            device_type=str(raw.get("deviceType", "")),
             dsp=int(raw["dsp"]),
             freq=float(raw["freq"]),
             sram=float(raw["sram"]),
@@ -381,8 +379,6 @@ def _validate(cfg: EcadConfig) -> EcadConfig:
         if cell.cell_type not in declared:
             raise ConfigError(f"cell '{cell.cell_name}' references undeclared cell_type '{cell.cell_type}'")
     _ordered_chain(cfg.cell_array)
-    cfg.pop.validate()
-    cfg.hw.validate()
     if not 0 < cfg.def_change_rate <= 1:
         raise ConfigError("traitConfigValues: defChangeRate must be in (0, 1]")
     return cfg
@@ -442,14 +438,25 @@ def parse_config(source: str | Path) -> EcadConfig:
     if not isinstance(hw_raw, dict):
         raise ConfigError("missing 'hwConfig'")
 
+    def section(key: str, build: Callable[[], Any]) -> Any:
+        try:
+            return build()
+        except KeyError as exc:
+            raise ConfigError(f"{key}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            if isinstance(exc, ConfigError):
+                raise
+            raise ConfigError(f"{key}: bad value: {exc}") from None
+
     cfg = EcadConfig(
         name=str(doc.get("name", "")),
         version=str(doc.get("version", "")),
-        pop=PopConfig.from_json(pop_raw),
-        def_change_rate=float(doc.get("traitConfigValues", {}).get("defChangeRate", 0.1)),
-        cell_types=tuple(CellTypeConfig.from_json(ct) for ct in doc.get("cellTypes", [])),
-        hw=HwConfig.from_json(hw_raw),
-        cell_array=tuple(CellInstance.from_json(c) for c in doc.get("cellArray", [])),
+        pop=section("popConfigValues", lambda: PopConfig.from_json(pop_raw)),
+        def_change_rate=section("traitConfigValues", lambda: float(
+            doc.get("traitConfigValues", {}).get("defChangeRate", 0.1))),
+        cell_types=section("cellTypes", lambda: tuple(map(CellTypeConfig.from_json, doc.get("cellTypes", [])))),
+        hw=section("hwConfig", lambda: HwConfig.from_json(hw_raw)),
+        cell_array=section("cellArray", lambda: tuple(map(CellInstance.from_json, doc.get("cellArray", [])))),
     )
     return _validate(cfg)
 

@@ -33,14 +33,6 @@ class Dataset:
     test_x: np.ndarray
     test_y: np.ndarray
 
-    @property
-    def num_features(self) -> int:
-        return self.train_x.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return self.train_y.shape[1]
-
     def subset(self, n_train: int) -> "Dataset":
         """First n_train training rows; the test split is kept whole."""
         n = min(n_train, self.train_x.shape[0])

@@ -99,7 +99,7 @@ def run(
     ids = itertools.count()
     seqs = itertools.count()
     members: dict[int, DbRecord] = {}
-    fresh = [spawn(cfg, rng, next(ids), generation=0) for _ in range(cfg.pop.initial_pop_size)]
+    fresh = [spawn(cfg, rng, next(ids)) for _ in range(cfg.pop.initial_pop_size)]
 
     history: list[GenerationStats] = []
     stop_reason = "max generations reached"

@@ -121,7 +121,7 @@ def _interleave_ok(traits: dict[str, int], specs: dict[str, TraitSpec]) -> bool:
     return iv >= traits[_SYS_ROWS] + traits[_SYS_COLS] and iv & (iv - 1) == 0
 
 
-def spawn(cfg: EcadConfig, rng: random.Random, genome_id: int, generation: int = 0) -> NetworkGenome:
+def spawn(cfg: EcadConfig, rng: random.Random, genome_id: int) -> NetworkGenome:
     """Create a fresh genome with every trait randomized within its spec."""
     cells = []
     for inst in cfg.chain():
@@ -129,7 +129,7 @@ def spawn(cfg: EcadConfig, rng: random.Random, genome_id: int, generation: int =
         traits = {name: _sample(values, rng) for name, _, values in cfg.mutation_rows[inst.cell_type]}
         _apply_interleave_rule(traits, specs, rng)
         cells.append(CellState(instance=inst, trait_values=traits))
-    return NetworkGenome(id=genome_id, parent_id=None, generation=generation, cells=tuple(cells))
+    return NetworkGenome(id=genome_id, parent_id=None, generation=0, cells=tuple(cells))
 
 
 def _mutation_pass(

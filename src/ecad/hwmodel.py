@@ -104,18 +104,6 @@ class BlockGeometry:
         return self.n_pad // self.block_width
 
     @property
-    def m_efficiency(self) -> float:
-        return self.m / self.m_pad
-
-    @property
-    def k_efficiency(self) -> float:
-        return self.k / self.k_pad
-
-    @property
-    def n_efficiency(self) -> float:
-        return self.n / self.n_pad
-
-    @property
     def compute_cycles(self) -> int:
         """Exact PE-grid cycle count: every output block accumulates in turn."""
         return self.m_blocks * self.n_blocks * self.block_cycles
@@ -150,16 +138,6 @@ def block_geometry(cfg: SystolicConfig, m: int, k: int, n: int) -> BlockGeometry
 def compute_cycles(cfg: SystolicConfig, m: int, k: int, n: int) -> int:
     """Exact PE-grid cycle count for one blocked GEMM."""
     return block_geometry(cfg, m, k, n).compute_cycles
-
-
-def drain_cycles(cfg: SystolicConfig, m: int, k: int, n: int) -> int:
-    """Global-drain cycles: one element per cycle over the padded output."""
-    return block_geometry(cfg, m, k, n).drain_cycles
-
-
-def stream_bytes(cfg: SystolicConfig, m: int, k: int, n: int) -> int:
-    """DDR traffic: A/B blocks streamed per output block plus the output write."""
-    return block_geometry(cfg, m, k, n).stream_bytes
 
 
 def potential_gops(cfg: SystolicConfig) -> float:
@@ -231,10 +209,6 @@ class HwEstimate:
 def total_ops(desc: NetworkDescription) -> int:
     """Unpadded multiply+add operation count for one full forward pass."""
     return 2 * desc.batch * sum(l.in_features * l.out_features for l in desc.layers)
-
-
-def ops_per_image(desc: NetworkDescription) -> int:
-    return 2 * sum(l.in_features * l.out_features for l in desc.layers)
 
 
 def estimate(

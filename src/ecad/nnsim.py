@@ -60,10 +60,6 @@ class Mlp:
     layers: list[LayerParams]
     activations: list[str]   # per layer: "relu" | "none"
 
-    @property
-    def dims(self) -> list[int]:
-        return [self.layers[0].weights.shape[0]] + [l.weights.shape[1] for l in self.layers]
-
 
 @dataclass
 class TrainReport:

@@ -1,5 +1,5 @@
-"""Fitness workers: wrap the hardware model, the native trainer, and a
-canned-metric stub behind the common job-in/result-out interface."""
+"""Fitness workers: wrap the hardware model and the native trainer behind
+the common job-in/result-out interface."""
 
 from __future__ import annotations
 
@@ -72,16 +72,3 @@ def make_sim_worker(data: Dataset) -> Worker:
 
     return worker
 
-
-def make_phys_stub() -> Worker:
-    """Stub for the hardware-compile worker: reports ``phys_metric`` 0.0.
-
-    Lets a config activate physJob without a synthesis backend; the real
-    backend is a separate deployment concern.
-    """
-
-    def worker(job: EvalJob) -> EvalResult:
-        return EvalResult(genome_id=job.genome_id, eval_type=job.eval_type,
-                          metrics={"phys_metric": 0.0})
-
-    return worker

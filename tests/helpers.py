@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import signal
 from pathlib import Path
 from typing import Any
 
@@ -20,6 +22,21 @@ def listing_doc() -> dict[str, Any]:
         merged.update(json.loads((LISTING_CONFIG.parent / inc).read_text(encoding="utf-8")))
     merged.update(doc)
     return merged
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Fail the block with TimeoutError if it runs longer than ``seconds`` (main thread only)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 # published modeled performance for the (4, 4, 8, 8, 8) configuration running
 # the 784/196/190/150/10 MLP at 250 MHz: batch -> (effective GOP/s, time ms)

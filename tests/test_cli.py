@@ -13,7 +13,7 @@ from ecad import cli, store
 from ecad.config import parse_config
 from ecad.store import EcadDb
 
-from helpers import LISTING_CONFIG, mlp_desc
+from helpers import LISTING_CONFIG, listing_doc, mlp_desc, time_limit
 
 GENERATIONS = 30
 
@@ -213,6 +213,52 @@ def test_sizes_below_one_rejected(tmp_path, network_file, hw_only_config, capsys
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} must be at least 1, got {value}")
     assert not (tmp_path / "dest").exists() and not (tmp_path / "out").exists()
+
+
+def _drop_dsp(doc):
+    del doc["hwConfig"]["dsp"]
+
+
+def _dsp_lots(doc):
+    doc["hwConfig"]["dsp"] = "lots"
+
+
+def _drop_max_pop_size(doc):
+    del doc["popConfigValues"]["maxPopSize"]
+
+
+def _drop_cell_name(doc):
+    del doc["cellArray"][1]["cell_name"]
+
+
+def _activate_phys_job(doc):
+    next(et for et in doc["popConfigValues"]["evalTypes"] if et["type"] == "physJob")["active"] = True
+
+
+def _pow_value_one(doc):
+    next(ct for ct in doc["cellTypes"] if ct["cell_type"] == "dense")["sys_cols"]["powValue"] = 1
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_drop_dsp, "hwConfig: missing key 'dsp'"),
+    (_dsp_lots, "hwConfig: bad value: invalid literal for int() with base 10: 'lots'"),
+    (_drop_max_pop_size, "popConfigValues: missing key 'maxPopSize'"),
+    (_drop_cell_name, "cellArray: missing key 'cell_name'"),
+    (_activate_phys_job, "evalType 'physJob' has no worker; it must be inactive"),
+    (_pow_value_one, "trait 'dense.sys_cols': func PowFunction requires powValue >= 2, got 1"),
+], ids=["no-dsp", "dsp-lots", "no-maxPopSize", "no-cell_name", "active-physJob", "powValue-1"])
+def test_search_rejects_bad_config(tmp_path, capsys, edit, message):
+    doc = listing_doc()
+    edit(doc)
+    config = tmp_path / "bad.ecad.cfg"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    with time_limit(10):
+        code = cli.main(["search", str(config), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def write_bin(path, dims, values):

@@ -5,6 +5,8 @@ import pytest
 
 from ecad.config import ConfigError, TraitSpec, parse_config
 
+from helpers import time_limit
+
 
 def minimal_doc(**overrides):
     doc = {
@@ -254,6 +256,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"simJob': batchSize must be >= 1, got {value}"):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("active", [{"active": True}, {}])
+    def test_active_phys_job_rejected(self, active):
+        # physJob has no worker; only an inactive entry, as in the listing, parses
+        doc = minimal_doc()
+        doc["popConfigValues"]["evalTypes"].append(
+            {"type": "physJob", "minValue": 0, "maxValue": 1, **active})
+        with pytest.raises(ConfigError, match="evalType 'physJob' has no worker"):
+            parse_config(json.dumps(doc))
+
     def test_hw_positive(self):
         doc = minimal_doc()
         doc["hwConfig"]["dsp"] = 0
@@ -273,6 +284,15 @@ class TestTraitSpec:
     def test_pow_requires_pow_value(self):
         with pytest.raises(ConfigError, match="powValue"):
             TraitSpec.from_json("t", {"minValue": 2, "maxValue": 8, "func": "PowFunction"})
+
+    @pytest.mark.parametrize("pow_value", [1, 0, -2])
+    def test_pow_value_below_two_rejected(self, pow_value):
+        # powers of 0 or 1 never pass maxValue, so listing them would not end
+        doc = minimal_doc()
+        doc["cellTypes"][1]["sys_cols"]["powValue"] = pow_value
+        with time_limit(5), pytest.raises(
+                ConfigError, match=f"trait 'dense.sys_cols': .* powValue >= 2, got {pow_value}"):
+            parse_config(json.dumps(doc))
 
     def test_unsatisfiable_pow_range(self):
         with pytest.raises(ConfigError, match="no legal value"):

@@ -9,18 +9,15 @@ from ecad.hwmodel import (
     SystolicConfig,
     block_geometry,
     compute_cycles,
-    drain_cycles,
     estimate,
-    ops_per_image,
     potential_gops,
     resource_estimate,
-    stream_bytes,
     total_ops,
 )
 
 from helpers import TABLE2_MODELED, TABLE3_CONFIGS, mlp_desc
 
-ARRIA10 = HwConfig(device_type="Arria10-1150", dsp=1518, freq=250, sram=54260,
+ARRIA10 = HwConfig(dsp=1518, freq=250, sram=54260,
                    mem_banks=1, mem_speed=2400, mem_rate=8)
 
 TABLE2_CFG = SystolicConfig(4, 4, 8, 8, 8, freq_mhz=250)
@@ -33,14 +30,14 @@ class TestBlockGeometry:
         g = block_geometry(SystolicConfig(4, 8, 8, 16, 18), m=1024, k=784, n=10)
         assert g.common_block == 144
         assert g.k_pad == 864
-        assert g.k_efficiency == pytest.approx(784 / 864)
+        assert g.k / g.k_pad == pytest.approx(784 / 864)
 
     def test_batch_dimension_anchor(self):
         # block height 64 divides batch 1024 exactly -> 100% efficient
         g = block_geometry(SystolicConfig(4, 8, 8, 16, 18), m=1024, k=784, n=10)
         assert g.block_height == 64
         assert g.m_pad == 1024
-        assert g.m_efficiency == 1.0
+        assert g.m / g.m_pad == 1.0
 
     def test_unit_case(self):
         g = block_geometry(SystolicConfig(1, 1, 1, 1, 1), 1, 1, 1)
@@ -127,7 +124,7 @@ class TestEstimate:
     def test_img_per_s_identity_pinned_effective(self):
         # §: pinning effective GOP/s to the published 174 reproduces the img/s figure
         desc = mlp_desc([784, 852, 10], 508)
-        img_s = 174e9 / ops_per_image(desc)
+        img_s = 174e9 / (total_ops(desc) / desc.batch)
         assert img_s == pytest.approx(129_144, rel=0.02)
 
     def test_effective_never_exceeds_potential(self):
@@ -151,7 +148,7 @@ class TestEstimate:
             m, k, n = (rng.randint(1, 700) for _ in range(3))
             g = block_geometry(cfg, m, k, n)
             compute_only_eff = (2 * m * k * n) / (compute_cycles(cfg, m, k, n) / (cfg.freq_mhz * 1e6)) / 1e9
-            factorized = potential_gops(cfg) * g.m_efficiency * g.k_efficiency * g.n_efficiency
+            factorized = potential_gops(cfg) * (g.m / g.m_pad) * (g.k / g.k_pad) * (g.n / g.n_pad)
             assert compute_only_eff == pytest.approx(factorized, rel=1e-9)
 
     def test_monotone_in_batch(self):
@@ -176,12 +173,12 @@ class TestEstimate:
         assert est.latency_ms < est.total_time_ms
 
     def test_memory_bound_layer(self):
-        starved = HwConfig(device_type="slow", dsp=1518, freq=250, sram=54260,
+        starved = HwConfig(dsp=1518, freq=250, sram=54260,
                            mem_banks=1, mem_speed=1, mem_rate=1)   # 1 MB/s
         desc = mlp_desc([784, 64, 10], 32)
         est = estimate(desc, TABLE2_CFG, starved)
         assert all(t.memory_bound for t in est.layers)
-        expected = sum(stream_bytes(TABLE2_CFG, 32, l.in_features, l.out_features)
+        expected = sum(block_geometry(TABLE2_CFG, 32, l.in_features, l.out_features).stream_bytes
                        for l in desc.layers) / 1e6
         assert est.total_time_ms == pytest.approx(expected * 1e3, rel=1e-12)
 
@@ -259,7 +256,7 @@ def test_drain_cycles_match_padded_output():
                              rng.randint(1, 8), rng.randint(1, 4))
         m, k, n = (rng.randint(1, 500) for _ in range(3))
         g = block_geometry(cfg, m, k, n)
-        assert drain_cycles(cfg, m, k, n) == g.m_pad * g.n_pad
+        assert g.drain_cycles == g.m_pad * g.n_pad
 
 
 def test_stream_bytes_formula():
@@ -267,4 +264,4 @@ def test_stream_bytes_formula():
     g = block_geometry(cfg, 32, 784, 196)
     per_pair = (g.block_height * g.common_block + g.common_block * g.block_width) * 4
     expected = g.m_blocks * g.n_blocks * g.k_blocks * per_pair + g.m_pad * g.n_pad * 4
-    assert stream_bytes(cfg, 32, 784, 196) == expected == 1_519_616
+    assert g.stream_bytes == expected == 1_519_616
