@@ -158,6 +158,15 @@ class TestScoreCard:
         again = ScoreCard.from_json(card.to_json())
         assert again == card
 
+    def test_phys_stub_flows_through_same_path(self):
+        # physJob has no worker, but the scoring path is keyed on the eval type
+        # alone: any type's metrics are normalized and combined the same way
+        phys = et(type="physJob", min_value=0, max_value=1, metric="phys_metric")
+        pop = pop_with([phys])
+        card = ScoreCard(genome_id=5)
+        card.record(phys, {"phys_metric": 0.25})
+        assert card.combined(pop) == pytest.approx(0.25)
+
     def test_nan_metric_flagged(self):
         card = ScoreCard(genome_id=6)
         card.record(GOPS, {"effective_gops": math.nan})
