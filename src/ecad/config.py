@@ -30,6 +30,18 @@ def _is_comment_key(key: str) -> bool:
     return key == "comment" or key.endswith(("_comment", "-comment"))
 
 
+def _objects(where: str, raw: Any, comments: bool = False) -> list[dict[str, Any]]:
+    """The JSON objects of list `raw`, skipping string entries if `comments`;
+    any other shape raises a ConfigError naming `where`."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"{where} must be a list of objects, got {type(raw).__name__}")
+    objs = [e for e in raw if not (comments and isinstance(e, str))]
+    for entry in objs:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where} entry {entry!r} is not an object")
+    return objs
+
+
 @dataclass(frozen=True)
 class TraitSpec:
     """Legal-value constraint for one mutable integer trait."""
@@ -181,11 +193,8 @@ class PopConfig:
             change_rate=float(raw["changeRate"]),
             max_generations=int(raw["maxGenerations"]),
             fitness_score_goal=float(raw.get("fitnessScoreGoal", math.inf)),
-            eval_types=tuple(
-                EvalTypeConfig.from_json(e)
-                for e in raw.get("evalTypes", [])
-                if not isinstance(e, str)
-            ),
+            eval_types=tuple(map(EvalTypeConfig.from_json, _objects(
+                "popConfigValues: evalTypes", raw.get("evalTypes", []), comments=True))),
         )
         pop.validate()
         return pop
@@ -437,6 +446,9 @@ def parse_config(source: str | Path) -> EcadConfig:
     hw_raw = doc.get("hwConfig")
     if not isinstance(hw_raw, dict):
         raise ConfigError("missing 'hwConfig'")
+    trait_raw = doc.get("traitConfigValues", {})
+    if not isinstance(trait_raw, dict):
+        raise ConfigError(f"traitConfigValues must be an object, got {type(trait_raw).__name__}")
 
     def section(key: str, build: Callable[[], Any]) -> Any:
         try:
@@ -453,10 +465,12 @@ def parse_config(source: str | Path) -> EcadConfig:
         version=str(doc.get("version", "")),
         pop=section("popConfigValues", lambda: PopConfig.from_json(pop_raw)),
         def_change_rate=section("traitConfigValues", lambda: float(
-            doc.get("traitConfigValues", {}).get("defChangeRate", 0.1))),
-        cell_types=section("cellTypes", lambda: tuple(map(CellTypeConfig.from_json, doc.get("cellTypes", [])))),
+            trait_raw.get("defChangeRate", 0.1))),
+        cell_types=section("cellTypes", lambda: tuple(map(
+            CellTypeConfig.from_json, _objects("cellTypes", doc.get("cellTypes", []))))),
         hw=section("hwConfig", lambda: HwConfig.from_json(hw_raw)),
-        cell_array=section("cellArray", lambda: tuple(map(CellInstance.from_json, doc.get("cellArray", [])))),
+        cell_array=section("cellArray", lambda: tuple(map(
+            CellInstance.from_json, _objects("cellArray", doc.get("cellArray", []))))),
     )
     return _validate(cfg)
 

@@ -11,13 +11,17 @@ import numpy as np
 
 IMAGES_MAGIC = 2051
 LABELS_MAGIC = 2049
+NUM_CLASSES = 10
 
 _TRAIN_IMAGES = "train-images-idx3-ubyte"
 _TRAIN_LABELS = "train-labels-idx1-ubyte"
 _TEST_IMAGES = "t10k-images-idx3-ubyte"
 _TEST_LABELS = "t10k-labels-idx1-ubyte"
 
-SYNTHETIC_CHUNK_ROWS = 4096   # rows of synthetic noise drawn per call
+# rows of synthetic noise drawn per call: at 784 features one chunk's float64
+# draw is 1.5 MiB, small enough that the allocator does not keep freed chunk
+# temporaries resident next to the output
+SYNTHETIC_CHUNK_ROWS = 256
 
 
 class DatasetError(ValueError):
@@ -34,9 +38,13 @@ class Dataset:
     test_y: np.ndarray
 
     def subset(self, n_train: int) -> "Dataset":
-        """First n_train training rows; the test split is kept whole."""
+        """First n_train training rows; the test split is kept whole.
+
+        The training rows are copied, so the subset does not keep the full
+        training arrays alive; the test arrays are shared with this dataset.
+        """
         n = min(n_train, self.train_x.shape[0])
-        return Dataset(self.train_x[:n], self.train_y[:n], self.test_x, self.test_y)
+        return Dataset(self.train_x[:n].copy(), self.train_y[:n].copy(), self.test_x, self.test_y)
 
 
 def _open_maybe_gzip(path: Path):
@@ -82,7 +90,7 @@ def read_idx_labels(path: Path) -> np.ndarray:
         return np.frombuffer(body, dtype=np.uint8)
 
 
-def one_hot(labels: np.ndarray, num_classes: int = 10) -> np.ndarray:
+def one_hot(labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:
     out = np.zeros((labels.shape[0], num_classes), dtype=np.float32)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
@@ -90,12 +98,18 @@ def one_hot(labels: np.ndarray, num_classes: int = 10) -> np.ndarray:
 
 def _load_split(dir_path: Path, images_stem: str, labels_stem: str) -> tuple[np.ndarray, np.ndarray]:
     images = read_idx_images(_find(dir_path, images_stem))
-    labels = read_idx_labels(_find(dir_path, labels_stem))
+    labels_path = _find(dir_path, labels_stem)
+    labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
         raise DatasetError(
             f"{dir_path}: {images.shape[0]} images but {labels.shape[0]} labels"
         )
-    x = images.astype(np.float32) / 255.0
+    if labels.size and labels.max() >= NUM_CLASSES:
+        raise DatasetError(
+            f"{labels_path}: label {labels.max()} is outside 0..{NUM_CLASSES - 1}"
+        )
+    x = images.astype(np.float32)
+    x /= 255.0   # in place: no second full-size float32 copy
     return x, one_hot(labels)
 
 
@@ -122,6 +136,11 @@ def synthetic_mnist(
     and label encoding as the real dataset. The default spread/noise put a
     small MLP in the mid-to-high nineties after a few epochs, so accuracy
     behaves like a real classification task rather than saturating at 1.
+
+    The noise is drawn SYNTHETIC_CHUNK_ROWS rows at a time, so beyond the
+    arrays it returns the build holds under 4 MiB of scratch at 784 features
+    (one chunk's float64 draw, its float32 cast and prototype rows, plus the
+    integer labels).
     """
     rng = np.random.default_rng(seed)
     prototypes = (

@@ -7,10 +7,12 @@ import shutil
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ecad import cli, store
 from ecad.config import parse_config
+from ecad.dataset import write_idx_images, write_idx_labels
 from ecad.store import EcadDb
 
 from helpers import LISTING_CONFIG, listing_doc, mlp_desc, time_limit
@@ -239,6 +241,18 @@ def _pow_value_one(doc):
     next(ct for ct in doc["cellTypes"] if ct["cell_type"] == "dense")["sys_cols"]["powValue"] = 1
 
 
+def _trait_values_list(doc):
+    doc["traitConfigValues"] = [1]
+
+
+def _eval_type_int(doc):
+    doc["popConfigValues"]["evalTypes"].append(5)
+
+
+def _cell_types_object(doc):
+    doc["cellTypes"] = {ct["cell_type"]: ct for ct in doc["cellTypes"]}
+
+
 @pytest.mark.parametrize("edit,message", [
     (_drop_dsp, "hwConfig: missing key 'dsp'"),
     (_dsp_lots, "hwConfig: bad value: invalid literal for int() with base 10: 'lots'"),
@@ -246,7 +260,11 @@ def _pow_value_one(doc):
     (_drop_cell_name, "cellArray: missing key 'cell_name'"),
     (_activate_phys_job, "evalType 'physJob' has no worker; it must be inactive"),
     (_pow_value_one, "trait 'dense.sys_cols': func PowFunction requires powValue >= 2, got 1"),
-], ids=["no-dsp", "dsp-lots", "no-maxPopSize", "no-cell_name", "active-physJob", "powValue-1"])
+    (_trait_values_list, "traitConfigValues must be an object, got list"),
+    (_eval_type_int, "popConfigValues: evalTypes entry 5 is not an object"),
+    (_cell_types_object, "cellTypes must be a list of objects, got dict"),
+], ids=["no-dsp", "dsp-lots", "no-maxPopSize", "no-cell_name", "active-physJob", "powValue-1",
+        "traitConfigValues-list", "evalTypes-int", "cellTypes-object"])
 def test_search_rejects_bad_config(tmp_path, capsys, edit, message):
     doc = listing_doc()
     edit(doc)
@@ -259,6 +277,20 @@ def test_search_rejects_bad_config(tmp_path, capsys, edit, message):
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_train_rejects_label_outside_classes(tmp_path, network_file, capsys):
+    mnist = tmp_path / "mnist"
+    mnist.mkdir()
+    for stem, n in (("train", 6), ("t10k", 3)):
+        write_idx_images(mnist / f"{stem}-images-idx3-ubyte", np.zeros((n, 784), dtype=np.uint8))
+        write_idx_labels(mnist / f"{stem}-labels-idx1-ubyte", np.full(n, 12, dtype=np.uint8))
+    argv = ["train", str(network_file), str(tmp_path / "dest"), "--mnist-dir", str(mnist)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {mnist / 'train-labels-idx1-ubyte'}: label 12 is outside 0..9\n"
+    assert not (tmp_path / "dest").exists()
 
 
 def write_bin(path, dims, values):

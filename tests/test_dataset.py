@@ -1,5 +1,7 @@
 import gzip
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,26 @@ from ecad.dataset import (
 )
 
 from conftest import find_mnist_dir
+
+MiB = 1 << 20
+
+
+def traced_peak(build):
+    """build() and the tracemalloc peak, in bytes, above what was allocated before it."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+def nbytes(data):
+    return sum(a.nbytes for a in (data.train_x, data.train_y, data.test_x, data.test_y))
 
 
 def write_split(dir_path, n_train=12, n_test=5, value=0):
@@ -73,6 +95,20 @@ class TestIdxFiles:
         with pytest.raises(DatasetError, match="100 images but 99 labels"):
             load_mnist(tmp_path)
 
+    def test_label_out_of_range(self, tmp_path):
+        write_split(tmp_path)
+        labels_path = tmp_path / "t10k-labels-idx1-ubyte"
+        write_idx_labels(labels_path, np.array([3, 12, 0, 12, 1], dtype=np.uint8))
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(labels_path))}: label 12 is outside 0..9$"):
+            load_mnist(tmp_path)
+
+    def test_peak_memory_is_output_plus_raw_images(self, tmp_path):
+        n_train, n_test = 2000, 500
+        write_split(tmp_path, n_train=n_train, n_test=n_test, value=77)
+        data, peak = traced_peak(lambda: load_mnist(tmp_path))
+        assert peak <= nbytes(data) + n_train * 784 + MiB
+        assert np.all(data.train_x == np.float32(77) / np.float32(255))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="missing IDX file"):
             load_mnist(tmp_path)
@@ -105,9 +141,18 @@ class TestSynthetic:
         assert np.array_equal(a.test_y, b.test_y)
 
     def test_subset(self):
-        data = synthetic_mnist(seed=0, n_train=100, n_test=40).subset(30)
+        full = synthetic_mnist(seed=0, n_train=100, n_test=40)
+        data = full.subset(30)
         assert data.train_x.shape == (30, 784)
-        assert data.test_x.shape == (40, 784)
+        assert data.test_x is full.test_x and data.test_y is full.test_y
+        for got, whole in ((data.train_x, full.train_x), (data.train_y, full.train_y)):
+            # a copy, so the subset does not keep the full training split alive
+            assert got.base is None and got.flags.owndata
+            assert np.array_equal(got, whole[:30])
+
+    def test_scratch_stays_under_4_mib(self):
+        data, peak = traced_peak(lambda: synthetic_mnist(n_train=20000, n_test=2000))
+        assert peak - nbytes(data) <= 4 * MiB
 
     def test_chunked_build_equals_one_shot(self):
         # one-shot reference: every noise row drawn in a single call
