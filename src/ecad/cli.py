@@ -62,6 +62,14 @@ def _resolve_dataset(mnist_dir: str | None, train_subset: int | None) -> ds.Data
     return data if train_subset is None else data.subset(train_subset)
 
 
+def _check_widths(what: str, n_in: int | None, n_out: int | None, data: ds.Dataset) -> None:
+    """Raise CliError unless the network maps the dataset's features to its classes."""
+    features, classes = data.train_x.shape[1], data.train_y.shape[1]
+    if (n_in, n_out) != (features, classes):
+        raise CliError(f"{what} maps {n_in} inputs to {n_out} outputs, but the dataset "
+                       f"has {features} features and {classes} classes")
+
+
 def _build_dispatcher(cfg: EcadConfig, mnist_dir: str | None,
                       train_subset: int | None) -> Dispatcher:
     workers: dict[str, Worker] = {}
@@ -69,7 +77,10 @@ def _build_dispatcher(cfg: EcadConfig, mnist_dir: str | None,
         if et.type == "hwDBJob":
             workers["hwDBJob"] = make_hwdb_worker(cfg.hw)
         elif et.type == "simJob":
-            workers["simJob"] = make_sim_worker(_resolve_dataset(mnist_dir, train_subset))
+            data = _resolve_dataset(mnist_dir, train_subset)
+            chain = cfg.chain()
+            _check_widths("config", chain[0].input_size, chain[-1].output_size, data)
+            workers["simJob"] = make_sim_worker(data)
     return Dispatcher(workers)
 
 
@@ -77,10 +88,10 @@ def _build_dispatcher(cfg: EcadConfig, mnist_dir: str | None,
 
 def cmd_search(args: argparse.Namespace) -> int:
     _require_at_least_one(args, "train_subset")
-    cfg = parse_config(args.config)
+    cfg = parse_config(Path(args.config))
+    dispatcher = _build_dispatcher(cfg, args.mnist_dir, args.train_subset)
     out_dir = Path(args.out_dir)
     with EcadDb.create(out_dir / DB_FILENAME) as store:   # each search writes a fresh database
-        dispatcher = _build_dispatcher(cfg, args.mnist_dir, args.train_subset)
         report, _ = engine.run(cfg, dispatcher, store=store, seed=args.seed)
 
     (out_dir / "report.json").write_text(
@@ -99,11 +110,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     _require_at_least_one(args, "epochs", "batch_size", "train_subset")
     desc = _load_description(args.network)
     data = _resolve_dataset(args.mnist_dir, args.train_subset)
+    _check_widths(f"network {args.network}", desc.layers[0].in_features,
+                  desc.layers[-1].out_features, data)
     dest = Path(args.dest_dir)
     dest.mkdir(parents=True, exist_ok=True)
     mlp, report = nnsim.train(desc, data, epochs=args.epochs,
-                              batch_size=args.batch_size, seed=args.seed,
-                              verbose=args.verbose)
+                              batch_size=args.batch_size, seed=args.seed)
     report.write(dest / "report.json")
     if args.save_wb:
         nnsim.save_params(mlp, dest, [l.name for l in desc.layers])
@@ -115,7 +127,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     _require_at_least_one(args, "batch")
     desc = _load_description(args.network)
-    hw = parse_config(args.config).hw if args.config else DEFAULT_HW
+    hw = parse_config(Path(args.config)).hw if args.config else DEFAULT_HW
     if args.batch is not None:
         desc = NetworkDescription(id=desc.id, batch=args.batch,
                                   layers=desc.layers, systolic=desc.systolic)
@@ -212,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=4)
     p.add_argument("--batch-size", type=int, default=100)
     p.add_argument("--save-wb", action="store_true", help="export weights and biases")
-    p.add_argument("--verbose", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mnist-dir", default=None)
     p.add_argument("--train-subset", type=int, default=None)

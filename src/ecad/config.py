@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -393,52 +394,52 @@ def _validate(cfg: EcadConfig) -> EcadConfig:
     return cfg
 
 
-def _merge_includes(doc: dict[str, Any], base_dir: Path | None) -> dict[str, Any]:
-    merged: dict[str, Any] = {}
-    for inc in doc.get("includes", []):
-        inc_path = Path(inc)
-        if not inc_path.is_absolute():
-            if base_dir is None:
-                raise ConfigError(f"include '{inc}' is relative but the config was not loaded from a file")
-            inc_path = base_dir / inc_path
-        if not inc_path.exists():
-            raise ConfigError(f"include file not found: {inc_path}")
-        sub = _load_doc(inc_path.read_text(encoding="utf-8"), inc_path.parent)
-        merged.update(sub)
-    merged.update(doc)   # main file wins on conflicts
-    return merged
+def _read_doc(path: Path, what: str, loading: tuple[Path, ...]) -> dict[str, Any]:
+    """`loading` holds the resolved files being read, to catch an include cycle."""
+    key = path.resolve()
+    if key in loading:
+        raise ConfigError(f"include cycle: {' -> '.join(map(str, (*loading, key)))}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    return _load_doc(text, path.parent.resolve(), (*loading, key))
 
 
-def _load_doc(text: str, base_dir: Path | None) -> dict[str, Any]:
+def _load_doc(text: str, base_dir: Path | None, loading: tuple[Path, ...]) -> dict[str, Any]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    return _merge_includes(doc, base_dir)
+    includes = doc.get("includes", [])
+    if not isinstance(includes, list) or not all(isinstance(inc, str) for inc in includes):
+        raise ConfigError(f"includes must be a list of file names, got {includes!r}")
+    merged: dict[str, Any] = {}
+    for inc in includes:
+        inc_path = Path(inc)
+        if not inc_path.is_absolute():
+            if base_dir is None:
+                raise ConfigError(f"include '{inc}' is relative but the config was not loaded from a file")
+            inc_path = base_dir / inc_path
+        merged.update(_read_doc(inc_path, "include file", loading))
+    merged.update(doc)   # main file wins on conflicts
+    return merged
 
 
 def parse_config(source: str | Path) -> EcadConfig:
-    """Parse JSON text or a file path into a validated EcadConfig.
-
-    Include files are resolved relative to the including file and merged
-    shallowly (main file keys win). Keys the search does not read are ignored.
+    """Parse a Path, a str naming an existing file, or other JSON text into a
+    validated EcadConfig. Include files are resolved relative to the including
+    file and merged shallowly (main file keys win). Keys the search does not
+    read are ignored.
     """
-    def _is_existing_path(s: str) -> bool:
-        try:
-            return "\n" not in s and Path(s).exists()
-        except OSError:
-            return False
-
-    base_dir: Path | None = None
-    if isinstance(source, Path) or (isinstance(source, str) and _is_existing_path(source)):
-        path = Path(source)
-        text = path.read_text(encoding="utf-8")
-        base_dir = path.parent.resolve()
+    if isinstance(source, Path) or ("\n" not in source and os.path.exists(source)):
+        doc = _read_doc(Path(source), "config file", ())
     else:
-        text = str(source)
-    doc = _load_doc(text, base_dir)
+        doc = _load_doc(source, None, ())
 
     pop_raw = doc.get("popConfigValues")
     if not isinstance(pop_raw, dict):

@@ -97,7 +97,6 @@ def run(
 
     rng = random.Random(seed)
     ids = itertools.count()
-    seqs = itertools.count()
     members: dict[int, DbRecord] = {}
     fresh = [spawn(cfg, rng, next(ids)) for _ in range(cfg.pop.initial_pop_size)]
 
@@ -107,7 +106,7 @@ def run(
     for generation in range(1, cfg.pop.max_generations + 1):
         # 1. score the genomes created since the last generation; the dispatcher
         #    returns one result, ok or failed, per job, so every card completes
-        cards = {g.id: ScoreCard(genome_id=g.id) for g in fresh}
+        cards = {g.id: ScoreCard() for g in fresh}
         jobs: list[EvalJob] = []
         for genome in fresh:
             desc = to_description(genome)
@@ -120,15 +119,10 @@ def run(
                 jobs.append(EvalJob(genome_id=genome.id, eval_type=et.type,
                                     network=desc, params=params))
         for result in dispatcher.dispatch_all(jobs):
-            card = cards[result.genome_id]
-            et = active_by_type[result.eval_type]
-            if result.ok:
-                card.record(et, result.metrics)
-            else:
-                card.record_failure(et, result.diagnostics)
+            cards[result.genome_id].record(active_by_type[result.eval_type], result)
         for genome in fresh:
             card = cards[genome.id]
-            rec = DbRecord(genome, card, generation, card.combined(cfg.pop), seq=next(seqs))
+            rec = DbRecord(genome, card, generation, card.combined(cfg.pop))
             members[genome.id] = rec
             if store is not None:
                 store.append(rec)
@@ -155,7 +149,7 @@ def run(
         n_children = math.ceil(cfg.pop.change_rate * cfg.pop.max_pop_size)
         parents = [m.genome for m in ranked[:min(n_children, len(ranked))]]
         fresh = [
-            mutate(parents[i % len(parents)], cfg, rng, next(ids), generation=generation)
+            mutate(parents[i % len(parents)], cfg, rng, next(ids))
             for i in range(n_children)
         ]
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .config import EvalTypeConfig, PopConfig
+from .dispatch import EvalResult
 
 
 def normalize(value: float, et: EvalTypeConfig) -> float:
@@ -37,24 +38,22 @@ def normalize(value: float, et: EvalTypeConfig) -> float:
 class ScoreCard:
     """Per-individual record of raw metrics, normalized scores and the combined fitness."""
 
-    genome_id: int
     metrics: dict[str, dict[str, float]] = field(default_factory=dict)   # eval_type -> raw metrics
     scores: dict[str, float] = field(default_factory=dict)               # eval_type -> normalized
     failed: dict[str, str] = field(default_factory=dict)                 # eval_type -> diagnostics
 
-    def record(self, et: EvalTypeConfig, metrics: dict[str, float]) -> None:
-        raw = metrics.get(et.scored_metric)
-        self.metrics[et.type] = dict(metrics)
-        if raw is None or not math.isfinite(raw):
+    def record(self, et: EvalTypeConfig, result: EvalResult) -> None:
+        """Store the result's metrics, ok or failed; a failed result scores 0."""
+        raw = result.metrics.get(et.scored_metric)
+        self.metrics[et.type] = dict(result.metrics)
+        if not result.ok:
+            self.scores[et.type] = 0.0
+            self.failed[et.type] = result.diagnostics
+        elif raw is None or not math.isfinite(raw):
             self.scores[et.type] = 0.0
             self.failed[et.type] = f"metric '{et.scored_metric}' missing or non-finite"
         else:
             self.scores[et.type] = normalize(raw, et)
-
-    def record_failure(self, et: EvalTypeConfig, diagnostics: str) -> None:
-        self.metrics.setdefault(et.type, {})
-        self.scores[et.type] = 0.0
-        self.failed[et.type] = diagnostics
 
     def is_complete(self, pop: PopConfig) -> bool:
         return all(et.type in self.scores for et in pop.active_eval_types())
@@ -63,7 +62,7 @@ class ScoreCard:
         """Weighted sum over active objectives; requires a complete card."""
         if not self.is_complete(pop):
             missing = [et.type for et in pop.active_eval_types() if et.type not in self.scores]
-            raise ValueError(f"score card for genome {self.genome_id} missing objectives: {missing}")
+            raise ValueError(f"score card missing objectives: {missing}")
         terms = sorted(
             (et.type, et.weight * self.scores[et.type]) for et in pop.active_eval_types()
         )
@@ -74,7 +73,6 @@ class ScoreCard:
 
     def to_json(self) -> dict[str, Any]:
         return {
-            "genome_id": self.genome_id,
             "metrics": self.metrics,
             "scores": self.scores,
             "failed": self.failed,
@@ -83,7 +81,6 @@ class ScoreCard:
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "ScoreCard":
         return cls(
-            genome_id=int(raw["genome_id"]),
             metrics={k: dict(v) for k, v in raw.get("metrics", {}).items()},
             scores={k: float(v) for k, v in raw.get("scores", {}).items()},
             failed=dict(raw.get("failed", {})),

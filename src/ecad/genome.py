@@ -59,14 +59,13 @@ class CellState:
 class NetworkGenome:
     id: int
     parent_id: int | None
-    generation: int
     cells: tuple[CellState, ...]
 
     def to_json_text(self) -> str:
         """The genome as the text CANONICAL_JSON would give, assembled around
         each cell's cached text."""
         cells = ",".join(c.json_text for c in self.cells)
-        return (f'{{"cells":[{cells}],"generation":{self.generation},"id":{self.id},'
+        return (f'{{"cells":[{cells}],"id":{self.id},'
                 f'"parent_id":{CANONICAL_JSON.encode(self.parent_id)}}}')
 
     @classmethod
@@ -74,7 +73,6 @@ class NetworkGenome:
         return cls(
             id=int(raw["id"]),
             parent_id=None if raw.get("parent_id") is None else int(raw["parent_id"]),
-            generation=int(raw.get("generation", 0)),
             cells=tuple(
                 CellState(
                     instance=CellInstance.from_json(c["instance"]),
@@ -129,7 +127,7 @@ def spawn(cfg: EcadConfig, rng: random.Random, genome_id: int) -> NetworkGenome:
         traits = {name: _sample(values, rng) for name, _, values in cfg.mutation_rows[inst.cell_type]}
         _apply_interleave_rule(traits, specs, rng)
         cells.append(CellState(instance=inst, trait_values=traits))
-    return NetworkGenome(id=genome_id, parent_id=None, generation=0, cells=tuple(cells))
+    return NetworkGenome(id=genome_id, parent_id=None, cells=tuple(cells))
 
 
 def _mutation_pass(
@@ -191,16 +189,15 @@ def _force_single_change(
     return cells
 
 
-def mutate(parent: NetworkGenome, cfg: EcadConfig, rng: random.Random, genome_id: int,
-           generation: int | None = None) -> NetworkGenome:
+def mutate(parent: NetworkGenome, cfg: EcadConfig, rng: random.Random,
+           genome_id: int) -> NetworkGenome:
     """Produce a child genome; guaranteed to differ from the parent when possible."""
-    gen = parent.generation + 1 if generation is None else generation
     for _ in range(_MUTATE_RETRIES):
         cells = _mutation_pass(parent, cfg, rng)
         if [c.trait_values for c in cells] != [c.trait_values for c in parent.cells]:
-            return NetworkGenome(id=genome_id, parent_id=parent.id, generation=gen, cells=tuple(cells))
+            return NetworkGenome(id=genome_id, parent_id=parent.id, cells=tuple(cells))
     cells = _force_single_change(parent, cfg, rng)
-    return NetworkGenome(id=genome_id, parent_id=parent.id, generation=gen, cells=tuple(cells))
+    return NetworkGenome(id=genome_id, parent_id=parent.id, cells=tuple(cells))
 
 
 # --- network description ----------------------------------------------------
@@ -256,20 +253,28 @@ class NetworkDescription:
 
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "NetworkDescription":
+        """Parse outside input: an empty stack, or one whose widths do not chain, raises."""
         sys_raw = raw.get("systolic")
+        layers = tuple(
+            LayerDesc(
+                name=str(l["name"]),
+                in_features=int(l["in"]),
+                out_features=int(l["out"]),
+                activation=str(l["activation"]),
+                bias=bool(l["bias"]),
+            )
+            for l in raw["layers"]
+        )
+        if not layers:
+            raise GenomeError("network description has no layers")
+        for prev, layer in zip(layers, layers[1:]):
+            if layer.in_features != prev.out_features:
+                raise GenomeError(f"layer '{layer.name}' takes {layer.in_features} inputs, "
+                                  f"but '{prev.name}' gives {prev.out_features}")
         return cls(
             id=int(raw["id"]),
             batch=int(raw["batch"]),
-            layers=tuple(
-                LayerDesc(
-                    name=str(l["name"]),
-                    in_features=int(l["in"]),
-                    out_features=int(l["out"]),
-                    activation=str(l["activation"]),
-                    bias=bool(l["bias"]),
-                )
-                for l in raw["layers"]
-            ),
+            layers=layers,
             systolic=None if sys_raw is None else SystolicDesc(
                 rows=int(sys_raw["rows"]), cols=int(sys_raw["cols"]), vec=int(sys_raw["vec"]),
                 interleave=int(sys_raw["interleave"]), scale=int(sys_raw["scale"]),

@@ -28,7 +28,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -68,17 +68,9 @@ class TrainReport:
     epochs: int
     training_time: float
     batch_size: int
-    epoch_accuracy: list[float] = field(default_factory=list)
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "accuracy": self.accuracy,
-            "epochs": self.epochs,
-            "training_time": self.training_time,
-            "batch_size": self.batch_size,
-            "epoch_accuracy": self.epoch_accuracy,
-        }
+        return asdict(self)
 
     def write(self, path: Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8")
@@ -214,9 +206,9 @@ def train(
     batch_size: int,
     seed: int = 0,
     lr: float = ADAM_LR,
-    verbose: bool = False,
 ) -> tuple[Mlp, TrainReport]:
-    """Mini-batch Adam training; deterministic for a fixed seed.
+    """Mini-batch Adam training; deterministic for a fixed seed. Test accuracy
+    is measured once, after the last epoch.
 
     Raises TrainingDiverged on a non-finite loss.
     """
@@ -228,7 +220,6 @@ def train(
     opt = _Adam(flat, lr=lr)
     rng = np.random.default_rng(seed + 1)
     n = data.train_x.shape[0]
-    epoch_acc: list[float] = []
 
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -240,18 +231,13 @@ def train(
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, offset {lo}")
             _backprop(m, pre, post, yb, grads)
             opt.step(flat, grad_flat)
-        acc = accuracy(m, data.test_x, data.test_y)
-        epoch_acc.append(acc)
-        if verbose:
-            print(f"epoch {epoch + 1}/{epochs}: test accuracy {acc:.4f}")
 
     report = TrainReport(
         name=str(desc.id),
-        accuracy=epoch_acc[-1],
+        accuracy=accuracy(m, data.test_x, data.test_y),
         epochs=epochs,
         training_time=time.perf_counter() - t0,
         batch_size=batch_size,
-        epoch_accuracy=epoch_acc,
     )
     return m, report
 

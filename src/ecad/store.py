@@ -2,10 +2,18 @@
 
 One search writes one fresh file: `EcadDb.create` truncates it and holds one
 open handle until the search ends, and the engine appends each genome once, in
-the `seq` order it stamps. Every record is flushed as it is written, so a
-killed search leaves the records it completed and at most a torn last line.
-Readers (`EcadDb(path)`) skip that torn line; a corrupt line anywhere else
-raises StoreError naming its line.
+genome-id order. Every record is flushed as it is written, so a killed search
+leaves the records it completed and at most a torn last line. Readers
+(`EcadDb(path)`) skip that torn line; a corrupt line anywhere else raises
+StoreError naming its line.
+
+A record is one line of canonical JSON: the `genome` (`id`, `parent_id`,
+`cells`), the `generation` that scored it, its score `card` (per eval type the
+raw `metrics`, the normalized `scores` and the `failed` diagnostics) and the
+`combined` score. A failed result keeps its metrics, so the hwDBJob entry of a
+design that does not fit the device holds the screen metrics `dsp_est`,
+`mem_kb_est` and `feasible` 0.0. Readers ignore other keys, such as the `seq`,
+`card.genome_id` and `genome.generation` of older lines.
 """
 
 from __future__ import annotations
@@ -31,15 +39,13 @@ class DbRecord:
     card: ScoreCard
     generation: int
     combined: float
-    seq: int
 
     def to_json_text(self) -> str:
         """The record as the text CANONICAL_JSON would give, assembled around the
         genome's text; one database line without its newline."""
         return (f'{{"card":{CANONICAL_JSON.encode(self.card.to_json())},'
                 f'"combined":{CANONICAL_JSON.encode(self.combined)},'
-                f'"generation":{self.generation},"genome":{self.genome.to_json_text()},'
-                f'"seq":{self.seq}}}')
+                f'"generation":{self.generation},"genome":{self.genome.to_json_text()}}}')
 
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "DbRecord":
@@ -48,7 +54,6 @@ class DbRecord:
             card=ScoreCard.from_json(raw["card"]),
             generation=int(raw["generation"]),
             combined=float(raw["combined"]),
-            seq=int(raw["seq"]),
         )
 
 

@@ -13,6 +13,8 @@ import pytest
 from ecad import cli, store
 from ecad.config import parse_config
 from ecad.dataset import write_idx_images, write_idx_labels
+from ecad.genome import to_description
+from ecad.hwmodel import SystolicConfig, resource_estimate
 from ecad.store import EcadDb
 
 from helpers import LISTING_CONFIG, listing_doc, mlp_desc, time_limit
@@ -73,7 +75,7 @@ def test_search_matches_golden_digests(tmp_path, hw_only_config):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("ecad.db.jsonl", "report.json")}
     assert digests == {
-        "ecad.db.jsonl": "101d58a122358d7ef815023223d8e6de09102af0a99ea38d1e22a3f8f9c1ed32",
+        "ecad.db.jsonl": "18a77d99cc7d2cd3cafd678367d4a6ed0bc068d8e89054c2877003768fa1255d",
         "report.json": "1bf88218ff6e00de28717e50f98265f7e936e61caf70b5d2858ff5e439a018d3",
     }
 
@@ -86,10 +88,28 @@ def test_long_search_matches_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("ecad.db.jsonl", "report.json", "generations.csv")}
     assert digests == {
-        "ecad.db.jsonl": "5276f387f463e57a7a3af0b60684590429c6f67ce5e6565dc9c0fc1fcdabb317",
+        "ecad.db.jsonl": "29589b428e10c539fe06afa7bc93628896382694736d98576fc363271503a44c",
         "report.json": "ed974b59de0e9703e3439af18ee6e6ed401926392d8effe34f519b7335d586bd",
         "generations.csv": "58dd751718bffe962f5d7c14cfeba25daf716806146e44b3ac6f08481667d224",
     }
+
+
+def test_infeasible_record_keeps_its_screen_metrics(tmp_path, hw_only_config):
+    out = tmp_path / "out"
+    assert cli.main(["search", str(hw_only_config), "--seed", "3", "--out-dir", str(out)]) == 0
+    hw = parse_config(hw_only_config).hw
+    infeasible = 0
+    for rec in EcadDb(out / "ecad.db.jsonl").scan():
+        array = SystolicConfig.from_desc(to_description(rec.genome).systolic, freq_mhz=hw.freq)
+        dsp_est, mem_kb_est, feasible = resource_estimate(array, hw)
+        if feasible:
+            continue
+        infeasible += 1
+        assert rec.card.metrics["hwDBJob"] == {"dsp_est": dsp_est, "mem_kb_est": mem_kb_est,
+                                               "feasible": 0.0}
+        assert rec.card.scores["hwDBJob"] == 0.0
+        assert rec.card.failed["hwDBJob"].startswith("resource budget exceeded")
+    assert infeasible > 0
 
 
 def spy_store_opens(monkeypatch) -> list:
@@ -145,7 +165,7 @@ def test_interrupted_search_leaves_completed_generations(tmp_path, hw_only_confi
     assert data.endswith(b"\n")
     lines = data.splitlines(keepends=True)
     assert lines == (full / "ecad.db.jsonl").read_bytes().splitlines(keepends=True)[:done]
-    assert [r.seq for r in EcadDb(out / "ecad.db.jsonl").scan()] == list(range(done))
+    assert [r.genome.id for r in EcadDb(out / "ecad.db.jsonl").scan()] == list(range(done))
     assert not (out / "report.json").exists()
 
 
@@ -154,7 +174,7 @@ def test_second_search_into_same_dir_matches_fresh_run(tmp_path, hw_only_config)
     assert search(hw_only_config, 3, fresh) == 0
     assert search(hw_only_config, 4, reused) == 0
     with open(reused / "ecad.db.jsonl", "a", encoding="utf-8") as fh:
-        fh.write('{"seq":999,"gen')   # torn tail left by an earlier crash
+        fh.write('{"card":{"fai')   # torn tail left by an earlier crash
     assert search(hw_only_config, 3, reused) == 0
     for name in ("ecad.db.jsonl", "report.json", "generations.csv"):
         assert (reused / name).read_bytes() == (fresh / name).read_bytes()
@@ -277,6 +297,144 @@ def test_search_rejects_bad_config(tmp_path, capsys, edit, message):
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def _self_include(directory):
+    doc = listing_doc()
+    doc["includes"] = ["main.ecad.cfg"]
+    return doc
+
+
+def _include_cycle(directory):
+    (directory / "a.cfg").write_text(json.dumps({"includes": ["b.cfg"]}), encoding="utf-8")
+    (directory / "b.cfg").write_text(json.dumps({"includes": ["a.cfg"]}), encoding="utf-8")
+    doc = listing_doc()
+    doc["includes"] = ["a.cfg"]
+    return doc
+
+
+def _includes_string(directory):
+    doc = listing_doc()
+    doc["includes"] = "GlobalSettings.ecad.cfg"
+    return doc
+
+
+def _includes_int(directory):
+    doc = listing_doc()
+    doc["includes"] = [5]
+    return doc
+
+
+def _includes_directory(directory):
+    doc = listing_doc()
+    doc["includes"] = ["."]
+    return doc
+
+
+@pytest.mark.parametrize("make,message", [
+    (None, "config file not found: {dir}/main.ecad.cfg"),
+    (_self_include, "include cycle: {dir}/main.ecad.cfg -> {dir}/main.ecad.cfg"),
+    (_include_cycle, "include cycle: {dir}/main.ecad.cfg -> {dir}/a.cfg -> {dir}/b.cfg -> {dir}/a.cfg"),
+    (_includes_string, "includes must be a list of file names, got 'GlobalSettings.ecad.cfg'"),
+    (_includes_int, "includes must be a list of file names, got [5]"),
+    (_includes_directory, "cannot read include file {dir}: Is a directory"),
+], ids=["missing-file", "self-include", "include-cycle", "includes-string", "includes-int",
+        "includes-directory"])
+def test_search_rejects_unloadable_config(tmp_path, capsys, make, message):
+    directory = tmp_path.resolve()
+    config = directory / "main.ecad.cfg"
+    if make is not None:
+        config.write_text(json.dumps(make(directory)), encoding="utf-8")
+    with time_limit(10):
+        code = cli.main(["search", str(config), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(dir=directory)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture
+def tiny_mnist(tmp_path):
+    """Six training and three test images of the MNIST shape, labels in 0..9."""
+    mnist = tmp_path / "mnist"
+    mnist.mkdir()
+    for stem, n in (("train", 6), ("t10k", 3)):
+        write_idx_images(mnist / f"{stem}-images-idx3-ubyte", np.zeros((n, 784), dtype=np.uint8))
+        write_idx_labels(mnist / f"{stem}-labels-idx1-ubyte", np.arange(n, dtype=np.uint8))
+    return mnist
+
+
+def _no_layers(doc):
+    doc["layers"] = []
+
+
+def _unchained(doc):
+    doc["layers"][1]["in"] = 20
+
+
+def _input_100(doc):
+    doc["layers"][0]["in"] = 100
+
+
+def _output_12(doc):
+    doc["layers"][-1]["out"] = 12
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_no_layers, "cannot load network description {net}: network description has no layers"),
+    (_unchained, "cannot load network description {net}: "
+                 "layer 'Y' takes 20 inputs, but 'dense00' gives 16"),
+    (_input_100, "network {net} maps 100 inputs to 10 outputs, "
+                 "but the dataset has 784 features and 10 classes"),
+    (_output_12, "network {net} maps 784 inputs to 12 outputs, "
+                 "but the dataset has 784 features and 10 classes"),
+], ids=["no-layers", "unchained", "input-100", "output-12"])
+def test_train_rejects_widths_that_do_not_fit(tmp_path, tiny_mnist, capsys, edit, message):
+    doc = mlp_desc([784, 16, 10], batch=4).to_json()
+    edit(doc)
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["train", str(net), str(tmp_path / "dest"), "--mnist-dir", str(tiny_mnist)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(net=net)}\n"
+    assert not (tmp_path / "dest").exists()
+
+
+def test_eval_rejects_unchained_layers(tmp_path, capsys):
+    doc = mlp_desc([784, 16, 10], batch=4, cfg=(2, 2, 2, 4, 2)).to_json()
+    _unchained(doc)
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["eval", str(net)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot load network description {net}: "
+                            "layer 'Y' takes 20 inputs, but 'dense00' gives 16\n")
+
+
+@pytest.mark.parametrize("sim_active", [True, False], ids=["joint", "hw-only"])
+def test_search_checks_config_widths_when_training(tmp_path, tiny_mnist, capsys, sim_active):
+    doc = listing_doc()
+    next(c for c in doc["cellArray"] if c["cell_type"] == "input")["input_size"] = 100
+    doc["popConfigValues"]["maxGenerations"] = 1
+    next(et for et in doc["popConfigValues"]["evalTypes"] if et["type"] == "simJob")["active"] = sim_active
+    config = tmp_path / "wide.ecad.cfg"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    code = cli.main(["search", str(config), "--out-dir", str(out), "--mnist-dir", str(tiny_mnist)])
+    captured = capsys.readouterr()
+    if sim_active:
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: config maps 100 inputs to 10 outputs, "
+                                "but the dataset has 784 features and 10 classes\n")
+        assert not out.exists()
+    else:   # the hardware model reads no dataset, so any input width is searched
+        assert code == 0
+        assert (out / "report.json").exists()
 
 
 def test_train_rejects_label_outside_classes(tmp_path, network_file, capsys):

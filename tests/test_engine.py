@@ -49,7 +49,7 @@ def width(rec) -> int:
 def test_records_per_generation(small_cfg, tmp_path):
     report, records = search(small_cfg, tmp_path)
     assert report.generations_run == GENERATIONS
-    assert [r.seq for r in records] == list(range(len(records)))
+    assert [r.genome.id for r in records] == list(range(len(records)))
     for g in range(1, GENERATIONS + 1):
         upto = [r for r in records if r.generation <= g]
         assert len(upto) == small_cfg.pop.initial_pop_size + n_children(small_cfg) * (g - 1)
@@ -83,7 +83,6 @@ def test_children_come_round_robin_from_previous_top(small_cfg, tmp_path):
         fresh = [r for r in records if r.generation == g]
         if g > 1:
             assert [r.genome.parent_id for r in fresh] == [top[i % len(top)] for i in range(c)]
-            assert all(r.genome.generation == g - 1 for r in fresh)
         alive.update((r.genome.id, r.combined) for r in fresh)
         ranked = sorted(alive, key=lambda gid: (-alive[gid], gid))
         assert report.history[g - 1].best_genome["id"] == ranked[0]

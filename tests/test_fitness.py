@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ecad.config import EvalTypeConfig, PopConfig
+from ecad.dispatch import EvalResult
 from ecad.fitness import ScoreCard, normalize
 
 
@@ -13,6 +14,10 @@ def et(type="hwDBJob", weight=1.0, min_value=0.0, max_value=1000.0, active=True,
                           max_value=max_value, active=active,
                           allow_overflow=allow_overflow, minimize=minimize,
                           metric=metric)
+
+
+def ok(e, metrics):
+    return EvalResult(genome_id=0, eval_type=e.type, metrics=metrics)
 
 
 def pop_with(eval_types):
@@ -63,30 +68,30 @@ class TestNormalize:
 class TestCombine:
     def test_weighted_sum(self):
         pop = pop_with([ACCURACY, GOPS])
-        card = ScoreCard(genome_id=1)
-        card.record(ACCURACY, {"accuracy": 0.942})
-        card.record(GOPS, {"effective_gops": 174.0})
+        card = ScoreCard()
+        card.record(ACCURACY, ok(ACCURACY, {"accuracy": 0.942}))
+        card.record(GOPS, ok(GOPS, {"effective_gops": 174.0}))
         assert card.combined(pop) == pytest.approx(0.594, abs=1e-12)
 
     def test_single_objective(self):
         pop = pop_with([GOPS])
-        card = ScoreCard(genome_id=1)
-        card.record(GOPS, {"effective_gops": 250.0})
+        card = ScoreCard()
+        card.record(GOPS, ok(GOPS, {"effective_gops": 250.0}))
         assert card.combined(pop) == pytest.approx(0.25)
 
     def test_incomplete_card_raises(self):
         pop = pop_with([ACCURACY, GOPS])
-        card = ScoreCard(genome_id=1)
-        card.record(GOPS, {"effective_gops": 174.0})
+        card = ScoreCard()
+        card.record(GOPS, ok(GOPS, {"effective_gops": 174.0}))
         with pytest.raises(ValueError, match="missing"):
             card.combined(pop)
 
     def test_floor_blocks_goal(self):
         # an objective at its floor keeps the combined score below the 2.0 goal
         pop = pop_with([ACCURACY, GOPS])
-        card = ScoreCard(genome_id=1)
-        card.record(ACCURACY, {"accuracy": 0.80})
-        card.record(GOPS, {"effective_gops": 1e9})
+        card = ScoreCard()
+        card.record(ACCURACY, ok(ACCURACY, {"accuracy": 0.80}))
+        card.record(GOPS, ok(GOPS, {"effective_gops": 1e9}))
         assert card.combined(pop) < pop.fitness_score_goal
 
     def test_weight_scaling_preserves_ranking(self):
@@ -101,9 +106,9 @@ class TestCombine:
             combos = []
             for gid in range(20):
                 rng_local = random.Random(gid)
-                card = ScoreCard(genome_id=gid)
-                card.record(ets[0], {"accuracy": rng_local.uniform(0, 1)})
-                card.record(ets[1], {"effective_gops": rng_local.uniform(0, 1000)})
+                card = ScoreCard()
+                card.record(ets[0], ok(ets[0], {"accuracy": rng_local.uniform(0, 1)}))
+                card.record(ets[1], ok(ets[1], {"effective_gops": rng_local.uniform(0, 1000)}))
                 combos.append(card.combined(pop))
             return combos
 
@@ -116,45 +121,47 @@ class TestCombine:
         combos = []
         for order in ([ACCURACY, GOPS], [GOPS, ACCURACY]):
             pop = pop_with(order)
-            card = ScoreCard(genome_id=1)
+            card = ScoreCard()
             for e in pop.eval_types:
-                card.record(e, metrics[e.type])
+                card.record(e, ok(e, metrics[e.type]))
             combos.append(card.combined(pop))
         assert combos[0] == combos[1] == pytest.approx(0.5 + 0.4321)
 
     def test_inactive_objectives_ignored(self):
         inactive = et(type="physJob", active=False)
         pop = pop_with([GOPS, inactive])
-        card = ScoreCard(genome_id=1)
-        card.record(GOPS, {"effective_gops": 500.0})
+        card = ScoreCard()
+        card.record(GOPS, ok(GOPS, {"effective_gops": 500.0}))
         assert card.is_complete(pop)
         assert card.combined(pop) == pytest.approx(0.5)
 
 
 class TestScoreCard:
     def test_failure_recorded_as_zero(self):
-        card = ScoreCard(genome_id=2)
-        card.record_failure(GOPS, "worker crashed")
+        card = ScoreCard()
+        card.record(GOPS, EvalResult(genome_id=0, eval_type="hwDBJob", metrics={"feasible": 0.0},
+                                     status="failed", diagnostics="worker crashed"))
         assert card.scores["hwDBJob"] == 0.0
         assert "crashed" in card.failed["hwDBJob"]
+        assert card.metrics["hwDBJob"] == {"feasible": 0.0}   # a failed result keeps its metrics
 
     def test_missing_metric_fails(self):
-        card = ScoreCard(genome_id=2)
-        card.record(GOPS, {"wrong_key": 1.0})
+        card = ScoreCard()
+        card.record(GOPS, ok(GOPS, {"wrong_key": 1.0}))
         assert card.scores["hwDBJob"] == 0.0
         assert "effective_gops" in card.failed["hwDBJob"]
 
     def test_metric_override_scored(self):
         # a non-default hwDBJob metric is scored, and combined, like the default one
         imgs = et(metric="img_per_s", min_value=0, max_value=400000)
-        card = ScoreCard(genome_id=3)
-        card.record(imgs, {"img_per_s": 129144.0, "effective_gops": 174.0})
+        card = ScoreCard()
+        card.record(imgs, ok(imgs, {"img_per_s": 129144.0, "effective_gops": 174.0}))
         assert card.scores["hwDBJob"] == pytest.approx(129144.0 / 400000)
         assert card.combined(pop_with([imgs])) == pytest.approx(129144.0 / 400000)
 
     def test_json_round_trip(self):
-        card = ScoreCard(genome_id=4)
-        card.record(GOPS, {"effective_gops": 174.0, "img_per_s": 129144.0})
+        card = ScoreCard()
+        card.record(GOPS, ok(GOPS, {"effective_gops": 174.0, "img_per_s": 129144.0}))
         again = ScoreCard.from_json(card.to_json())
         assert again == card
 
@@ -163,12 +170,12 @@ class TestScoreCard:
         # alone: any type's metrics are normalized and combined the same way
         phys = et(type="physJob", min_value=0, max_value=1, metric="phys_metric")
         pop = pop_with([phys])
-        card = ScoreCard(genome_id=5)
-        card.record(phys, {"phys_metric": 0.25})
+        card = ScoreCard()
+        card.record(phys, ok(phys, {"phys_metric": 0.25}))
         assert card.combined(pop) == pytest.approx(0.25)
 
     def test_nan_metric_flagged(self):
-        card = ScoreCard(genome_id=6)
-        card.record(GOPS, {"effective_gops": math.nan})
+        card = ScoreCard()
+        card.record(GOPS, ok(GOPS, {"effective_gops": math.nan}))
         assert card.scores["hwDBJob"] == 0.0
         assert "hwDBJob" in card.failed

@@ -111,7 +111,7 @@ class TestMutate:
         for cell in parent.cells:
             tv = forced if cell.cell_name == "dense00" else cell.trait_values
             cells.append(type(cell)(instance=cell.instance, trait_values=dict(tv)))
-        parent = NetworkGenome(id=0, parent_id=None, generation=0, cells=tuple(cells))
+        parent = NetworkGenome(id=0, parent_id=None, cells=tuple(cells))
         allowed = {16, 32, 64, 128, 256}
         for gid in range(1, 300):
             child = mutate(parent, listing_cfg, rng, gid)
@@ -193,7 +193,7 @@ class TestDescription:
             if cell.cell_name == "X":
                 tv["batch_size"] = batch
             cells.append(type(cell)(instance=cell.instance, trait_values=tv))
-        return NetworkGenome(id=g.id, parent_id=None, generation=0, cells=tuple(cells))
+        return NetworkGenome(id=g.id, parent_id=None, cells=tuple(cells))
 
     def test_table3_shape(self, listing_cfg):
         g = self.build_with(listing_cfg, neurons=852, batch=508)

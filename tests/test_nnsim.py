@@ -170,13 +170,24 @@ class TestTrain:
         _, report = train(desc, small_dataset, epochs=2, batch_size=100, seed=1)
         doc = report.to_json()
         assert set(doc) == {"name", "accuracy", "epochs", "training_time",
-                            "batch_size", "epoch_accuracy"}
+                            "batch_size"}
         assert doc["name"] == "77"
         assert doc["epochs"] == 2
         assert doc["batch_size"] == 100
-        assert len(doc["epoch_accuracy"]) == 2
-        assert doc["accuracy"] == doc["epoch_accuracy"][-1]
         assert 0.0 <= doc["accuracy"] <= 1.0
+
+    def test_one_test_pass_per_training(self, small_dataset, monkeypatch):
+        calls = []
+
+        def spy(m, x, y, *args, **kwargs):
+            calls.append(x.shape[0])
+            return accuracy(m, x, y, *args, **kwargs)
+
+        monkeypatch.setattr(nnsim, "accuracy", spy)
+        desc = mlp_desc([784, 16, 10], batch=50)
+        _, report = train(desc, small_dataset, epochs=3, batch_size=100, seed=1)
+        assert calls == [small_dataset.test_x.shape[0]]
+        assert report.epochs == 3
 
     def test_accuracy_definition(self, small_dataset):
         desc = mlp_desc([784, 16, 10], batch=50)

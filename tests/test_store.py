@@ -14,8 +14,8 @@ def fill(path, cfg, n: int) -> None:
     rng = random.Random(0)
     with EcadDb.create(path) as db:
         for gid in range(n):
-            card = ScoreCard(genome_id=gid, scores={"hwDBJob": gid / 10})
-            db.append(DbRecord(spawn(cfg, rng, gid), card, 1, gid / 10, seq=gid))
+            card = ScoreCard(scores={"hwDBJob": gid / 10})
+            db.append(DbRecord(spawn(cfg, rng, gid), card, 1, gid / 10))
 
 
 def test_lines_are_canonical_json(tmp_path, listing_cfg):
@@ -28,9 +28,9 @@ def test_lines_are_canonical_json(tmp_path, listing_cfg):
     path = tmp_path / "ecad.db.jsonl"
     with EcadDb.create(path) as db:
         for g in genomes:
-            card = ScoreCard(genome_id=g.id, metrics={"hwDBJob": {"img_per_s": 1.5e3 / (g.id + 1)}},
+            card = ScoreCard(metrics={"hwDBJob": {"img_per_s": 1.5e3 / (g.id + 1)}},
                              scores={"hwDBJob": g.id / 7}, failed={"simJob": "diverged: \"nan\""})
-            db.append(DbRecord(g, card, g.generation + 1, g.id / 7, seq=g.id))
+            db.append(DbRecord(g, card, g.id + 1, g.id / 7))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == len(genomes)
     for line in lines:
@@ -42,7 +42,7 @@ def test_torn_last_line_is_skipped_by_readers(tmp_path, listing_cfg):
     path = tmp_path / "ecad.db.jsonl"
     fill(path, listing_cfg, 3)
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write('{"seq":3,"generation":1,"comb')       # crash mid-append
+        fh.write('{"card":{"failed":{},"metr')       # crash mid-append
     db = EcadDb(path)
     assert [r.genome.id for r in db.scan()] == [0, 1, 2]
     assert db.top(1)[0].genome.id == 2
@@ -84,16 +84,35 @@ def test_open_does_not_parse_records(tmp_path, listing_cfg):
 
 
 
-def test_record_without_seq_is_corrupt(tmp_path, listing_cfg):
+def test_record_without_generation_is_corrupt(tmp_path, listing_cfg):
     path = tmp_path / "ecad.db.jsonl"
     fill(path, listing_cfg, 2)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     raw = json.loads(lines[0])
-    del raw["seq"]
+    del raw["generation"]
     lines[0] = json.dumps(raw) + "\n"
     path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(StoreError, match=r":1: corrupt record"):
         list(EcadDb(path).scan())
+
+
+def test_line_with_the_old_id_keys_reads_as_the_same_record(tmp_path, listing_cfg, capsys):
+    # lines written before `seq`, `card.genome_id` and `genome.generation` were
+    # dropped carry those keys; readers, and so `ecad export`, still load them
+    rng = random.Random(0)
+    parent = spawn(listing_cfg, rng, 0)
+    child = mutate(parent, listing_cfg, rng, 1)
+    card = ScoreCard(metrics={"hwDBJob": {"effective_gops": 174.0}}, scores={"hwDBJob": 0.174})
+    rec = DbRecord(child, card, 2, 0.174)
+    old = json.loads(rec.to_json_text())
+    old["seq"] = old["card"]["genome_id"] = 1
+    old["genome"]["generation"] = 1
+    path = tmp_path / "ecad.db.jsonl"
+    path.write_text(rec.to_json_text() + "\n" + json.dumps(old) + "\n", encoding="utf-8")
+    assert list(EcadDb(path).scan()) == [rec, rec]
+    path.write_text(json.dumps(old) + "\n", encoding="utf-8")
+    assert cli.main(["export", str(path), "1", str(tmp_path / "net.json")]) == 0
+    assert json.loads((tmp_path / "net.json").read_text())["id"] == 1
 
 
 def test_each_append_reaches_the_file(tmp_path, listing_cfg):
@@ -101,7 +120,6 @@ def test_each_append_reaches_the_file(tmp_path, listing_cfg):
     rng = random.Random(0)
     with EcadDb.create(path) as db:
         for gid in range(3):
-            db.append(DbRecord(spawn(listing_cfg, rng, gid), ScoreCard(genome_id=gid), 1, 0.0,
-                               seq=gid))
+            db.append(DbRecord(spawn(listing_cfg, rng, gid), ScoreCard(), 1, 0.0))
             # a reader sees the record while the writer is still open
-            assert [r.seq for r in EcadDb(path).scan()] == list(range(gid + 1))
+            assert [r.genome.id for r in EcadDb(path).scan()] == list(range(gid + 1))
