@@ -78,8 +78,8 @@ def _build_dispatcher(cfg: EcadConfig, mnist_dir: str | None,
             workers["hwDBJob"] = make_hwdb_worker(cfg.hw)
         elif et.type == "simJob":
             data = _resolve_dataset(mnist_dir, train_subset)
-            chain = cfg.chain()
-            _check_widths("config", chain[0].input_size, chain[-1].output_size, data)
+            cells = cfg.cell_array
+            _check_widths("config", cells[0].input_size, cells[-1].output_size, data)
             workers["simJob"] = make_sim_worker(data)
     return Dispatcher(workers)
 
@@ -94,8 +94,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     with EcadDb.create(out_dir / DB_FILENAME) as store:   # each search writes a fresh database
         report, _ = engine.run(cfg, dispatcher, store=store, seed=args.seed)
 
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8")
+    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
+        # each dataclass of the report is written as its fields, in field order
+        json.dump(report, fh, indent=2, default=vars)
+        fh.write("\n")
     with open(out_dir / "generations.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(engine.report_csv_rows(report))
     best = report.best
@@ -267,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ConfigError, StoreError, engine.EngineError,
+    except (CliError, ConfigError, StoreError, OSError,
             hwmodel.ModelError, sysarray.SimulationError, ds.DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,6 +6,15 @@ with their mutable trait ranges, the target device budget, and the cell
 array describing the network skeleton. Include files are merged shallowly
 with the main file winning on key conflicts. Keys the search does not read
 are ignored, at the top level and inside each section.
+
+`parse_config` is the one place that checks the input; `engine` and `genome`
+rely on what a config it returns guarantees, and do not check it again:
+at least one eval type is active and none is listed twice; a `metric` is set
+only on hwDBJob and names a key of `HwEstimate.metrics()`; fewer than
+maxPopSize children are made per generation; each cell type is declared once
+and each trait has a legal value; every legal sys_rows + sys_cols has a power
+of two at least as large in its cell type's sys_intrlv range; and
+`cell_array` is one chain, in order, of cells of declared types.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable
@@ -25,6 +34,12 @@ class ConfigError(ValueError):
 
 EVAL_TYPES = ("simJob", "hwDBJob", "physJob")   # physJob has no worker: accepted only when inactive
 CELL_TYPES = ("input", "dense", "relu", "output")
+#: the keys of `hwmodel.HwEstimate.metrics()`, in order: what an hwDBJob may score
+HW_METRICS = ("total_time_ms", "potential_gops", "effective_gops", "img_per_s",
+              "latency_ms", "dsp_est", "mem_kb_est", "feasible")
+#: traits of one cell type that take part in the interleave constraint
+SYS_ROWS, SYS_COLS, SYS_INTRLV = "sys_rows", "sys_cols", "sys_intrlv"
+SYS_TRAITS = frozenset((SYS_ROWS, SYS_COLS, SYS_INTRLV))
 
 
 def _is_comment_key(key: str) -> bool:
@@ -129,6 +144,12 @@ class EvalTypeConfig:
         for key, value in (("epochs", self.epochs), ("batchSize", self.batch_size)):
             if value is not None and value < 1:
                 raise ConfigError(f"evalType '{self.type}': {key} must be >= 1, got {value}")
+        if self.metric is not None:
+            if self.type != "hwDBJob":
+                raise ConfigError(f"evalType '{self.type}': metric is only valid on hwDBJob")
+            if self.metric not in HW_METRICS:
+                raise ConfigError(f"evalType 'hwDBJob': unknown metric '{self.metric}'; "
+                                  f"expected one of {', '.join(HW_METRICS)}")
 
     @property
     def scored_metric(self) -> str:
@@ -170,6 +191,12 @@ class PopConfig:
             raise ConfigError("popConfigValues: need 0 < changeRate <= 1")
         if self.max_generations < 1:
             raise ConfigError("popConfigValues: maxGenerations must be >= 1")
+        types = [et.type for et in self.eval_types]
+        for t in types:
+            if types.count(t) > 1:
+                raise ConfigError(f"popConfigValues: evalType '{t}' is listed twice")
+        if not self.active_eval_types():
+            raise ConfigError("popConfigValues: no active evalType")
         children = math.ceil(self.change_rate * self.max_pop_size)
         if self.max_generations > 1 and children >= self.max_pop_size:
             # the children alone would fill the population, evicting the best member
@@ -201,29 +228,26 @@ class PopConfig:
         return pop
 
 
-@dataclass(frozen=True)
-class CellTypeConfig:
-    """A declared cell type and its mutable traits.
+def _cell_types(raw: list[dict[str, Any]]) -> dict[str, dict[str, TraitSpec]]:
+    """cell_type -> its mutable traits, in declaration order.
 
     A key is a trait when its value is an object with minValue and maxValue
     and it is not a comment key; every other key is ignored.
     """
-
-    cell_type: str
-    traits: dict[str, TraitSpec]
-
-    @classmethod
-    def from_json(cls, raw: dict[str, Any]) -> "CellTypeConfig":
-        ctype = raw.get("cell_type")
+    types: dict[str, dict[str, TraitSpec]] = {}
+    for entry in raw:
+        ctype = entry.get("cell_type")
         if ctype not in CELL_TYPES:
             raise ConfigError(f"unknown cell_type '{ctype}' in cellTypes")
-        traits = {
+        if ctype in types:
+            raise ConfigError(f"cell_type '{ctype}' is declared twice in cellTypes")
+        types[ctype] = {
             key: TraitSpec.from_json(f"{ctype}.{key}", val)
-            for key, val in raw.items()
+            for key, val in entry.items()
             if not _is_comment_key(key)
             and isinstance(val, dict) and "minValue" in val and "maxValue" in val
         }
-        return cls(cell_type=ctype, traits=traits)
+    return types
 
 
 @dataclass(frozen=True)
@@ -314,23 +338,9 @@ class EcadConfig:
     version: str
     pop: PopConfig
     def_change_rate: float
-    cell_types: tuple[CellTypeConfig, ...]
+    cell_types: dict[str, dict[str, TraitSpec]]   # cell_type -> trait -> spec
     hw: HwConfig
-    cell_array: tuple[CellInstance, ...]
-
-    def cell_type_config(self, cell_type: str) -> CellTypeConfig:
-        try:
-            return self.cell_type_map[cell_type]
-        except KeyError:
-            raise ConfigError(f"unknown cell_type '{cell_type}'") from None
-
-    @cached_property
-    def cell_type_map(self) -> dict[str, CellTypeConfig]:
-        """cell_type -> its declaration; the first one wins if a type is declared twice."""
-        by_type: dict[str, CellTypeConfig] = {}
-        for ct in self.cell_types:
-            by_type.setdefault(ct.cell_type, ct)
-        return by_type
+    cell_array: tuple[CellInstance, ...]          # in chain order, 'global' input first
 
     @cached_property
     def mutation_rows(self) -> dict[str, tuple[TraitRow, ...]]:
@@ -342,13 +352,9 @@ class EcadConfig:
                 (name,
                  self.def_change_rate if spec.change_rate is None else spec.change_rate,
                  tuple(spec.legal_values()))
-                for name, spec in ct.traits.items())
-            for ctype, ct in self.cell_type_map.items()
+                for name, spec in traits.items())
+            for ctype, traits in self.cell_types.items()
         }
-
-    def chain(self) -> list[CellInstance]:
-        """Cell array ordered by following the input/output links."""
-        return _ordered_chain(self.cell_array)
 
 
 def _ordered_chain(cells: tuple[CellInstance, ...]) -> list[CellInstance]:
@@ -377,6 +383,7 @@ def _ordered_chain(cells: tuple[CellInstance, ...]) -> list[CellInstance]:
 
 
 def _validate(cfg: EcadConfig) -> EcadConfig:
+    """`cfg` with its invariants checked and its cell array in chain order."""
     if not cfg.version:
         raise ConfigError("missing 'version'")
     if not cfg.cell_array:
@@ -384,14 +391,23 @@ def _validate(cfg: EcadConfig) -> EcadConfig:
     names = [c.cell_name for c in cfg.cell_array]
     if len(names) != len(set(names)):
         raise ConfigError("cell_name values must be unique")
-    declared = {ct.cell_type for ct in cfg.cell_types}
     for cell in cfg.cell_array:
-        if cell.cell_type not in declared:
+        if cell.cell_type not in cfg.cell_types:
             raise ConfigError(f"cell '{cell.cell_name}' references undeclared cell_type '{cell.cell_type}'")
-    _ordered_chain(cfg.cell_array)
+    chain = tuple(_ordered_chain(cfg.cell_array))
     if not 0 < cfg.def_change_rate <= 1:
         raise ConfigError("traitConfigValues: defChangeRate must be in (0, 1]")
-    return cfg
+    for ctype, traits in cfg.cell_types.items():
+        if not SYS_TRAITS <= traits.keys():
+            continue
+        spec = traits[SYS_INTRLV]
+        need = max(traits[SYS_ROWS].legal_values()[-1] + traits[SYS_COLS].legal_values()[-1],
+                   spec.min_value)
+        # the largest power of two in range must reach the widest rows + cols
+        if spec.max_value < 1 or 1 << (spec.max_value.bit_length() - 1) < need:
+            raise ConfigError(f"trait '{ctype}.{SYS_INTRLV}': no power of two >= {need} "
+                              f"within [{spec.min_value}, {spec.max_value}]")
+    return replace(cfg, cell_array=chain)
 
 
 def _read_doc(path: Path, what: str, loading: tuple[Path, ...]) -> dict[str, Any]:
@@ -467,8 +483,8 @@ def parse_config(source: str | Path) -> EcadConfig:
         pop=section("popConfigValues", lambda: PopConfig.from_json(pop_raw)),
         def_change_rate=section("traitConfigValues", lambda: float(
             trait_raw.get("defChangeRate", 0.1))),
-        cell_types=section("cellTypes", lambda: tuple(map(
-            CellTypeConfig.from_json, _objects("cellTypes", doc.get("cellTypes", []))))),
+        cell_types=section("cellTypes", lambda: _cell_types(
+            _objects("cellTypes", doc.get("cellTypes", [])))),
         hw=section("hwConfig", lambda: HwConfig.from_json(hw_raw)),
         cell_array=section("cellArray", lambda: tuple(map(
             CellInstance.from_json, _objects("cellArray", doc.get("cellArray", []))))),

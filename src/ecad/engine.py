@@ -3,10 +3,14 @@
 Each generation scores the genomes created since the last one (the initial
 spawn, then the previous generation's children), ranks the whole population
 by combined score, mutates the top performers into children (round-robin over
-the top slice) and evicts the worst members on overflow. The loop stops at
-the generation cap or when the best combined score reaches the configured
-goal. All randomness flows from one seeded generator, so trajectories are
-bit-reproducible.
+the top slice) and keeps only the best members that leave room for them. The
+loop stops at the generation cap or when the best combined score reaches the
+configured goal. All randomness flows from one seeded generator, so
+trajectories are bit-reproducible.
+
+`run` expects a config from `parse_config` and does not check it again: it
+relies on at least one active eval type and on fewer children per generation
+than maxPopSize, so the best member is never evicted.
 """
 
 from __future__ import annotations
@@ -21,11 +25,7 @@ from .config import EcadConfig
 from .dispatch import Dispatcher, EvalJob
 from .fitness import ScoreCard
 from .genome import mutate, spawn, to_description
-from .store import DbRecord, EcadDb
-
-
-class EngineError(RuntimeError):
-    pass
+from .store import DbRecord, EcadDb, rank_key
 
 
 @dataclass
@@ -36,15 +36,6 @@ class GenerationStats:
     mean: float
     best_genome: dict[str, Any]
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "generation": self.generation,
-            "population": self.population,
-            "best": self.best,
-            "mean": self.mean,
-            "best_genome": self.best_genome,
-        }
-
 
 @dataclass
 class SearchReport:
@@ -54,16 +45,6 @@ class SearchReport:
     stop_reason: str
     best: dict[str, Any]
     history: list[GenerationStats] = field(default_factory=list)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "config_name": self.config_name,
-            "seed": self.seed,
-            "generations_run": self.generations_run,
-            "stop_reason": self.stop_reason,
-            "best": self.best,
-            "history": [h.to_json() for h in self.history],
-        }
 
 
 def _genome_summary(member: DbRecord) -> dict[str, Any]:
@@ -91,9 +72,8 @@ def run(
 ) -> tuple[SearchReport, dict[int, DbRecord]]:
     """Run the full search; returns the report and the final population by genome id."""
     active = cfg.pop.active_eval_types()
-    if not active:
-        raise EngineError("config has no active eval types")
     active_by_type = {et.type: et for et in active}
+    n_children = math.ceil(cfg.pop.change_rate * cfg.pop.max_pop_size)
 
     rng = random.Random(seed)
     ids = itertools.count()
@@ -128,7 +108,7 @@ def run(
                 store.append(rec)
 
         # 2. rank (best combined first, older id winning ties) and snapshot statistics
-        ranked = sorted(members.values(), key=lambda m: (-m.combined, m.genome.id))
+        ranked = sorted(members.values(), key=rank_key)
         best = ranked[0]
         history.append(GenerationStats(
             generation=generation,
@@ -146,29 +126,23 @@ def run(
             break
 
         # 4. mutate the top slice into children, round-robin
-        n_children = math.ceil(cfg.pop.change_rate * cfg.pop.max_pop_size)
-        parents = [m.genome for m in ranked[:min(n_children, len(ranked))]]
+        parents = [m.genome for m in ranked[:n_children]]
         fresh = [
             mutate(parents[i % len(parents)], cfg, rng, next(ids))
             for i in range(n_children)
         ]
 
-        # 5. make room for the children: evict the worst members on overflow,
-        #    never the current best (elitism)
-        overflow = len(members) + len(fresh) - cfg.pop.max_pop_size
-        if overflow > 0:
-            evictable = [m for m in reversed(ranked) if m.genome.id != best.genome.id]
-            if len(evictable) < overflow:
-                raise EngineError("population overflow cannot be resolved without evicting the best member")
-            for member in evictable[:overflow]:
-                del members[member.genome.id]
+        # 5. make room for the children: keep the top maxPopSize - n_children,
+        #    which holds the best member since n_children < maxPopSize
+        for member in ranked[cfg.pop.max_pop_size - n_children:]:
+            del members[member.genome.id]
 
     report = SearchReport(
         config_name=cfg.name,
         seed=seed,
         generations_run=len(history),
         stop_reason=stop_reason,
-        best=history[-1].best_genome if history else {},
+        best=history[-1].best_genome,
         history=history,
     )
     return report, members

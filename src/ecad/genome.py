@@ -14,11 +14,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
 
-from .config import CellInstance, EcadConfig, TraitSpec
-
-#: traits whose values participate in the interleave constraint
-_SYS_ROWS, _SYS_COLS, _SYS_INTRLV = "sys_rows", "sys_cols", "sys_intrlv"
-_SYS_TRAITS = frozenset((_SYS_ROWS, _SYS_COLS, _SYS_INTRLV))
+from .config import (SYS_COLS, SYS_INTRLV, SYS_ROWS, SYS_TRAITS, CellInstance, EcadConfig,
+                     TraitSpec)
 
 _MUTATE_RETRIES = 16
 
@@ -83,12 +80,6 @@ class NetworkGenome:
         )
 
 
-def _sample(values: tuple[int, ...], rng: random.Random) -> int:
-    if not values:
-        raise GenomeError("unsatisfiable trait: no legal value")
-    return rng.choice(values)
-
-
 def _interleave_choices(spec: TraitSpec, rows: int, cols: int) -> list[int]:
     """Powers of two within the trait range that satisfy interleave >= rows + cols."""
     lo = max(rows + cols, spec.min_value)
@@ -101,31 +92,26 @@ def _interleave_choices(spec: TraitSpec, rows: int, cols: int) -> list[int]:
 
 
 def _apply_interleave_rule(traits: dict[str, int], specs: dict[str, TraitSpec], rng: random.Random) -> None:
-    if not _SYS_TRAITS <= specs.keys():
+    if not SYS_TRAITS <= specs.keys():
         return
-    choices = _interleave_choices(specs[_SYS_INTRLV], traits[_SYS_ROWS], traits[_SYS_COLS])
-    if not choices:
-        raise GenomeError(
-            f"unsatisfiable trait: no power of two >= sys_rows+sys_cols "
-            f"({traits[_SYS_ROWS]}+{traits[_SYS_COLS]}) within the sys_intrlv range"
-        )
-    traits[_SYS_INTRLV] = rng.choice(choices)
+    # parse_config guarantees a choice for every legal rows and cols
+    traits[SYS_INTRLV] = rng.choice(
+        _interleave_choices(specs[SYS_INTRLV], traits[SYS_ROWS], traits[SYS_COLS]))
 
 
 def _interleave_ok(traits: dict[str, int], specs: dict[str, TraitSpec]) -> bool:
-    if not _SYS_TRAITS <= specs.keys():
+    if not SYS_TRAITS <= specs.keys():
         return True
-    iv = traits[_SYS_INTRLV]
-    return iv >= traits[_SYS_ROWS] + traits[_SYS_COLS] and iv & (iv - 1) == 0
+    iv = traits[SYS_INTRLV]
+    return iv >= traits[SYS_ROWS] + traits[SYS_COLS] and iv & (iv - 1) == 0
 
 
 def spawn(cfg: EcadConfig, rng: random.Random, genome_id: int) -> NetworkGenome:
     """Create a fresh genome with every trait randomized within its spec."""
     cells = []
-    for inst in cfg.chain():
-        specs = cfg.cell_type_config(inst.cell_type).traits
-        traits = {name: _sample(values, rng) for name, _, values in cfg.mutation_rows[inst.cell_type]}
-        _apply_interleave_rule(traits, specs, rng)
+    for inst in cfg.cell_array:
+        traits = {name: rng.choice(values) for name, _, values in cfg.mutation_rows[inst.cell_type]}
+        _apply_interleave_rule(traits, cfg.cell_types[inst.cell_type], rng)
         cells.append(CellState(instance=inst, trait_values=traits))
     return NetworkGenome(id=genome_id, parent_id=None, cells=tuple(cells))
 
@@ -137,18 +123,18 @@ def _mutation_pass(
     cells = []
     for cell in parent.cells:
         ctype = cell.cell_type
-        specs = cfg.cell_type_config(ctype).traits
+        specs = cfg.cell_types[ctype]
         if not specs:
             cells.append(cell)   # nothing to mutate; genomes are immutable, so the child shares it
             continue
-        drawn = [(name, _sample(values, rng))
+        drawn = [(name, rng.choice(values))
                  for name, rate, values in rows_by_type[ctype] if rng.random() < rate]
         if not drawn and _interleave_ok(cell.trait_values, specs):
             cells.append(cell)
             continue
         traits = dict(cell.trait_values)
         traits.update(drawn)
-        if any(name in _SYS_TRAITS for name, _ in drawn) or not _interleave_ok(traits, specs):
+        if any(name in SYS_TRAITS for name, _ in drawn) or not _interleave_ok(traits, specs):
             _apply_interleave_rule(traits, specs, rng)
         cells.append(CellState(instance=cell.instance, trait_values=traits))
     return cells
@@ -166,18 +152,18 @@ def _force_single_change(
     rng.shuffle(candidates)
     for idx, name in candidates:
         cell = cells[idx]
-        specs = cfg.cell_type_config(cell.cell_type).traits
+        specs = cfg.cell_types[cell.cell_type]
         traits = dict(cell.trait_values)
         current = traits[name]
-        if name == _SYS_INTRLV:
-            options = [v for v in _interleave_choices(specs[name], traits[_SYS_ROWS], traits[_SYS_COLS]) if v != current]
+        if name == SYS_INTRLV:
+            options = [v for v in _interleave_choices(specs[name], traits[SYS_ROWS], traits[SYS_COLS]) if v != current]
         else:
             legal = next(values for n, _, values in cfg.mutation_rows[cell.cell_type] if n == name)
             options = [v for v in legal if v != current]
-            if name in (_SYS_ROWS, _SYS_COLS) and _SYS_INTRLV in traits:
+            if name in (SYS_ROWS, SYS_COLS) and SYS_INTRLV in traits:
                 # keep the existing interleave valid so only this trait changes
-                other = traits[_SYS_COLS if name == _SYS_ROWS else _SYS_ROWS]
-                safe = [v for v in options if v + other <= traits[_SYS_INTRLV]]
+                other = traits[SYS_COLS if name == SYS_ROWS else SYS_ROWS]
+                safe = [v for v in options if v + other <= traits[SYS_INTRLV]]
                 options = safe or options
         if not options:
             continue
@@ -310,7 +296,7 @@ def to_description(genome: NetworkGenome) -> NetworkDescription:
             last_bias = bool(traits.get("enableBias", 1))
             layers.append([cell.cell_name, width, neurons, "none", last_bias])
             width = neurons
-            if systolic is None and _SYS_ROWS in traits:
+            if systolic is None and SYS_ROWS in traits:
                 systolic = SystolicDesc(
                     rows=traits["sys_rows"], cols=traits["sys_cols"], vec=traits["sys_vec"],
                     interleave=traits["sys_intrlv"], scale=traits["sys_scale"],

@@ -57,6 +57,11 @@ class DbRecord:
         )
 
 
+def rank_key(rec: DbRecord) -> tuple[float, int]:
+    """Sort key of the search's ranking: best combined first, older genome id on ties."""
+    return (-rec.combined, rec.genome.id)
+
+
 class EcadDb:
     """Reader of a database file; `create` opens it for its one writer."""
 
@@ -102,7 +107,7 @@ class EcadDb:
         """Best k records by combined score, ties broken by older genome id."""
         if k <= 0:
             return []
-        return sorted(self.scan(), key=lambda r: (-r.combined, r.genome.id))[:k]
+        return sorted(self.scan(), key=rank_key)[:k]
 
     def get(self, genome_id: int) -> DbRecord:
         for rec in self.scan():

@@ -176,7 +176,7 @@ _MUTATE_RETRIES = 16
 
 
 def _trait_specs(cfg, cell_type: str) -> dict:
-    return next(ct.traits for ct in cfg.cell_types if ct.cell_type == cell_type)
+    return cfg.cell_types[cell_type]
 
 
 def _legal_values(spec) -> list[int]:

@@ -354,6 +354,79 @@ def test_search_rejects_unloadable_config(tmp_path, capsys, make, message):
     assert not (tmp_path / "out").exists()
 
 
+def _no_active_eval_type(doc):
+    for et in doc["popConfigValues"]["evalTypes"]:
+        et["active"] = False
+
+
+def _unsatisfiable_interleave(doc):
+    # the listing's widest sys_rows + sys_cols is 128
+    next(ct for ct in doc["cellTypes"] if ct["cell_type"] == "dense")["sys_intrlv"]["maxValue"] = 64
+
+
+def _cell_type_twice(doc):
+    doc["cellTypes"].append({"cell_type": "relu"})
+
+
+def _eval_type_twice(doc):
+    doc["popConfigValues"]["evalTypes"].append(
+        {"type": "hwDBJob", "weight": 5, "minValue": 0, "maxValue": 1e9, "active": True})
+
+
+def _bad_metric(doc):
+    next(et for et in doc["popConfigValues"]["evalTypes"]
+         if et["type"] == "hwDBJob")["metric"] = "effective_gop"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_no_active_eval_type, "popConfigValues: no active evalType"),
+    (_unsatisfiable_interleave, "trait 'dense.sys_intrlv': no power of two >= 128 within [2, 64]"),
+    (_cell_type_twice, "cell_type 'relu' is declared twice in cellTypes"),
+    (_eval_type_twice, "popConfigValues: evalType 'hwDBJob' is listed twice"),
+    (_bad_metric, "evalType 'hwDBJob': unknown metric 'effective_gop'; expected one of "
+                  "total_time_ms, potential_gops, effective_gops, img_per_s, latency_ms, "
+                  "dsp_est, mem_kb_est, feasible"),
+], ids=["no-active", "interleave", "cell-type-twice", "eval-type-twice", "bad-metric"])
+def test_refused_config_keeps_the_previous_run(tmp_path, capsys, edit, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    before = {name: f"previous {name}\n".encode() for name in
+              ("ecad.db.jsonl", "report.json", "generations.csv")}
+    for name, data in before.items():
+        (out / name).write_bytes(data)
+    doc = json.loads(write_hw_only_config(tmp_path, 3).read_text(encoding="utf-8"))
+    edit(doc)
+    config = tmp_path / "bad.ecad.cfg"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli.main(["search", str(config), "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+@pytest.mark.parametrize("command", ["search", "train", "export", "actualize"])
+def test_output_path_that_cannot_be_created(tmp_path, capsys, network_file, tiny_mnist, command):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n", encoding="utf-8")
+    config = write_hw_only_config(tmp_path, 1)
+    if command == "export":
+        assert cli.main(["search", str(config), "--out-dir", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+    argv = {
+        "search": ["search", str(config), "--out-dir", str(afile / "sub")],
+        "train": ["train", str(network_file), str(afile / "sub"), "--mnist-dir", str(tiny_mnist)],
+        "export": ["export", str(tmp_path / "run" / store.DB_FILENAME), "0", str(afile / "x.json")],
+        "actualize": ["actualize", str(network_file), str(afile / "x.h")],
+    }[command]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert str(afile) in captured.err
+
+
 @pytest.fixture
 def tiny_mnist(tmp_path):
     """Six training and three test images of the MNIST shape, labels in 0..9."""

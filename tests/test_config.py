@@ -1,11 +1,15 @@
 import json
+import random
 from dataclasses import replace
 
 import pytest
 
-from ecad.config import ConfigError, TraitSpec, parse_config
+from ecad import hwmodel
+from ecad.cli import DEFAULT_HW
+from ecad.config import HW_METRICS, ConfigError, TraitSpec, parse_config
+from ecad.genome import mutate, spawn
 
-from helpers import time_limit
+from helpers import listing_doc, mlp_desc, time_limit
 
 
 def minimal_doc(**overrides):
@@ -78,13 +82,13 @@ class TestParseListing:
         assert types["physJob"].minimize
 
     def test_trait_specs(self, listing_cfg):
-        dense = listing_cfg.cell_type_config("dense")
-        assert dense.traits["sys_cols"].legal_values() == [2, 4, 8, 16, 32, 64]
-        assert dense.traits["neurons"].legal_values()[:3] == [2, 4, 6]
-        assert dense.traits["neurons"].legal_values()[-1] == 1024
-        assert dense.traits["enableBias"].legal_values() == [0, 1]
+        dense = listing_cfg.cell_types["dense"]
+        assert dense["sys_cols"].legal_values() == [2, 4, 8, 16, 32, 64]
+        assert dense["neurons"].legal_values()[:3] == [2, 4, 6]
+        assert dense["neurons"].legal_values()[-1] == 1024
+        assert dense["enableBias"].legal_values() == [0, 1]
         # static fields, computed geometry caches and comments are not traits
-        assert {ct.cell_type: set(ct.traits) for ct in listing_cfg.cell_types} == {
+        assert {ctype: set(traits) for ctype, traits in listing_cfg.cell_types.items()} == {
             "input": {"batch_size"},
             "dense": {"neurons", "sys_rows", "sys_cols", "sys_vec", "sys_intrlv",
                       "sys_scale", "enableBias"},
@@ -94,8 +98,7 @@ class TestParseListing:
 
     def test_mutation_rows(self, listing_cfg):
         rows = listing_cfg.mutation_rows
-        assert [name for name, _, _ in rows["dense"]] == list(
-            listing_cfg.cell_type_config("dense").traits)
+        assert [name for name, _, _ in rows["dense"]] == list(listing_cfg.cell_types["dense"])
         dense = {name: (rate, values) for name, rate, values in rows["dense"]}
         assert dense["sys_cols"] == (0.5, (2, 4, 8, 16, 32, 64))
         assert dense["sys_intrlv"][0] == 0.1          # no changeRate: defChangeRate
@@ -104,16 +107,15 @@ class TestParseListing:
         assert rows["relu"] == rows["output"] == ()
 
     def test_per_config_data_follows_replaced_values(self, listing_cfg):
-        dense = listing_cfg.cell_type_config("dense")
-        narrowed = replace(dense, traits={
-            **dense.traits, "neurons": replace(dense.traits["neurons"], max_value=8)})
-        cfg = replace(listing_cfg, def_change_rate=0.3, cell_types=tuple(
-            narrowed if ct.cell_type == "dense" else ct for ct in listing_cfg.cell_types))
+        dense = listing_cfg.cell_types["dense"]
+        narrowed = {**dense, "neurons": replace(dense["neurons"], max_value=8)}
+        cfg = replace(listing_cfg, def_change_rate=0.3,
+                      cell_types={**listing_cfg.cell_types, "dense": narrowed})
         rows = {name: (rate, values) for name, rate, values in cfg.mutation_rows["dense"]}
         assert rows["neurons"] == (0.1, (2, 4, 6, 8))
         assert rows["sys_intrlv"][0] == 0.3
-        assert cfg.cell_type_config("dense") is narrowed
-        assert listing_cfg.cell_type_config("dense") is dense
+        assert cfg.cell_types["dense"] is narrowed
+        assert listing_cfg.cell_types["dense"] is dense
         assert listing_cfg.mutation_rows["dense"][0] == ("neurons", 0.1, tuple(range(2, 1025, 2)))
 
         pop = replace(listing_cfg.pop, eval_types=tuple(
@@ -122,9 +124,9 @@ class TestParseListing:
         assert [et.type for et in pop.active_eval_types()] == ["physJob"]
 
     def test_chain_order(self, listing_cfg):
-        assert [c.cell_name for c in listing_cfg.chain()] == ["X", "dense00", "relu00", "Y"]
-        assert listing_cfg.chain()[0].input_size == 784
-        assert listing_cfg.chain()[-1].output_size == 10
+        assert [c.cell_name for c in listing_cfg.cell_array] == ["X", "dense00", "relu00", "Y"]
+        assert listing_cfg.cell_array[0].input_size == 784
+        assert listing_cfg.cell_array[-1].output_size == 10
 
     def test_metric_override_preserved(self):
         doc = minimal_doc()
@@ -137,9 +139,9 @@ class TestParseListing:
         trait_shaped = {"minValue": 2, "maxValue": 4}
         doc["cellTypes"][1].update({"comment": trait_shaped, "neurons_comment": trait_shaped,
                                     "sys_rows-comment": trait_shaped})
-        dense = parse_config(json.dumps(doc)).cell_type_config("dense")
-        assert not {"comment", "neurons_comment", "sys_rows-comment"} & dense.traits.keys()
-        assert dense.traits["neurons"].legal_values()[-1] == 16
+        dense = parse_config(json.dumps(doc)).cell_types["dense"]
+        assert not {"comment", "neurons_comment", "sys_rows-comment"} & dense.keys()
+        assert dense["neurons"].legal_values()[-1] == 16
 
     def test_unread_keys_ignored(self):
         plain = parse_config(json.dumps(minimal_doc()))
@@ -263,6 +265,55 @@ class TestValidation:
         doc["popConfigValues"]["evalTypes"].append(
             {"type": "physJob", "minValue": 0, "maxValue": 1, **active})
         with pytest.raises(ConfigError, match="evalType 'physJob' has no worker"):
+            parse_config(json.dumps(doc))
+
+    def test_no_active_eval_type(self):
+        doc = minimal_doc()
+        doc["popConfigValues"]["evalTypes"][0]["active"] = False
+        with pytest.raises(ConfigError, match="no active evalType"):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("active", [True, False])
+    def test_eval_type_listed_twice(self, active):
+        doc = minimal_doc()
+        doc["popConfigValues"]["evalTypes"].append(
+            {"type": "hwDBJob", "weight": 5, "minValue": 0, "maxValue": 1e9, "active": active})
+        with pytest.raises(ConfigError, match="evalType 'hwDBJob' is listed twice"):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"type": "hwDBJob", "metric": "effective_gop"}, "unknown metric 'effective_gop'"),
+        ({"type": "simJob", "metric": "accuracy"}, "simJob': metric is only valid on hwDBJob"),
+    ])
+    def test_metric_checked(self, entry, message):
+        doc = minimal_doc()
+        doc["popConfigValues"]["evalTypes"] = [{"minValue": 0, "maxValue": 1, **entry}]
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps(doc))
+
+    def test_metric_names_are_the_estimate_keys(self):
+        est = hwmodel.estimate(mlp_desc([8, 4, 2], batch=2), hwmodel.SystolicConfig(2, 2, 2, 4, 2),
+                               DEFAULT_HW)
+        assert HW_METRICS == tuple(est.metrics())
+
+    def test_interleave_boundary(self):
+        # the listing's widest sys_rows + sys_cols is 64 + 64 = 128
+        doc = listing_doc()
+        dense = next(ct for ct in doc["cellTypes"] if ct["cell_type"] == "dense")
+        dense["sys_intrlv"] = {"minValue": 2, "maxValue": 128, "modValue": 2}
+        cfg = parse_config(json.dumps(doc))
+        rng = random.Random(0)
+        g = spawn(cfg, rng, 0)
+        for gid in range(1, 1001):
+            g = mutate(g, cfg, rng, gid)
+        dense["sys_rows"] = {"minValue": 2, "maxValue": 66, "modValue": 2}
+        with pytest.raises(ConfigError, match=r"dense.sys_intrlv': no power of two >= 130"):
+            parse_config(json.dumps(doc))
+
+    def test_interleave_range_without_a_power_of_two(self):
+        doc = minimal_doc()
+        doc["cellTypes"][1]["sys_intrlv"] = {"minValue": 0, "maxValue": 0, "modValue": 2}
+        with pytest.raises(ConfigError, match=r"no power of two >= 8 within \[0, 0\]"):
             parse_config(json.dumps(doc))
 
     def test_hw_positive(self):

@@ -106,18 +106,3 @@ def test_stops_when_goal_reached(small_cfg, tmp_path):
     assert [h.best for h in report.history] == bests[:g]
     assert max(r.generation for r in records) == g
     assert full.stop_reason == "max generations reached"
-
-
-def test_no_active_eval_type_raises(listing_cfg):
-    eval_types = tuple(replace(et, active=False) for et in listing_cfg.pop.eval_types)
-    cfg = replace(listing_cfg, pop=replace(listing_cfg.pop, eval_types=eval_types))
-    with pytest.raises(engine.EngineError, match="no active eval types"):
-        engine.run(cfg, Dispatcher({"hwDBJob": width_worker}))
-
-
-def test_overflow_that_would_evict_the_best_raises(small_cfg):
-    # with changeRate 1 the children alone fill the population, so only
-    # evicting the best member could make room for them
-    cfg = replace(small_cfg, pop=replace(small_cfg.pop, change_rate=1.0))
-    with pytest.raises(engine.EngineError, match="population overflow"):
-        engine.run(cfg, Dispatcher({"hwDBJob": width_worker}))

@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from ecad.config import parse_config
-from ecad.genome import GenomeError, NetworkGenome, mutate, spawn, to_description
+from ecad.config import ConfigError, parse_config
+from ecad.genome import NetworkGenome, mutate, spawn, to_description
 
 from helpers import listing_doc
 from oracles import reference_mutate, reference_spawn
@@ -26,7 +26,7 @@ def all_traits(genome):
 def genome_valid(genome, cfg):
     """Every trait in range, mod/pow respected, interleave rule satisfied."""
     for cell in genome.cells:
-        specs = cfg.cell_type_config(cell.cell_type).traits
+        specs = cfg.cell_types[cell.cell_type]
         assert set(cell.trait_values) == set(specs)
         for name, value in cell.trait_values.items():
             assert value in specs[name].legal_values(), (cell.cell_name, name, value)
@@ -56,7 +56,7 @@ class TestSpawn:
         assert all_traits(g1) != all_traits(g3)
 
     def test_sys_vec_covers_all_legal_powers(self, listing_cfg):
-        legal = set(listing_cfg.cell_type_config("dense").traits["sys_vec"].legal_values())
+        legal = set(listing_cfg.cell_types["dense"]["sys_vec"].legal_values())
         rng = random.Random(123)
         seen = {dense_traits(spawn(listing_cfg, rng, i))["sys_vec"] for i in range(10_000)}
         assert seen == legal == {2, 4, 8, 16, 32, 64}
@@ -146,17 +146,16 @@ def edited_configs(cfg):
     defChangeRate); the other zeroes every rate so that each child comes from
     the forced single change.
     """
-    dense = cfg.cell_type_config("dense")
-    narrowed = replace(dense, traits={
-        **dense.traits,
-        "neurons": replace(dense.traits["neurons"], max_value=64, change_rate=0.9),
-        "sys_rows": replace(dense.traits["sys_rows"], change_rate=None),
-    })
-    edited = replace(cfg, def_change_rate=0.02, cell_types=tuple(
-        narrowed if ct.cell_type == "dense" else ct for ct in cfg.cell_types))
-    still = replace(cfg, def_change_rate=0.0, cell_types=tuple(
-        replace(ct, traits={n: replace(t, change_rate=0.0) for n, t in ct.traits.items()})
-        for ct in cfg.cell_types))
+    dense = cfg.cell_types["dense"]
+    narrowed = {
+        **dense,
+        "neurons": replace(dense["neurons"], max_value=64, change_rate=0.9),
+        "sys_rows": replace(dense["sys_rows"], change_rate=None),
+    }
+    edited = replace(cfg, def_change_rate=0.02, cell_types={**cfg.cell_types, "dense": narrowed})
+    still = replace(cfg, def_change_rate=0.0, cell_types={
+        ctype: {n: replace(t, change_rate=0.0) for n, t in traits.items()}
+        for ctype, traits in cfg.cell_types.items()})
     return [cfg, edited, still]
 
 
@@ -171,7 +170,7 @@ class TestMatchesReference:
             rng, ref_rng = random.Random(seed), random.Random(seed)
             genome = spawn(cfg, rng, 0)
             assert [(c.cell_name, c.trait_values) for c in genome.cells] == \
-                reference_spawn(cfg, cfg.chain(), ref_rng)
+                reference_spawn(cfg, cfg.cell_array, ref_rng)
             for gid in range(1, 4):
                 parent = [(c.cell_name, c.cell_type, c.trait_values) for c in genome.cells]
                 genome = mutate(genome, cfg, rng, gid)
@@ -239,6 +238,5 @@ class TestErrors:
                 ct["sys_rows"] = {"minValue": 64, "maxValue": 64, "modValue": 2}
                 ct["sys_cols"] = {"minValue": 64, "maxValue": 64, "powValue": 2,
                                   "func": "PowFunction"}
-        cfg = parse_config(json.dumps(doc))
-        with pytest.raises(GenomeError, match="power of two"):
-            spawn(cfg, random.Random(0), 0)
+        with pytest.raises(ConfigError, match="power of two"):
+            parse_config(json.dumps(doc))
