@@ -7,14 +7,21 @@ array describing the network skeleton. Include files are merged shallowly
 with the main file winning on key conflicts. Keys the search does not read
 are ignored, at the top level and inside each section.
 
-`parse_config` is the one place that checks the input; `engine` and `genome`
-rely on what a config it returns guarantees, and do not check it again:
-at least one eval type is active and none is listed twice; a `metric` is set
-only on hwDBJob and names a key of `HwEstimate.metrics()`; fewer than
-maxPopSize children are made per generation; each cell type is declared once
-and each trait has a legal value; every legal sys_rows + sys_cols has a power
-of two at least as large in its cell type's sys_intrlv range; and
-`cell_array` is one chain, in order, of cells of declared types.
+`parse_config` is the one place that checks the input; `engine`, `genome`
+and `workers` rely on what a config it returns guarantees, and do not check
+it again: at least one eval type is active and none is listed twice; a
+`metric` is set only on hwDBJob and names a key of `HwEstimate.metrics()`;
+fewer than maxPopSize children are made per generation; each cell type is
+declared once, each trait has a legal value, and every legal neurons,
+batch_size and array trait value is >= 1; a cell type declares all five
+array traits (`SYS_ARRAY`) or none, and every legal sys_rows + sys_cols has a
+power of two at least as large in its sys_intrlv range; `cell_array` is one
+chain, in order, of cells of declared types, from one input cell with an
+input_size >= 1 to one output cell with an output_size >= 1, and no other
+cell is an input or output; a dense cell's type declares neurons; and with
+hwDBJob active, the chain has a dense cell whose type declares the array
+traits. So every genome `spawn` and `mutate` make describes a valid network,
+and a valid array when hwDBJob is active.
 """
 
 from __future__ import annotations
@@ -37,9 +44,9 @@ CELL_TYPES = ("input", "dense", "relu", "output")
 #: the keys of `hwmodel.HwEstimate.metrics()`, in order: what an hwDBJob may score
 HW_METRICS = ("total_time_ms", "potential_gops", "effective_gops", "img_per_s",
               "latency_ms", "dsp_est", "mem_kb_est", "feasible")
-#: traits of one cell type that take part in the interleave constraint
-SYS_ROWS, SYS_COLS, SYS_INTRLV = "sys_rows", "sys_cols", "sys_intrlv"
-SYS_TRAITS = frozenset((SYS_ROWS, SYS_COLS, SYS_INTRLV))
+#: the array traits, in `genome.SystolicDesc` field order: a cell type declares all or none
+SYS_ARRAY = ("sys_rows", "sys_cols", "sys_vec", "sys_intrlv", "sys_scale")
+SYS_ROWS, SYS_COLS, SYS_INTRLV = SYS_ARRAY[0], SYS_ARRAY[1], SYS_ARRAY[3]
 
 
 def _is_comment_key(key: str) -> bool:
@@ -398,15 +405,39 @@ def _validate(cfg: EcadConfig) -> EcadConfig:
     if not 0 < cfg.def_change_rate <= 1:
         raise ConfigError("traitConfigValues: defChangeRate must be in (0, 1]")
     for ctype, traits in cfg.cell_types.items():
-        if not SYS_TRAITS <= traits.keys():
-            continue
-        spec = traits[SYS_INTRLV]
-        need = max(traits[SYS_ROWS].legal_values()[-1] + traits[SYS_COLS].legal_values()[-1],
-                   spec.min_value)
-        # the largest power of two in range must reach the widest rows + cols
-        if spec.max_value < 1 or 1 << (spec.max_value.bit_length() - 1) < need:
-            raise ConfigError(f"trait '{ctype}.{SYS_INTRLV}': no power of two >= {need} "
-                              f"within [{spec.min_value}, {spec.max_value}]")
+        missing = [name for name in SYS_ARRAY if name not in traits]
+        if 0 < len(missing) < len(SYS_ARRAY):
+            raise ConfigError(f"cell_type '{ctype}' lacks array trait(s) {', '.join(missing)}; "
+                              "declare all five or none")
+        if not missing:
+            spec = traits[SYS_INTRLV]
+            need = max(traits[SYS_ROWS].legal_values()[-1] + traits[SYS_COLS].legal_values()[-1],
+                       spec.min_value)
+            # the largest power of two in range must reach the widest rows + cols
+            if spec.max_value < 1 or 1 << (spec.max_value.bit_length() - 1) < need:
+                raise ConfigError(f"trait '{ctype}.{SYS_INTRLV}': no power of two >= {need} "
+                                  f"within [{spec.min_value}, {spec.max_value}]")
+        for name in ("neurons", "batch_size", *SYS_ARRAY):
+            lowest = traits[name].legal_values()[0] if name in traits else 1
+            if lowest < 1:
+                raise ConfigError(f"trait '{ctype}.{name}': every legal value must be >= 1, got {lowest}")
+    for pos, cell in enumerate(chain):
+        # the first cell must be the one input, the last the one output
+        end = {0: "input", len(chain) - 1: "output"}.get(pos)
+        if end != (cell.cell_type if cell.cell_type in ("input", "output") else None):
+            raise ConfigError(f"cell '{cell.cell_name}' of type '{cell.cell_type}' is cell {pos + 1} "
+                              f"of {len(chain)}; the chain must run from one input cell to one output cell")
+    for cell, key in ((chain[0], "input_size"), (chain[-1], "output_size")):
+        size = getattr(cell, key)
+        if size is None or size < 1:
+            raise ConfigError(f"{cell.cell_type} cell '{cell.cell_name}': {key} must be >= 1, got {size}")
+    dense = [c for c in chain if c.cell_type == "dense"]
+    if dense and "neurons" not in cfg.cell_types["dense"]:
+        raise ConfigError("cell_type 'dense' must declare the trait 'neurons'")
+    if (any(et.type == "hwDBJob" for et in cfg.pop.active_eval_types())
+            and not (dense and SYS_ROWS in cfg.cell_types["dense"])):
+        raise ConfigError("evalType 'hwDBJob' needs a dense cell whose cell_type declares "
+                          f"the array traits {', '.join(SYS_ARRAY)}")
     return replace(cfg, cell_array=chain)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
 
-from .config import (SYS_COLS, SYS_INTRLV, SYS_ROWS, SYS_TRAITS, CellInstance, EcadConfig,
+from .config import (SYS_ARRAY, SYS_COLS, SYS_INTRLV, SYS_ROWS, CellInstance, EcadConfig,
                      TraitSpec)
 
 _MUTATE_RETRIES = 16
@@ -92,18 +92,11 @@ def _interleave_choices(spec: TraitSpec, rows: int, cols: int) -> list[int]:
 
 
 def _apply_interleave_rule(traits: dict[str, int], specs: dict[str, TraitSpec], rng: random.Random) -> None:
-    if not SYS_TRAITS <= specs.keys():
+    if SYS_INTRLV not in specs:
         return
     # parse_config guarantees a choice for every legal rows and cols
     traits[SYS_INTRLV] = rng.choice(
         _interleave_choices(specs[SYS_INTRLV], traits[SYS_ROWS], traits[SYS_COLS]))
-
-
-def _interleave_ok(traits: dict[str, int], specs: dict[str, TraitSpec]) -> bool:
-    if not SYS_TRAITS <= specs.keys():
-        return True
-    iv = traits[SYS_INTRLV]
-    return iv >= traits[SYS_ROWS] + traits[SYS_COLS] and iv & (iv - 1) == 0
 
 
 def spawn(cfg: EcadConfig, rng: random.Random, genome_id: int) -> NetworkGenome:
@@ -129,12 +122,13 @@ def _mutation_pass(
             continue
         drawn = [(name, rng.choice(values))
                  for name, rate, values in rows_by_type[ctype] if rng.random() < rate]
-        if not drawn and _interleave_ok(cell.trait_values, specs):
+        if not drawn:
             cells.append(cell)
             continue
         traits = dict(cell.trait_values)
         traits.update(drawn)
-        if any(name in SYS_TRAITS for name, _ in drawn) or not _interleave_ok(traits, specs):
+        # the parent satisfies the interleave rule, so only a drawn rows, cols or intrlv can break it
+        if any(name in (SYS_ROWS, SYS_COLS, SYS_INTRLV) for name, _ in drawn):
             _apply_interleave_rule(traits, specs, rng)
         cells.append(CellState(instance=cell.instance, trait_values=traits))
     return cells
@@ -160,7 +154,7 @@ def _force_single_change(
         else:
             legal = next(values for n, _, values in cfg.mutation_rows[cell.cell_type] if n == name)
             options = [v for v in legal if v != current]
-            if name in (SYS_ROWS, SYS_COLS) and SYS_INTRLV in traits:
+            if name in (SYS_ROWS, SYS_COLS):
                 # keep the existing interleave valid so only this trait changes
                 other = traits[SYS_COLS if name == SYS_ROWS else SYS_ROWS]
                 safe = [v for v in options if v + other <= traits[SYS_INTRLV]]
@@ -168,7 +162,7 @@ def _force_single_change(
         if not options:
             continue
         traits[name] = rng.choice(options)
-        if not _interleave_ok(traits, specs):
+        if name in (SYS_ROWS, SYS_COLS) and traits[SYS_ROWS] + traits[SYS_COLS] > traits[SYS_INTRLV]:
             _apply_interleave_rule(traits, specs, rng)
         cells[idx] = CellState(instance=cell.instance, trait_values=traits)
         return cells
@@ -239,27 +233,42 @@ class NetworkDescription:
 
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "NetworkDescription":
-        """Parse outside input: an empty stack, or one whose widths do not chain, raises."""
+        """Parse outside input. Raises GenomeError for an empty stack, a width
+        or batch below 1, an activation other than relu or none, a bias that
+        is not a boolean, or widths that do not chain."""
         sys_raw = raw.get("systolic")
         layers = tuple(
             LayerDesc(
                 name=str(l["name"]),
                 in_features=int(l["in"]),
                 out_features=int(l["out"]),
-                activation=str(l["activation"]),
-                bias=bool(l["bias"]),
+                activation=l["activation"],
+                bias=l["bias"],
             )
             for l in raw["layers"]
         )
         if not layers:
             raise GenomeError("network description has no layers")
+        for layer in layers:
+            if min(layer.in_features, layer.out_features) < 1:
+                raise GenomeError(f"layer '{layer.name}' maps {layer.in_features} inputs to "
+                                  f"{layer.out_features} outputs; both must be >= 1")
+            if layer.activation not in ("relu", "none"):
+                raise GenomeError(f"layer '{layer.name}': activation must be 'relu' or 'none', "
+                                  f"got {layer.activation!r}")
+            if not isinstance(layer.bias, bool):
+                raise GenomeError(f"layer '{layer.name}': bias must be true or false, "
+                                  f"got {layer.bias!r}")
         for prev, layer in zip(layers, layers[1:]):
             if layer.in_features != prev.out_features:
                 raise GenomeError(f"layer '{layer.name}' takes {layer.in_features} inputs, "
                                   f"but '{prev.name}' gives {prev.out_features}")
+        batch = int(raw["batch"])
+        if batch < 1:
+            raise GenomeError(f"network description batch must be >= 1, got {batch}")
         return cls(
             id=int(raw["id"]),
-            batch=int(raw["batch"]),
+            batch=batch,
             layers=layers,
             systolic=None if sys_raw is None else SystolicDesc(
                 rows=int(sys_raw["rows"]), cols=int(sys_raw["cols"]), vec=int(sys_raw["vec"]),
@@ -274,6 +283,8 @@ def to_description(genome: NetworkGenome) -> NetworkDescription:
     Dense cells contribute one affine layer each; a trailing relu cell sets the
     layer's activation. The output cell contributes the final projection to its
     declared output_size (no activation, bias inherited from the last dense cell).
+    The first dense cell with array traits gives the array config. `parse_config`
+    guarantees the chain runs from a sized input cell to a sized output cell.
     """
     batch = 1
     systolic: SystolicDesc | None = None
@@ -287,28 +298,18 @@ def to_description(genome: NetworkGenome) -> NetworkDescription:
         if kind == "input":
             batch = traits.get("batch_size", 1)
             width = cell.instance.input_size
-            if width is None:
-                raise GenomeError(f"input cell '{cell.cell_name}' has no input_size")
         elif kind == "dense":
-            if width is None:
-                raise GenomeError(f"dense cell '{cell.cell_name}' appears before the input cell")
             neurons = traits["neurons"]
             last_bias = bool(traits.get("enableBias", 1))
             layers.append([cell.cell_name, width, neurons, "none", last_bias])
             width = neurons
             if systolic is None and SYS_ROWS in traits:
-                systolic = SystolicDesc(
-                    rows=traits["sys_rows"], cols=traits["sys_cols"], vec=traits["sys_vec"],
-                    interleave=traits["sys_intrlv"], scale=traits["sys_scale"],
-                )
+                systolic = SystolicDesc(*(traits[name] for name in SYS_ARRAY))
         elif kind == "relu":
             if layers:
                 layers[-1][3] = "relu"
         elif kind == "output":
-            if width is None or cell.instance.output_size is None:
-                raise GenomeError(f"output cell '{cell.cell_name}' needs an output_size")
             layers.append([cell.cell_name, width, cell.instance.output_size, "none", last_bias])
-            width = cell.instance.output_size
     return NetworkDescription(id=genome.id, batch=batch,
                               layers=tuple(LayerDesc(*layer) for layer in layers), systolic=systolic)
 

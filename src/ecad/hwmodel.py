@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import HwConfig
+from .config import HW_METRICS, HwConfig
 from .genome import NetworkDescription, SystolicDesc
 
 
@@ -193,17 +193,8 @@ class HwEstimate:
     layers: tuple[LayerTiming, ...] = ()
 
     def metrics(self) -> dict[str, float]:
-        """Flat metric map as carried by worker results."""
-        return {
-            "total_time_ms": self.total_time_ms,
-            "potential_gops": self.potential_gops,
-            "effective_gops": self.effective_gops,
-            "img_per_s": self.img_per_s,
-            "latency_ms": self.latency_ms,
-            "dsp_est": self.dsp_est,
-            "mem_kb_est": self.mem_kb_est,
-            "feasible": 1.0 if self.feasible else 0.0,
-        }
+        """Flat metric map as carried by worker results, keyed by `HW_METRICS`."""
+        return {name: float(getattr(self, name)) for name in HW_METRICS}
 
 
 def total_ops(desc: NetworkDescription) -> int:

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Iterator
 
 from .fitness import ScoreCard
-from .genome import CANONICAL_JSON, NetworkGenome, to_description
+from .genome import CANONICAL_JSON, NetworkDescription, NetworkGenome, to_description
 
 DB_FILENAME = "ecad.db.jsonl"
 
@@ -118,7 +118,10 @@ class EcadDb:
     def export(self, genome_id: int, out_path: str | Path) -> Path:
         """Write the genome's network description as a standalone JSON file."""
         rec = self.get(genome_id)
-        desc = to_description(rec.genome)
+        try:   # the file is outside input: check the description as `ecad eval` would
+            desc = NetworkDescription.from_json(to_description(rec.genome).to_json())
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StoreError(f"genome {genome_id} in {self.path} is not a valid network: {exc}") from exc
         out = Path(out_path)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(desc.to_json(), indent=2) + "\n", encoding="utf-8")

@@ -1,12 +1,18 @@
 """Fitness workers: wrap the hardware model and the native trainer behind
-the common job-in/result-out interface."""
+the common job-in/result-out interface.
+
+`parse_config` guarantees that every genome of a search with hwDBJob active
+describes a valid network on a valid array, so the hwDBJob worker does not
+check its input again. Any other error a worker raises fails only its own
+job, in `Dispatcher._run`.
+"""
 
 from __future__ import annotations
 
 from .config import HwConfig
 from .dataset import Dataset
 from .dispatch import EvalJob, EvalResult, Worker, failed_result
-from .hwmodel import ModelError, SystolicConfig, estimate, resource_estimate
+from .hwmodel import SystolicConfig, estimate, resource_estimate
 from .nnsim import TrainingDiverged, train
 
 
@@ -16,21 +22,13 @@ def make_hwdb_worker(hw: HwConfig) -> Worker:
     The resource screen runs before the timing model. A design that does not
     fit the device budget comes back as a failed result carrying only the
     screen's metrics (``dsp_est``, ``mem_kb_est``, ``feasible`` 0.0) and
-    scores zero on hwDBJob; no timing work is spent on it. The screen reads
-    only the array, so a description that ``estimate`` would reject fails
-    with the budget message when its array does not fit, and with the
-    ``ModelError`` message when it does. A design that fits gets the full
-    metric set from ``estimate``.
+    scores zero on hwDBJob; no timing work is spent on it. A design that fits
+    gets the full metric set from ``estimate``.
     """
 
     def worker(job: EvalJob) -> EvalResult:
         desc = job.network
-        if desc.systolic is None:
-            return failed_result(job, "network description has no systolic configuration")
-        try:
-            cfg = SystolicConfig.from_desc(desc.systolic, freq_mhz=hw.freq)
-        except ModelError as exc:
-            return failed_result(job, str(exc))
+        cfg = SystolicConfig.from_desc(desc.systolic, freq_mhz=hw.freq)
         dsp_est, mem_kb_est, feasible = resource_estimate(cfg, hw)
         if not feasible:
             return EvalResult(
@@ -40,12 +38,8 @@ def make_hwdb_worker(hw: HwConfig) -> Worker:
                 diagnostics=f"resource budget exceeded: dsp {dsp_est:.0f}/{hw.dsp}, "
                             f"mem {mem_kb_est:.0f}/{hw.sram}",
             )
-        try:
-            est = estimate(desc, cfg, hw)
-        except ModelError as exc:
-            return failed_result(job, str(exc))
         return EvalResult(genome_id=job.genome_id, eval_type=job.eval_type,
-                          metrics=est.metrics())
+                          metrics=estimate(desc, cfg, hw).metrics())
 
     return worker
 

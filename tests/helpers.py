@@ -24,11 +24,16 @@ def listing_doc() -> dict[str, Any]:
     return merged
 
 
+class TimeLimitExceeded(BaseException):
+    """Raised by `time_limit`. Not an Exception, so code under test that
+    catches Exception, such as a dispatcher failing one job, cannot swallow it."""
+
+
 @contextlib.contextmanager
 def time_limit(seconds: float):
-    """Fail the block with TimeoutError if it runs longer than ``seconds`` (main thread only)."""
+    """Fail the block with TimeLimitExceeded if it runs longer than ``seconds`` (main thread only)."""
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise TimeLimitExceeded(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)

@@ -273,6 +273,46 @@ def _cell_types_object(doc):
     doc["cellTypes"] = {ct["cell_type"]: ct for ct in doc["cellTypes"]}
 
 
+def _hw_only(doc):
+    # a hardware-only search is where these shapes fail late: it reads no dataset
+    next(et for et in doc["popConfigValues"]["evalTypes"] if et["type"] == "simJob")["active"] = False
+
+
+def _dense_type(doc):
+    return next(ct for ct in doc["cellTypes"] if ct["cell_type"] == "dense")
+
+
+def _inner_input_cell(doc):
+    _hw_only(doc)
+    doc["cellArray"][2]["cell_type"] = "input"
+
+
+def _drop_input_size(doc):
+    _hw_only(doc)
+    del doc["cellArray"][0]["input_size"]
+
+
+def _drop_neurons(doc):
+    _hw_only(doc)
+    del _dense_type(doc)["neurons"]
+
+
+def _drop_sys_scale(doc):
+    _hw_only(doc)
+    del _dense_type(doc)["sys_scale"]
+
+
+def _drop_array_traits(doc):
+    _hw_only(doc)
+    for name in ("sys_rows", "sys_cols", "sys_vec", "sys_intrlv", "sys_scale"):
+        del _dense_type(doc)[name]
+
+
+def _sys_scale_zero(doc):
+    _hw_only(doc)
+    _dense_type(doc)["sys_scale"]["minValue"] = 0
+
+
 @pytest.mark.parametrize("edit,message", [
     (_drop_dsp, "hwConfig: missing key 'dsp'"),
     (_dsp_lots, "hwConfig: bad value: invalid literal for int() with base 10: 'lots'"),
@@ -283,8 +323,17 @@ def _cell_types_object(doc):
     (_trait_values_list, "traitConfigValues must be an object, got list"),
     (_eval_type_int, "popConfigValues: evalTypes entry 5 is not an object"),
     (_cell_types_object, "cellTypes must be a list of objects, got dict"),
+    (_inner_input_cell, "cell 'relu00' of type 'input' is cell 3 of 4; "
+                        "the chain must run from one input cell to one output cell"),
+    (_drop_input_size, "input cell 'X': input_size must be >= 1, got None"),
+    (_drop_neurons, "cell_type 'dense' must declare the trait 'neurons'"),
+    (_drop_sys_scale, "cell_type 'dense' lacks array trait(s) sys_scale; declare all five or none"),
+    (_drop_array_traits, "evalType 'hwDBJob' needs a dense cell whose cell_type declares the "
+                         "array traits sys_rows, sys_cols, sys_vec, sys_intrlv, sys_scale"),
+    (_sys_scale_zero, "trait 'dense.sys_scale': every legal value must be >= 1, got 0"),
 ], ids=["no-dsp", "dsp-lots", "no-maxPopSize", "no-cell_name", "active-physJob", "powValue-1",
-        "traitConfigValues-list", "evalTypes-int", "cellTypes-object"])
+        "traitConfigValues-list", "evalTypes-int", "cellTypes-object", "inner-input-cell",
+        "no-input_size", "no-neurons", "no-sys_scale", "no-array-traits", "sys_scale-0"])
 def test_search_rejects_bad_config(tmp_path, capsys, edit, message):
     doc = listing_doc()
     edit(doc)
@@ -454,6 +503,22 @@ def _output_12(doc):
     doc["layers"][-1]["out"] = 12
 
 
+def _sigmoid(doc):
+    doc["layers"][0]["activation"] = "sigmoid"
+
+
+def _bias_string(doc):
+    doc["layers"][0]["bias"] = "false"
+
+
+def _width_0(doc):
+    doc["layers"][0]["out"] = 0
+
+
+def _batch_0(doc):
+    doc["batch"] = 0
+
+
 @pytest.mark.parametrize("edit,message", [
     (_no_layers, "cannot load network description {net}: network description has no layers"),
     (_unchained, "cannot load network description {net}: "
@@ -462,7 +527,16 @@ def _output_12(doc):
                  "but the dataset has 784 features and 10 classes"),
     (_output_12, "network {net} maps 784 inputs to 12 outputs, "
                  "but the dataset has 784 features and 10 classes"),
-], ids=["no-layers", "unchained", "input-100", "output-12"])
+    (_sigmoid, "cannot load network description {net}: "
+               "layer 'dense00': activation must be 'relu' or 'none', got 'sigmoid'"),
+    (_bias_string, "cannot load network description {net}: "
+                   "layer 'dense00': bias must be true or false, got 'false'"),
+    (_width_0, "cannot load network description {net}: "
+               "layer 'dense00' maps 784 inputs to 0 outputs; both must be >= 1"),
+    (_batch_0, "cannot load network description {net}: "
+               "network description batch must be >= 1, got 0"),
+], ids=["no-layers", "unchained", "input-100", "output-12", "sigmoid", "bias-string",
+        "width-0", "batch-0"])
 def test_train_rejects_widths_that_do_not_fit(tmp_path, tiny_mnist, capsys, edit, message):
     doc = mlp_desc([784, 16, 10], batch=4).to_json()
     edit(doc)

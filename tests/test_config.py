@@ -6,8 +6,8 @@ import pytest
 
 from ecad import hwmodel
 from ecad.cli import DEFAULT_HW
-from ecad.config import HW_METRICS, ConfigError, TraitSpec, parse_config
-from ecad.genome import mutate, spawn
+from ecad.config import HW_METRICS, SYS_ARRAY, ConfigError, TraitSpec, parse_config
+from ecad.genome import mutate, spawn, to_description
 
 from helpers import listing_doc, mlp_desc, time_limit
 
@@ -314,6 +314,47 @@ class TestValidation:
         doc = minimal_doc()
         doc["cellTypes"][1]["sys_intrlv"] = {"minValue": 0, "maxValue": 0, "modValue": 2}
         with pytest.raises(ConfigError, match=r"no power of two >= 8 within \[0, 0\]"):
+            parse_config(json.dumps(doc))
+
+    def test_sim_only_dense_without_array_traits_parses(self):
+        doc = minimal_doc()
+        doc["popConfigValues"]["evalTypes"] = [
+            {"type": "simJob", "minValue": 0.9, "maxValue": 1, "epochs": 1, "batchSize": 10}]
+        for name in SYS_ARRAY:
+            del doc["cellTypes"][1][name]
+        cfg = parse_config(json.dumps(doc))
+        assert set(cfg.cell_types["dense"]) == {"neurons", "enableBias"}
+        assert to_description(spawn(cfg, random.Random(0), 0)).systolic is None
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d["cellArray"][0].update(cell_type="dense"),
+         "cell 'X' of type 'dense' is cell 1 of 4; the chain must run from one input cell"),
+        (lambda d: d["cellArray"][3].update(cell_type="relu"),
+         "cell 'Y' of type 'relu' is cell 4 of 4"),
+        (lambda d: d["cellArray"][2].update(cell_type="output"),
+         "cell 'r0' of type 'output' is cell 3 of 4"),
+        (lambda d: d["cellArray"][0].update(input_size=0),
+         "input cell 'X': input_size must be >= 1, got 0"),
+        (lambda d: d["cellArray"][3].pop("output_size"),
+         "output cell 'Y': output_size must be >= 1, got None"),
+        (lambda d: d["cellTypes"][1]["neurons"].update(minValue=0),
+         "trait 'dense.neurons': every legal value must be >= 1, got 0"),
+        (lambda d: d["cellTypes"][0]["batch_size"].update(minValue=-2),
+         "trait 'input.batch_size': every legal value must be >= 1, got -2"),
+        (lambda d: d["cellTypes"][1].pop("sys_vec"),
+         r"cell_type 'dense' lacks array trait\(s\) sys_vec; declare all five or none"),
+        (lambda d: d["cellTypes"][0].update(sys_rows={"minValue": 1, "maxValue": 2}),
+         r"cell_type 'input' lacks array trait\(s\) sys_cols, sys_vec, sys_intrlv, sys_scale"),
+        (lambda d: d.update(cellArray=[d["cellArray"][0] | {"output": "Y"},
+                                       d["cellArray"][3] | {"input": "X"}]),
+         "evalType 'hwDBJob' needs a dense cell whose cell_type declares the array traits"),
+    ], ids=["first-not-input", "last-not-output", "inner-output", "input_size-0", "no-output_size",
+            "neurons-0", "batch_size-negative", "no-sys_vec", "partial-input-array",
+            "hwDBJob-without-dense"])
+    def test_cell_array_shape_checked(self, edit, message):
+        doc = minimal_doc()
+        edit(doc)
+        with pytest.raises(ConfigError, match=message):
             parse_config(json.dumps(doc))
 
     def test_hw_positive(self):

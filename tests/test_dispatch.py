@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from ecad import engine
 from ecad.dispatch import DispatchError, Dispatcher, EvalJob, EvalResult
 
-from helpers import mlp_desc
+from helpers import TimeLimitExceeded, mlp_desc, time_limit
 
 NET = mlp_desc([784, 16, 10], batch=2, cfg=(2, 2, 2, 4, 2))
 
@@ -55,6 +56,16 @@ def test_raising_worker_yields_one_failed_result():
     assert (res.genome_id, res.eval_type) == (5, "simJob")
     assert not res.ok and res.status == "failed"
     assert "ZeroDivisionError" in res.diagnostics and "bad layer" in res.diagnostics
+
+
+def test_time_limit_escapes_a_worker():
+    # a hung worker must stop the test, not become one failed job the run goes past
+    def sleeper(j: EvalJob) -> EvalResult:
+        time.sleep(1)
+        return EvalResult(genome_id=j.genome_id, eval_type=j.eval_type)
+
+    with pytest.raises(TimeLimitExceeded, match=r"still running after 0.2 s"), time_limit(0.2):
+        Dispatcher({"simJob": sleeper}).dispatch_all([job(0, "simJob")])
 
 
 def test_engine_scores_a_worker_exception_as_zero(listing_cfg):

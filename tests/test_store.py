@@ -115,6 +115,22 @@ def test_line_with_the_old_id_keys_reads_as_the_same_record(tmp_path, listing_cf
     assert json.loads((tmp_path / "net.json").read_text())["id"] == 1
 
 
+def test_export_refuses_a_genome_that_is_no_network(tmp_path, listing_cfg, capsys):
+    # parse_config guarantees a search's genomes flatten; a hand-edited line is checked on export
+    path = tmp_path / "ecad.db.jsonl"
+    fill(path, listing_cfg, 2)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rec = json.loads(lines[1])
+    del rec["genome"]["cells"][0]["instance"]["input_size"]
+    lines[1] = json.dumps(rec) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert cli.main(["export", str(path), "1", str(tmp_path / "net.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: genome 1 in {path} is not a valid network: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "net.json").exists()
+
+
 def test_each_append_reaches_the_file(tmp_path, listing_cfg):
     path = tmp_path / "ecad.db.jsonl"
     rng = random.Random(0)

@@ -5,7 +5,7 @@ import pytest
 from ecad import hwmodel, workers
 from ecad.cli import DEFAULT_HW
 from ecad.dispatch import EvalJob
-from ecad.genome import NetworkDescription, SystolicDesc, spawn, to_description
+from ecad.genome import spawn, to_description
 
 from helpers import mlp_desc
 
@@ -49,16 +49,6 @@ def test_feasible_metrics_are_the_estimate(estimate_calls):
     assert (res.status, res.diagnostics) == ("ok", "")
     assert res.metrics == hwmodel.estimate(desc, array, DEFAULT_HW).metrics()
     assert res.metrics["feasible"] == 1.0
-
-
-def test_rejected_description_keeps_its_model_error(estimate_calls):
-    desc = NetworkDescription(id=7, batch=8, layers=(), systolic=SystolicDesc(4, 4, 8, 8, 8))
-    res = run(desc)
-    assert estimate_calls == [desc]
-    assert (res.status, res.diagnostics, res.metrics) == (
-        "failed", "network description has no layers", {})
-    res = run(mlp_desc([784, 196, 10], batch=64, cfg=(0, 4, 8, 8, 8)))
-    assert (res.status, res.diagnostics) == ("failed", "systolic config: rows must be >= 1")
 
 
 def test_every_searched_design_matches_the_full_model(listing_cfg, estimate_calls):
