@@ -18,7 +18,7 @@ from . import dataset as ds
 from . import engine, hwmodel, nnsim, sysarray
 from .config import ConfigError, EcadConfig, HwConfig, parse_config
 from .dispatch import Dispatcher, Worker
-from .genome import NetworkDescription
+from .genome import GenomeError, NetworkDescription, SystolicConfig
 from .store import DB_FILENAME, EcadDb, StoreError
 from .workers import make_hwdb_worker, make_sim_worker
 
@@ -42,13 +42,14 @@ def _require_at_least_one(args: argparse.Namespace, *names: str) -> None:
 def _load_description(path: str | Path) -> NetworkDescription:
     try:
         return NetworkDescription.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load network description {path}: {exc}") from exc
 
 
 def _resolve_dataset(mnist_dir: str | None, train_subset: int | None) -> ds.Dataset:
-    """Real MNIST when available (flag, env var, or ./data/mnist), else synthetic."""
-    candidates = [mnist_dir, os.environ.get("ECAD_MNIST_DIR"), "data/mnist"]
+    """Real MNIST from the flag's directory, which must exist; without the flag,
+    from $ECAD_MNIST_DIR or ./data/mnist when present, else synthetic."""
+    candidates = [mnist_dir] if mnist_dir else [os.environ.get("ECAD_MNIST_DIR"), "data/mnist"]
     for cand in candidates:
         if cand and Path(cand).is_dir():
             data = ds.load_mnist(cand)
@@ -133,11 +134,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.batch is not None:
         desc = NetworkDescription(id=desc.id, batch=args.batch,
                                   layers=desc.layers, systolic=desc.systolic)
-    if args.cfg:
-        cfg = hwmodel.SystolicConfig.parse(args.cfg, freq_mhz=hw.freq)
-    elif desc.systolic is not None:
-        cfg = hwmodel.SystolicConfig.from_desc(desc.systolic, freq_mhz=hw.freq)
-    else:
+    cfg = SystolicConfig.parse(args.cfg) if args.cfg else desc.systolic
+    if cfg is None:
         raise CliError("network has no systolic configuration; pass --cfg R,C,V,I,S")
     est = hwmodel.estimate(desc, cfg, hw)
     print(json.dumps(est.metrics(), indent=2))
@@ -146,7 +144,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_simulate_array(args: argparse.Namespace) -> int:
     _require_at_least_one(args, "m", "k", "n", "limit")
-    cfg = hwmodel.SystolicConfig.parse(args.cfg)
+    cfg = SystolicConfig.parse(args.cfg)
     if args.network:
         desc = _load_description(args.network)
         if not args.params_dir:
@@ -270,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (CliError, ConfigError, StoreError, OSError,
-            hwmodel.ModelError, sysarray.SimulationError, ds.DatasetError) as exc:
+            GenomeError, sysarray.SimulationError, ds.DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

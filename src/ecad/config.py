@@ -44,7 +44,7 @@ CELL_TYPES = ("input", "dense", "relu", "output")
 #: the keys of `hwmodel.HwEstimate.metrics()`, in order: what an hwDBJob may score
 HW_METRICS = ("total_time_ms", "potential_gops", "effective_gops", "img_per_s",
               "latency_ms", "dsp_est", "mem_kb_est", "feasible")
-#: the array traits, in `genome.SystolicDesc` field order: a cell type declares all or none
+#: the array traits, in `genome.SystolicConfig` field order: a cell type declares all or none
 SYS_ARRAY = ("sys_rows", "sys_cols", "sys_vec", "sys_intrlv", "sys_scale")
 SYS_ROWS, SYS_COLS, SYS_INTRLV = SYS_ARRAY[0], SYS_ARRAY[1], SYS_ARRAY[3]
 

@@ -28,6 +28,12 @@ class GenomeError(ValueError):
     pass
 
 
+def _require_object(what: str, raw: Any) -> dict[str, Any]:
+    if not isinstance(raw, dict):
+        raise GenomeError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
 @dataclass(frozen=True)
 class CellState:
     """A cell instance plus its resolved trait values."""
@@ -191,13 +197,45 @@ class LayerDesc:
     bias: bool
 
 
+#: the array's fields, in the order of the R,C,V,I,S text form and of `config.SYS_ARRAY`
+ARRAY_FIELDS = ("rows", "cols", "vec", "interleave", "scale")
+
+
 @dataclass(frozen=True)
-class SystolicDesc:
+class SystolicConfig:
+    """Array shape: a rows x cols grid of PEs, vec-wide data path, interleave, scale.
+
+    The constructor refuses any field below 1, so every array is valid. The
+    clock is not part of the array: the hardware model reads ``HwConfig.freq``.
+    """
+
     rows: int
     cols: int
     vec: int
     interleave: int
     scale: int
+
+    def __post_init__(self) -> None:
+        for name, value in zip(ARRAY_FIELDS, self.as_tuple()):
+            if value < 1:
+                raise GenomeError(f"systolic config: {name} must be >= 1, got {value}")
+
+    @classmethod
+    def parse(cls, text: str) -> "SystolicConfig":
+        """Parse the "rows,cols,vec,interleave,scale" notation."""
+        try:
+            parts = [int(p) for p in text.split(",")]
+        except ValueError:
+            raise GenomeError(f"expected 5 comma-separated integers, got {text!r}") from None
+        if len(parts) != 5:
+            raise GenomeError(f"expected 5 comma-separated values, got {text!r}")
+        return cls(*parts)
+
+    @classmethod
+    def from_desc(cls, desc: "SystolicConfig", freq_mhz: float = 250.0) -> "SystolicConfig":
+        """Return ``desc`` unchanged. Kept only for the benchmark scripts in
+        ``perfbench/``, which still call it; the clock argument is ignored."""
+        return desc
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.rows, self.cols, self.vec, self.interleave, self.scale)
@@ -213,7 +251,7 @@ class NetworkDescription:
     id: int
     batch: int
     layers: tuple[LayerDesc, ...]
-    systolic: SystolicDesc | None
+    systolic: SystolicConfig | None
 
     def to_json(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
@@ -226,17 +264,16 @@ class NetworkDescription:
             ],
         }
         if self.systolic is not None:
-            s = self.systolic
-            doc["systolic"] = {"rows": s.rows, "cols": s.cols, "vec": s.vec,
-                               "interleave": s.interleave, "scale": s.scale}
+            doc["systolic"] = dict(zip(ARRAY_FIELDS, self.systolic.as_tuple()))
         return doc
 
     @classmethod
-    def from_json(cls, raw: dict[str, Any]) -> "NetworkDescription":
-        """Parse outside input. Raises GenomeError for an empty stack, a width
-        or batch below 1, an activation other than relu or none, a bias that
-        is not a boolean, or widths that do not chain."""
-        sys_raw = raw.get("systolic")
+    def from_json(cls, raw: Any) -> "NetworkDescription":
+        """Parse outside input. Raises GenomeError for a root, layer entry or
+        systolic section that is not a JSON object, an empty stack, a width,
+        batch or array field below 1, an activation other than relu or none,
+        a bias that is not a boolean, or widths that do not chain."""
+        _require_object("network description", raw)
         layers = tuple(
             LayerDesc(
                 name=str(l["name"]),
@@ -245,7 +282,7 @@ class NetworkDescription:
                 activation=l["activation"],
                 bias=l["bias"],
             )
-            for l in raw["layers"]
+            for l in (_require_object("layer entry", entry) for entry in raw["layers"])
         )
         if not layers:
             raise GenomeError("network description has no layers")
@@ -266,14 +303,15 @@ class NetworkDescription:
         batch = int(raw["batch"])
         if batch < 1:
             raise GenomeError(f"network description batch must be >= 1, got {batch}")
+        sys_raw = raw.get("systolic")
+        if sys_raw is not None:
+            _require_object("systolic section", sys_raw)
         return cls(
             id=int(raw["id"]),
             batch=batch,
             layers=layers,
-            systolic=None if sys_raw is None else SystolicDesc(
-                rows=int(sys_raw["rows"]), cols=int(sys_raw["cols"]), vec=int(sys_raw["vec"]),
-                interleave=int(sys_raw["interleave"]), scale=int(sys_raw["scale"]),
-            ),
+            systolic=None if sys_raw is None else SystolicConfig(
+                *(int(sys_raw[name]) for name in ARRAY_FIELDS)),
         )
 
 
@@ -287,7 +325,7 @@ def to_description(genome: NetworkGenome) -> NetworkDescription:
     guarantees the chain runs from a sized input cell to a sized output cell.
     """
     batch = 1
-    systolic: SystolicDesc | None = None
+    systolic: SystolicConfig | None = None
     layers: list[list[Any]] = []   # [name, in, out, activation, bias] per layer
     width: int | None = None
     last_bias = True
@@ -304,7 +342,7 @@ def to_description(genome: NetworkGenome) -> NetworkDescription:
             layers.append([cell.cell_name, width, neurons, "none", last_bias])
             width = neurons
             if systolic is None and SYS_ROWS in traits:
-                systolic = SystolicDesc(*(traits[name] for name in SYS_ARRAY))
+                systolic = SystolicConfig(*(traits[name] for name in SYS_ARRAY))
         elif kind == "relu":
             if layers:
                 layers[-1][3] = "relu"

@@ -19,7 +19,7 @@ Timing model per layer (GEMM of M x K by K x N):
     sequence serializes it against compute, adding M' * N' cycles.
   - memory: every A/B block is streamed once per output block it feeds,
     plus one write of the padded output; the layer takes
-    max(cycles / f, bytes / bandwidth).
+    max(cycles / f, bytes / bandwidth), f being the device clock ``HwConfig.freq``.
 """
 
 from __future__ import annotations
@@ -28,48 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .config import HW_METRICS, HwConfig
-from .genome import NetworkDescription, SystolicDesc
-
-
-class ModelError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class SystolicConfig:
-    """Array shape: rows x cols grid of PEs, vec-wide data path, interleave, scale."""
-
-    rows: int
-    cols: int
-    vec: int
-    interleave: int
-    scale: int
-    freq_mhz: float = 250.0
-
-    def __post_init__(self) -> None:
-        for name in ("rows", "cols", "vec", "interleave", "scale"):
-            if getattr(self, name) < 1:
-                raise ModelError(f"systolic config: {name} must be >= 1")
-        if self.freq_mhz <= 0:
-            raise ModelError("systolic config: freq_mhz must be positive")
-
-    @classmethod
-    def from_desc(cls, desc: SystolicDesc, freq_mhz: float = 250.0) -> "SystolicConfig":
-        return cls(desc.rows, desc.cols, desc.vec, desc.interleave, desc.scale, freq_mhz)
-
-    @classmethod
-    def parse(cls, text: str, freq_mhz: float = 250.0) -> "SystolicConfig":
-        """Parse the "rows,cols,vec,interleave,scale" notation."""
-        try:
-            parts = [int(p) for p in text.split(",")]
-        except ValueError:
-            raise ModelError(f"expected 5 comma-separated integers, got {text!r}") from None
-        if len(parts) != 5:
-            raise ModelError(f"expected 5 comma-separated values, got {text!r}")
-        return cls(*parts, freq_mhz=freq_mhz)
-
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.rows, self.cols, self.vec, self.interleave, self.scale)
+from .genome import NetworkDescription, SystolicConfig
 
 
 def _pad_up(n: int, block: int) -> int:
@@ -121,8 +80,7 @@ class BlockGeometry:
 
 
 def block_geometry(cfg: SystolicConfig, m: int, k: int, n: int) -> BlockGeometry:
-    if min(m, k, n) < 1:
-        raise ModelError("matrix dimensions must be >= 1")
+    """Every dimension is >= 1: a description's widths and batch are checked where it enters."""
     bh = cfg.rows * cfg.interleave
     bw = cfg.cols * cfg.interleave
     cb = cfg.vec * cfg.scale
@@ -140,9 +98,9 @@ def compute_cycles(cfg: SystolicConfig, m: int, k: int, n: int) -> int:
     return block_geometry(cfg, m, k, n).compute_cycles
 
 
-def potential_gops(cfg: SystolicConfig) -> float:
-    """Roofline: one multiply and one add per lane per cycle."""
-    return 2.0 * cfg.rows * cfg.cols * cfg.vec * cfg.freq_mhz * 1e6 / 1e9
+def potential_gops(cfg: SystolicConfig, freq_mhz: float) -> float:
+    """Roofline at a clock of freq_mhz: one multiply and one add per lane per cycle."""
+    return 2.0 * cfg.rows * cfg.cols * cfg.vec * freq_mhz * 1e6 / 1e9
 
 
 # resource screen calibration (optimistic): a scale factor and a fixed
@@ -207,10 +165,8 @@ def estimate(
     cfg: SystolicConfig,
     hw: HwConfig,
 ) -> HwEstimate:
-    """Model one network on one array configuration (single shared array)."""
-    if not desc.layers:
-        raise ModelError("network description has no layers")
-    freq_hz = cfg.freq_mhz * 1e6
+    """Model one network on one array configuration (single shared array) at ``hw.freq``."""
+    freq_hz = hw.freq * 1e6
     bandwidth = hw.bandwidth_bytes_per_s
 
     timings: list[LayerTiming] = []
@@ -237,7 +193,7 @@ def estimate(
     dsp_est, mem_kb_est, feasible = resource_estimate(cfg, hw)
     return HwEstimate(
         total_time_ms=total_s * 1e3,
-        potential_gops=potential_gops(cfg),
+        potential_gops=potential_gops(cfg, hw.freq),
         effective_gops=effective,
         img_per_s=desc.batch / total_s,
         latency_ms=latency_s * 1e3,

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .genome import NetworkDescription
-from .hwmodel import SystolicConfig, block_geometry
+from .genome import NetworkDescription, SystolicConfig
+from .hwmodel import block_geometry
 
 
 class SimulationError(ValueError):
@@ -175,7 +175,7 @@ def run_network(
     if cfg is None:
         if desc.systolic is None:
             raise SimulationError("network description carries no systolic configuration")
-        cfg = SystolicConfig.from_desc(desc.systolic)
+        cfg = desc.systolic
     if len(params) != len(desc.layers):
         raise SimulationError(f"expected {len(desc.layers)} layer params, got {len(params)}")
 

@@ -2,9 +2,10 @@
 the common job-in/result-out interface.
 
 `parse_config` guarantees that every genome of a search with hwDBJob active
-describes a valid network on a valid array, so the hwDBJob worker does not
-check its input again. Any other error a worker raises fails only its own
-job, in `Dispatcher._run`.
+describes a valid network with an array, which `genome.SystolicConfig` checked
+when it was built, so the hwDBJob worker uses ``desc.systolic`` as it is, at
+the device clock ``hw.freq``. Any other error a worker raises fails only its
+own job, in `Dispatcher._run`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from .config import HwConfig
 from .dataset import Dataset
 from .dispatch import EvalJob, EvalResult, Worker, failed_result
-from .hwmodel import SystolicConfig, estimate, resource_estimate
+from .hwmodel import estimate, resource_estimate
 from .nnsim import TrainingDiverged, train
 
 
@@ -28,8 +29,7 @@ def make_hwdb_worker(hw: HwConfig) -> Worker:
 
     def worker(job: EvalJob) -> EvalResult:
         desc = job.network
-        cfg = SystolicConfig.from_desc(desc.systolic, freq_mhz=hw.freq)
-        dsp_est, mem_kb_est, feasible = resource_estimate(cfg, hw)
+        dsp_est, mem_kb_est, feasible = resource_estimate(desc.systolic, hw)
         if not feasible:
             return EvalResult(
                 genome_id=job.genome_id, eval_type=job.eval_type,
@@ -39,7 +39,7 @@ def make_hwdb_worker(hw: HwConfig) -> Worker:
                             f"mem {mem_kb_est:.0f}/{hw.sram}",
             )
         return EvalResult(genome_id=job.genome_id, eval_type=job.eval_type,
-                          metrics=estimate(desc, cfg, hw).metrics())
+                          metrics=estimate(desc, desc.systolic, hw).metrics())
 
     return worker
 

@@ -8,7 +8,7 @@ import signal
 from pathlib import Path
 from typing import Any
 
-from ecad.genome import LayerDesc, NetworkDescription, SystolicDesc
+from ecad.genome import LayerDesc, NetworkDescription, SystolicConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 LISTING_CONFIG = REPO_ROOT / "configs" / "mlp_mnist.ecad.cfg"
@@ -69,5 +69,5 @@ def mlp_desc(dims: list[int], batch: int, cfg: tuple[int, int, int, int, int] | 
         act = "relu" if i < len(dims) - 2 else "none"
         name = f"dense{i:02d}" if i < len(dims) - 2 else "Y"
         layers.append(LayerDesc(name, dims[i], dims[i + 1], act, bias))
-    systolic = None if cfg is None else SystolicDesc(*cfg)
+    systolic = None if cfg is None else SystolicConfig(*cfg)
     return NetworkDescription(id=net_id, batch=batch, layers=tuple(layers), systolic=systolic)

@@ -13,9 +13,11 @@ import pytest
 from ecad import cli, store
 from ecad.config import parse_config
 from ecad.dataset import write_idx_images, write_idx_labels
+from ecad.dispatch import EvalJob
 from ecad.genome import to_description
-from ecad.hwmodel import SystolicConfig, resource_estimate
+from ecad.hwmodel import resource_estimate
 from ecad.store import EcadDb
+from ecad.workers import make_hwdb_worker
 
 from helpers import LISTING_CONFIG, listing_doc, mlp_desc, time_limit
 
@@ -100,8 +102,7 @@ def test_infeasible_record_keeps_its_screen_metrics(tmp_path, hw_only_config):
     hw = parse_config(hw_only_config).hw
     infeasible = 0
     for rec in EcadDb(out / "ecad.db.jsonl").scan():
-        array = SystolicConfig.from_desc(to_description(rec.genome).systolic, freq_mhz=hw.freq)
-        dsp_est, mem_kb_est, feasible = resource_estimate(array, hw)
+        dsp_est, mem_kb_est, feasible = resource_estimate(to_description(rec.genome).systolic, hw)
         if feasible:
             continue
         infeasible += 1
@@ -617,3 +618,96 @@ def test_simulate_array_bad_params_dir(tmp_path, network_file, capsys, fault):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot load parameters from {params}: ")
+
+
+@pytest.mark.parametrize("command", ["simulate-array", "eval"])
+def test_array_flag_field_below_one_is_an_error(network_file, capsys, command):
+    argv = {"simulate-array": ["simulate-array"], "eval": ["eval", str(network_file)]}[command]
+    assert cli.main([*argv, "--cfg", "4,4,8,0,8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: systolic config: interleave must be >= 1, got 0\n"
+
+
+def _root_list(doc):
+    return [doc]
+
+
+def _layer_int(doc):
+    doc["layers"][0] = 5
+    return doc
+
+
+def _systolic_int(doc):
+    doc["systolic"] = 5
+    return doc
+
+
+def _width_null(doc):
+    doc["layers"][0]["out"] = None
+    return doc
+
+
+def _array_field_below_one(doc):
+    doc["systolic"] = {"rows": 0, "cols": 4, "vec": 8, "interleave": 8, "scale": -3}
+    return doc
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_root_list, "network description must be a JSON object, got list"),
+    (_layer_int, "layer entry must be a JSON object, got int"),
+    (_systolic_int, "systolic section must be a JSON object, got int"),
+    (_width_null, "int() argument must be"),
+    (_array_field_below_one, "systolic config: rows must be >= 1, got 0\n"),
+], ids=["root-list", "layer-int", "systolic-int", "width-null", "rows-0"])
+def test_description_refused_with_one_error_line(tmp_path, capsys, edit, message):
+    net, out = tmp_path / "net.json", tmp_path / "array.h"
+    net.write_text(json.dumps(edit(mlp_desc([784, 4, 10], batch=4, cfg=(2, 2, 2, 4, 2)).to_json())),
+                   encoding="utf-8")
+    assert cli.main(["actualize", str(net), str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: cannot load network description {net}: {message}")
+    assert not out.exists()
+
+
+def test_explicit_mnist_dir_must_exist(tmp_path, tiny_mnist, network_file, capsys, monkeypatch):
+    # the environment's dataset is the fallback only when no directory is named
+    monkeypatch.setenv("ECAD_MNIST_DIR", str(tiny_mnist))
+    assert cli._resolve_dataset(None, None).train_x.shape[0] == 6
+    missing = tmp_path / "no" / "such" / "dir"
+    argv = ["train", str(network_file), str(tmp_path / "dest"), "--mnist-dir", str(missing)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: MNIST directory not found: {missing}\n"
+    assert not (tmp_path / "dest").exists()
+
+
+def test_clock_comes_from_the_device_config(tmp_path, capsys):
+    # the (4, 4, 8, 8, 8) array is compute-bound on every Table 2 layer, so
+    # every time scales with the clock period
+    desc = mlp_desc([784, 196, 190, 150, 10], batch=64, cfg=(4, 4, 8, 8, 8))
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(desc.to_json()), encoding="utf-8")
+    configs = {}
+    for freq in (250, 300):
+        doc = listing_doc()
+        doc["hwConfig"]["freq"] = freq
+        configs[freq] = tmp_path / f"f{freq}.ecad.cfg"
+        configs[freq].write_text(json.dumps(doc), encoding="utf-8")
+    by_worker, by_eval = {}, {}
+    for freq, path in configs.items():
+        job = EvalJob(genome_id=0, eval_type="hwDBJob", network=desc)
+        by_worker[freq] = make_hwdb_worker(parse_config(path).hw)(job).metrics
+        assert cli.main(["eval", str(net), "--config", str(path)]) == 0
+        by_eval[freq] = json.loads(capsys.readouterr().out)
+    assert by_eval == by_worker
+    fast, slow = by_worker[300], by_worker[250]
+    assert fast["potential_gops"] == pytest.approx(76.8, rel=1e-12)
+    assert slow["potential_gops"] == pytest.approx(64.0, rel=1e-12)
+    for name in ("total_time_ms", "latency_ms"):
+        assert fast[name] == pytest.approx(slow[name] * 250 / 300, rel=1e-12)
+    for name in ("effective_gops", "img_per_s"):
+        assert fast[name] == pytest.approx(slow[name] * 300 / 250, rel=1e-12)

@@ -7,7 +7,7 @@ import pytest
 from ecad import hwmodel
 from ecad.cli import DEFAULT_HW
 from ecad.config import HW_METRICS, SYS_ARRAY, ConfigError, TraitSpec, parse_config
-from ecad.genome import mutate, spawn, to_description
+from ecad.genome import SystolicConfig, mutate, spawn, to_description
 
 from helpers import listing_doc, mlp_desc, time_limit
 
@@ -292,7 +292,7 @@ class TestValidation:
             parse_config(json.dumps(doc))
 
     def test_metric_names_are_the_estimate_keys(self):
-        est = hwmodel.estimate(mlp_desc([8, 4, 2], batch=2), hwmodel.SystolicConfig(2, 2, 2, 4, 2),
+        est = hwmodel.estimate(mlp_desc([8, 4, 2], batch=2), SystolicConfig(2, 2, 2, 4, 2),
                                DEFAULT_HW)
         assert HW_METRICS == tuple(est.metrics())
 

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from ecad.hwmodel import SystolicConfig, block_geometry, compute_cycles
+from ecad.genome import SystolicConfig
+from ecad.hwmodel import block_geometry, compute_cycles
 from ecad.nnsim import LayerParams
 from ecad.sysarray import (
     SimulationError,

@@ -45,9 +45,8 @@ def test_feasible_metrics_are_the_estimate(estimate_calls):
     desc = mlp_desc([784, 196, 10], batch=64, cfg=(4, 4, 8, 8, 8))
     res = run(desc)
     assert estimate_calls == [desc]
-    array = hwmodel.SystolicConfig.from_desc(desc.systolic, freq_mhz=DEFAULT_HW.freq)
     assert (res.status, res.diagnostics) == ("ok", "")
-    assert res.metrics == hwmodel.estimate(desc, array, DEFAULT_HW).metrics()
+    assert res.metrics == hwmodel.estimate(desc, desc.systolic, DEFAULT_HW).metrics()
     assert res.metrics["feasible"] == 1.0
 
 
@@ -59,8 +58,7 @@ def test_every_searched_design_matches_the_full_model(listing_cfg, estimate_call
     feasible = 0
     for gid in range(300):
         desc = to_description(spawn(listing_cfg, rng, gid))
-        array = hwmodel.SystolicConfig.from_desc(desc.systolic, freq_mhz=listing_cfg.hw.freq)
-        full = hwmodel.estimate(desc, array, listing_cfg.hw)
+        full = hwmodel.estimate(desc, desc.systolic, listing_cfg.hw)
         res = worker(EvalJob(genome_id=gid, eval_type="hwDBJob", network=desc))
         if full.feasible:
             feasible += 1
