@@ -48,7 +48,9 @@ def _load_description(path: str | Path) -> NetworkDescription:
 
 def _resolve_dataset(mnist_dir: str | None, train_subset: int | None) -> ds.Dataset:
     """Real MNIST from the flag's directory, which must exist; without the flag,
-    from $ECAD_MNIST_DIR or ./data/mnist when present, else synthetic."""
+    from $ECAD_MNIST_DIR or ./data/mnist when present, else synthetic. Pixels
+    stay 8-bit; ``train_subset`` 0 keeps no training rows, and the stand-in
+    then builds only its test split."""
     candidates = [mnist_dir] if mnist_dir else [os.environ.get("ECAD_MNIST_DIR"), "data/mnist"]
     for cand in candidates:
         if cand and Path(cand).is_dir():
@@ -59,7 +61,8 @@ def _resolve_dataset(mnist_dir: str | None, train_subset: int | None) -> ds.Data
             raise CliError(f"MNIST directory not found: {mnist_dir}")
         print("note: no MNIST IDX files found, using the synthetic stand-in dataset",
               file=sys.stderr)
-        data = ds.synthetic_mnist(seed=0)
+        data = (ds.synthetic_mnist(seed=0, n_train=0) if train_subset == 0
+                else ds.synthetic_mnist(seed=0))
     return data if train_subset is None else data.subset(train_subset)
 
 
@@ -153,8 +156,8 @@ def cmd_simulate_array(args: argparse.Namespace) -> int:
             params = nnsim.load_params(args.params_dir, [l.name for l in desc.layers])
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot load parameters from {args.params_dir}: {exc}") from exc
-        data = _resolve_dataset(args.mnist_dir, None)
-        x = data.test_x[:args.limit]
+        data = _resolve_dataset(args.mnist_dir, 0)
+        x = ds.to_float(data.test_x[:args.limit])
         y = data.test_y[:args.limit]
         outputs, stats = sysarray.run_network(desc, params, x, cfg=cfg)
         acc = float(np.mean(sysarray.classify(outputs) == np.argmax(y, axis=1)))

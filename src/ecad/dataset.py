@@ -1,4 +1,10 @@
-"""MNIST-style dataset loading: IDX files, normalization, one-hot labels."""
+"""MNIST-style datasets: IDX files, the synthetic stand-in, one-hot labels.
+
+Pixels are kept as the IDX files store them, one ``uint8`` per pixel in
+``(count, features)`` arrays, for the real set and the stand-in alike.
+``to_float`` is the one place where pixels become network inputs: it turns
+the rows a batch uses into float32 in [0, 1].
+"""
 
 from __future__ import annotations
 
@@ -28,14 +34,28 @@ class DatasetError(ValueError):
     pass
 
 
+def to_float(pixels: np.ndarray) -> np.ndarray:
+    """8-bit pixels as float32 network inputs in [0, 1]: value / 255."""
+    x = pixels.astype(np.float32)
+    x /= 255.0   # in place: float32 division, no float64 temporary
+    return x
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Flattened inputs in [0, 1] with one-hot labels, train and test splits."""
+    """Flattened 8-bit pixels (uint8, 0..255) with one-hot float32 labels,
+    train and test splits. ``to_float`` gives a batch's [0, 1] float32 inputs."""
 
     train_x: np.ndarray
     train_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("train_x", "test_x"):
+            dtype = getattr(self, name).dtype
+            if dtype != np.uint8:
+                raise DatasetError(f"{name} must hold uint8 pixels, got {dtype}")
 
     def subset(self, n_train: int) -> "Dataset":
         """First n_train training rows; the test split is kept whole.
@@ -108,9 +128,7 @@ def _load_split(dir_path: Path, images_stem: str, labels_stem: str) -> tuple[np.
         raise DatasetError(
             f"{labels_path}: label {labels.max()} is outside 0..{NUM_CLASSES - 1}"
         )
-    x = images.astype(np.float32)
-    x /= 255.0   # in place: no second full-size float32 copy
-    return x, one_hot(labels)
+    return images, one_hot(labels)
 
 
 def load_mnist(dir_path: str | Path) -> Dataset:
@@ -130,13 +148,17 @@ def synthetic_mnist(
     spread: float = 0.18,
     noise: float = 0.30,
 ) -> Dataset:
-    """Deterministic MNIST-shaped stand-in: noisy class prototypes in [0, 1].
+    """Deterministic MNIST-shaped stand-in: noisy class prototypes, 8-bit.
 
-    Used when the real IDX files are not available; same shapes, value range
-    and label encoding as the real dataset. The default spread/noise put a
-    small MLP in the mid-to-high nineties after a few epochs, so accuracy
-    behaves like a real classification task rather than saturating at 1.
+    Used when the real IDX files are not available; same shapes, pixel type
+    and label encoding as the real dataset. Each row is a class prototype
+    plus normal noise, clipped to [0, 1] in float32 and stored as the uint8
+    ``rint(v * 255)``. The default spread/noise put a small MLP in the
+    mid-to-high nineties after a few epochs, so accuracy behaves like a real
+    classification task rather than saturating at 1.
 
+    The test split is drawn before the training split, so ``n_train`` does
+    not change it: ``synthetic_mnist(n_train=0)`` has the default test split.
     The noise is drawn SYNTHETIC_CHUNK_ROWS rows at a time, so beyond the
     arrays it returns the build holds under 4 MiB of scratch at 784 features
     (one chunk's float64 draw, its float32 cast and prototype rows, plus the
@@ -149,18 +171,20 @@ def synthetic_mnist(
 
     def make(n: int) -> tuple[np.ndarray, np.ndarray]:
         labels = rng.integers(0, num_classes, size=n)
-        x = np.empty((n, num_features), dtype=np.float32)
+        x = np.empty((n, num_features), dtype=np.uint8)
         # row chunks draw the same normal stream as one (n, num_features) call
         # without its float64 intermediate
         for lo in range(0, n, SYNTHETIC_CHUNK_ROWS):
             rows = x[lo:lo + SYNTHETIC_CHUNK_ROWS]
-            noise_rows = rng.normal(0.0, noise, size=rows.shape).astype(np.float32)
-            np.add(prototypes[labels[lo:lo + rows.shape[0]]], noise_rows, out=rows)
-            np.clip(rows, 0.0, 1.0, out=rows)
+            v = rng.normal(0.0, noise, size=rows.shape).astype(np.float32)
+            v += prototypes[labels[lo:lo + rows.shape[0]]]
+            np.clip(v, 0.0, 1.0, out=v)
+            v *= 255
+            rows[...] = np.rint(v, out=v)
         return x, one_hot(labels, num_classes)
 
-    train_x, train_y = make(n_train)
     test_x, test_y = make(n_test)
+    train_x, train_y = make(n_train)
     return Dataset(train_x, train_y, test_x, test_y)
 
 

@@ -34,6 +34,13 @@ def _require_object(what: str, raw: Any) -> dict[str, Any]:
     return raw
 
 
+def _require_int(what: str, raw: Any) -> int:
+    # bool is an int subclass, and int() would truncate 2.7 or parse "4"
+    if type(raw) is not int:
+        raise GenomeError(f"{what} must be a JSON integer, got {json.dumps(raw)}")
+    return raw
+
+
 @dataclass(frozen=True)
 class CellState:
     """A cell instance plus its resolved trait values."""
@@ -270,15 +277,16 @@ class NetworkDescription:
     @classmethod
     def from_json(cls, raw: Any) -> "NetworkDescription":
         """Parse outside input. Raises GenomeError for a root, layer entry or
-        systolic section that is not a JSON object, an empty stack, a width,
+        systolic section that is not a JSON object, an id, width, batch or
+        array field that is not a JSON integer, an empty stack, a width,
         batch or array field below 1, an activation other than relu or none,
         a bias that is not a boolean, or widths that do not chain."""
         _require_object("network description", raw)
         layers = tuple(
             LayerDesc(
                 name=str(l["name"]),
-                in_features=int(l["in"]),
-                out_features=int(l["out"]),
+                in_features=_require_int(f"layer '{l['name']}': in", l["in"]),
+                out_features=_require_int(f"layer '{l['name']}': out", l["out"]),
                 activation=l["activation"],
                 bias=l["bias"],
             )
@@ -300,18 +308,18 @@ class NetworkDescription:
             if layer.in_features != prev.out_features:
                 raise GenomeError(f"layer '{layer.name}' takes {layer.in_features} inputs, "
                                   f"but '{prev.name}' gives {prev.out_features}")
-        batch = int(raw["batch"])
+        batch = _require_int("network description batch", raw["batch"])
         if batch < 1:
             raise GenomeError(f"network description batch must be >= 1, got {batch}")
         sys_raw = raw.get("systolic")
         if sys_raw is not None:
             _require_object("systolic section", sys_raw)
         return cls(
-            id=int(raw["id"]),
+            id=_require_int("network description id", raw["id"]),
             batch=batch,
             layers=layers,
             systolic=None if sys_raw is None else SystolicConfig(
-                *(int(sys_raw[name]) for name in ARRAY_FIELDS)),
+                *(_require_int(f"systolic {name}", sys_raw[name]) for name in ARRAY_FIELDS)),
         )
 
 

@@ -34,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, to_float
 from .genome import NetworkDescription
 
 ADAM_LR = 0.001
@@ -162,9 +162,11 @@ def grad(m: Mlp, batch: np.ndarray, labels: np.ndarray) -> list[LayerParams]:
 
 
 def accuracy(m: Mlp, x: np.ndarray, y: np.ndarray, chunk: int = 2048) -> float:
+    """Share of rows of 8-bit pixels ``x`` whose argmax logit is the one-hot
+    label's class; ``chunk`` rows at a time become float32 inputs."""
     hits = 0
     for lo in range(0, x.shape[0], chunk):
-        logits = forward(m, x[lo:lo + chunk])
+        logits = forward(m, to_float(x[lo:lo + chunk]))
         hits += int(np.sum(np.argmax(logits, axis=1) == np.argmax(y[lo:lo + chunk], axis=1)))
     return hits / x.shape[0]
 
@@ -207,8 +209,9 @@ def train(
     seed: int = 0,
     lr: float = ADAM_LR,
 ) -> tuple[Mlp, TrainReport]:
-    """Mini-batch Adam training; deterministic for a fixed seed. Test accuracy
-    is measured once, after the last epoch.
+    """Mini-batch Adam training; deterministic for a fixed seed. Each batch's
+    8-bit pixels become float32 inputs when it is gathered. Test accuracy is
+    measured once, after the last epoch.
 
     Raises TrainingDiverged on a non-finite loss.
     """
@@ -225,7 +228,7 @@ def train(
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
             idx = order[lo:lo + batch_size]
-            xb, yb = data.train_x[idx], data.train_y[idx]
+            xb, yb = to_float(data.train_x[idx]), data.train_y[idx]
             pre, post = _trace(m, xb)
             if not np.isfinite(post[-1]).all():
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, offset {lo}")

@@ -657,7 +657,7 @@ def _array_field_below_one(doc):
     (_root_list, "network description must be a JSON object, got list"),
     (_layer_int, "layer entry must be a JSON object, got int"),
     (_systolic_int, "systolic section must be a JSON object, got int"),
-    (_width_null, "int() argument must be"),
+    (_width_null, "layer 'dense00': out must be a JSON integer, got null\n"),
     (_array_field_below_one, "systolic config: rows must be >= 1, got 0\n"),
 ], ids=["root-list", "layer-int", "systolic-int", "width-null", "rows-0"])
 def test_description_refused_with_one_error_line(tmp_path, capsys, edit, message):
@@ -670,6 +670,39 @@ def test_description_refused_with_one_error_line(tmp_path, capsys, edit, message
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"error: cannot load network description {net}: {message}")
     assert not out.exists()
+
+
+def _set_field(path, value):
+    """Edit that sets the field at ``path`` (keys and list indices) of a description."""
+    def edit(doc):
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("command", ["eval", "actualize"])
+@pytest.mark.parametrize("path,value,message", [
+    (("systolic", "rows"), 2.7, "systolic rows must be a JSON integer, got 2.7"),
+    (("systolic", "scale"), 2.0, "systolic scale must be a JSON integer, got 2.0"),
+    (("layers", 0, "in"), 4.5, "layer 'dense00': in must be a JSON integer, got 4.5"),
+    (("layers", 1, "out"), "4", "layer 'Y': out must be a JSON integer, got \"4\""),
+    (("batch",), 1.9, "network description batch must be a JSON integer, got 1.9"),
+    (("id",), True, "network description id must be a JSON integer, got true"),
+], ids=["rows-2.7", "scale-2.0", "in-4.5", "out-string", "batch-1.9", "id-true"])
+def test_non_integer_description_number_refused(tmp_path, capsys, command, path, value, message):
+    net, out = tmp_path / "net.json", tmp_path / "array.h"
+    doc = _set_field(path, value)(mlp_desc([784, 4, 10], batch=4, cfg=(2, 2, 2, 4, 2)).to_json())
+    net.write_text(json.dumps(doc), encoding="utf-8")
+    argv = {"eval": ["eval", str(net)], "actualize": ["actualize", str(net), str(out)]}[command]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot load network description {net}: {message}\n"
+    assert sorted(tmp_path.iterdir()) == [net]
 
 
 def test_explicit_mnist_dir_must_exist(tmp_path, tiny_mnist, network_file, capsys, monkeypatch):

@@ -8,12 +8,14 @@ import pytest
 
 from ecad.dataset import (
     SYNTHETIC_CHUNK_ROWS,
+    Dataset,
     DatasetError,
     load_mnist,
     one_hot,
     read_idx_images,
     read_idx_labels,
     synthetic_mnist,
+    to_float,
     write_idx_images,
     write_idx_labels,
 )
@@ -61,8 +63,8 @@ class TestIdxFiles:
     def test_normalization_by_255(self, tmp_path):
         write_split(tmp_path, value=255)
         data = load_mnist(tmp_path)
-        assert np.all(data.train_x == 1.0)
-        assert data.train_x.dtype == np.float32
+        assert data.train_x.dtype == np.uint8 and np.all(data.train_x == 255)
+        assert np.all(to_float(data.train_x) == 1.0)
 
     def test_one_hot_rows_sum_to_one(self, tmp_path):
         write_split(tmp_path)
@@ -106,8 +108,9 @@ class TestIdxFiles:
         n_train, n_test = 2000, 500
         write_split(tmp_path, n_train=n_train, n_test=n_test, value=77)
         data, peak = traced_peak(lambda: load_mnist(tmp_path))
-        assert peak <= nbytes(data) + n_train * 784 + MiB
-        assert np.all(data.train_x == np.float32(77) / np.float32(255))
+        # the pixel arrays are the bytes read from the files, not a copy
+        assert peak <= nbytes(data) + MiB
+        assert data.train_x.dtype == np.uint8 and np.all(data.train_x == 77)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="missing IDX file"):
@@ -123,7 +126,7 @@ class TestIdxFiles:
                 fh.write(raw)
         data = load_mnist(tmp_path)
         assert data.train_x.shape == (12, 784)
-        assert np.allclose(data.train_x, 128 / 255)
+        assert data.train_x.dtype == np.uint8 and np.all(data.train_x == 128)
 
 
 class TestSynthetic:
@@ -131,7 +134,9 @@ class TestSynthetic:
         data = synthetic_mnist(seed=0, n_train=100, n_test=40)
         assert data.train_x.shape == (100, 784)
         assert data.test_y.shape == (40, 10)
-        assert data.train_x.min() >= 0.0 and data.train_x.max() <= 1.0
+        assert data.train_x.dtype == data.test_x.dtype == np.uint8
+        # the clip to [0, 1] is reached at both ends, so all 8 bits are used
+        assert data.train_x.min() == 0 and data.train_x.max() == 255
         assert np.array_equal(data.train_y.sum(axis=1), np.ones(100, dtype=np.float32))
 
     def test_deterministic(self):
@@ -160,15 +165,39 @@ class TestSynthetic:
         rng = np.random.default_rng(5)
         prototypes = (0.5 + 0.18 * (rng.uniform(0.0, 1.0, size=(classes, features)) - 0.5)).astype(np.float32)
         expected = []
-        for n in (n_train, n_test):
+        for n in (n_test, n_train):   # the test split is drawn first
             labels = rng.integers(0, classes, size=n)
             x = prototypes[labels] + rng.normal(0.0, 0.30, size=(n, features)).astype(np.float32)
-            expected += [np.clip(x, 0.0, 1.0), one_hot(labels, classes)]
+            expected += [np.rint(np.clip(x, 0.0, 1.0) * np.float32(255)).astype(np.uint8),
+                         one_hot(labels, classes)]
         data = synthetic_mnist(seed=5, n_train=n_train, n_test=n_test,
                                num_features=features, num_classes=classes)
-        for got, want in zip((data.train_x, data.train_y, data.test_x, data.test_y), expected):
-            assert got.dtype == want.dtype == np.float32
+        for got, want in zip((data.test_x, data.test_y, data.train_x, data.train_y), expected):
+            assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+    def test_test_split_does_not_depend_on_n_train(self):
+        full, test_only = synthetic_mnist(), synthetic_mnist(n_train=0)
+        assert test_only.train_x.shape == (0, 784)
+        assert test_only.test_x.tobytes() == full.test_x.tobytes()
+        assert test_only.test_y.tobytes() == full.test_y.tobytes()
+
+
+class TestPixels:
+    def test_to_float_of_every_byte(self):
+        got = to_float(np.arange(256, dtype=np.uint8))
+        want = np.arange(256).astype(np.float32) / np.float32(255)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("field", ["train_x", "test_x"])
+    def test_dataset_refuses_float_pixels(self, field):
+        labels = one_hot(np.zeros(4, dtype=int))
+        arrays = {"train_x": np.zeros((4, 8), dtype=np.uint8), "train_y": labels,
+                  "test_x": np.zeros((4, 8), dtype=np.uint8), "test_y": labels}
+        arrays[field] = arrays[field].astype(np.float32)
+        with pytest.raises(DatasetError, match=f"^{field} must hold uint8 pixels, got float32$"):
+            Dataset(**arrays)
 
 
 def test_one_hot_basic():

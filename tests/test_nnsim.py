@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ecad import nnsim
-from ecad.dataset import Dataset, synthetic_mnist
+from ecad.dataset import Dataset, synthetic_mnist, to_float
 from ecad.nnsim import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -160,7 +161,7 @@ class TestTrain:
             losses = []
             for epochs in (1, 2, 3):
                 m, _ = train(desc, data, epochs=epochs, batch_size=100, seed=seed)
-                losses.append(cross_entropy(forward(m, data.train_x), data.train_y))
+                losses.append(cross_entropy(forward(m, to_float(data.train_x)), data.train_y))
             if losses[0] >= losses[1] >= losses[2]:
                 good += 1
         assert good >= 0.95 * len(seeds)
@@ -189,10 +190,24 @@ class TestTrain:
         assert calls == [small_dataset.test_x.shape[0]]
         assert report.epochs == 3
 
+    def test_pixels_become_floats_per_batch(self):
+        # one float32 copy of this training split is 20,000 * 784 * 4 = 62.7 MB;
+        # training converts a batch at a time and the test split in 2,048-row
+        # chunks, so its peak is about 7.8 MB (6.3 MB of it the test chunk)
+        data = synthetic_mnist(seed=0, n_train=20000, n_test=2000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train(mlp_desc([784, 32, 10], batch=100), data, epochs=1, batch_size=100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * (1 << 20)
+
     def test_accuracy_definition(self, small_dataset):
         desc = mlp_desc([784, 16, 10], batch=50)
         mlp, report = train(desc, small_dataset, epochs=1, batch_size=100, seed=2)
-        logits = forward(mlp, small_dataset.test_x)
+        logits = forward(mlp, to_float(small_dataset.test_x))
         frac = np.mean(np.argmax(logits, axis=1) == np.argmax(small_dataset.test_y, axis=1))
         assert report.accuracy == frac
 
@@ -306,9 +321,9 @@ class TestParamsIo:
     def test_report_json_write(self, tmp_path):
         desc = mlp_desc([16, 8, 4], batch=2)
         data = Dataset(
-            train_x=np.random.default_rng(0).uniform(0, 1, (64, 16)).astype(np.float32),
+            train_x=np.random.default_rng(0).integers(0, 256, (64, 16), dtype=np.uint8),
             train_y=np.eye(4, dtype=np.float32)[np.random.default_rng(1).integers(0, 4, 64)],
-            test_x=np.random.default_rng(2).uniform(0, 1, (16, 16)).astype(np.float32),
+            test_x=np.random.default_rng(2).integers(0, 256, (16, 16), dtype=np.uint8),
             test_y=np.eye(4, dtype=np.float32)[np.random.default_rng(3).integers(0, 4, 16)],
         )
         _, report = train(desc, data, epochs=1, batch_size=8, seed=0)

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from ecad.dataset import to_float
 from ecad.genome import SystolicConfig
 from ecad.hwmodel import block_geometry, compute_cycles
 from ecad.nnsim import LayerParams
@@ -279,7 +280,7 @@ class TestRunNetwork:
         from ecad.nnsim import forward, train
         desc = mlp_desc([784, 32, 10], batch=64, cfg=(2, 4, 8, 8, 2))
         mlp, _ = train(desc, small_dataset, epochs=1, batch_size=100, seed=5)
-        x = small_dataset.test_x[:200]
+        x = to_float(small_dataset.test_x[:200])
         logits_sim, _ = run_network(desc, mlp.layers, x)
         logits_ref = forward(mlp, x)
         pred_sim = classify(logits_sim)
