@@ -3,9 +3,13 @@
 The configuration is a JSON document (conventionally ``*.ecad.cfg``) that
 declares the population parameters, the fitness objectives, the cell types
 with their mutable trait ranges, the target device budget, and the cell
-array describing the network skeleton. Include files are merged shallowly
-with the main file winning on key conflicts. Keys the search does not read
-are ignored, at the top level and inside each section.
+array describing the network skeleton. `parse_config` takes a file path or
+an already-parsed document. Include files are merged shallowly with the
+including document winning on key conflicts. Keys the search does not read
+are ignored, at the top level and inside each section. Every value it does
+read goes through `Fields`, which checks its JSON type and never coerces:
+``"active": "false"``, ``"maxPopSize": 40.9`` and ``"dsp": "1518"`` are
+refused. `genome.NetworkDescription.from_json` reads descriptions the same way.
 
 `parse_config` is the one place that checks the input; `engine`, `genome`
 and `workers` rely on what a config it returns guarantees, and do not check
@@ -28,11 +32,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 
 class ConfigError(ValueError):
@@ -53,16 +56,54 @@ def _is_comment_key(key: str) -> bool:
     return key == "comment" or key.endswith(("_comment", "-comment"))
 
 
-def _objects(where: str, raw: Any, comments: bool = False) -> list[dict[str, Any]]:
-    """The JSON objects of list `raw`, skipping string entries if `comments`;
-    any other shape raises a ConfigError naming `where`."""
-    if not isinstance(raw, list):
-        raise ConfigError(f"{where} must be a list of objects, got {type(raw).__name__}")
-    objs = [e for e in raw if not (comments and isinstance(e, str))]
-    for entry in objs:
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where} entry {entry!r} is not an object")
-    return objs
+_KINDS = {int: "integer", float: "number", bool: "boolean", str: "string", dict: "object",
+          list: "array"}
+_REQUIRED = object()
+
+
+def _shown(value: Any) -> str:
+    """`value` in an error message: an array or object by its kind, anything else as JSON."""
+    if type(value) in (dict, list):
+        return f"a JSON {_KINDS[type(value)]}"
+    return json.dumps(value, default=repr)
+
+
+class Fields:
+    """One JSON object whose values are read by declared kind, never coerced.
+
+    A kind is int (a JSON integer, so not 2.0, true or "4"), float (any JSON
+    number but a boolean, returned as a float), bool, str, dict or list. Each
+    refusal raises `error`, ConfigError for configs and GenomeError for network
+    descriptions, naming `where` and the key.
+    """
+
+    def __init__(self, raw: Any, where: str, error: type[ValueError] = ConfigError) -> None:
+        if type(raw) is not dict:
+            raise error(f"{where} must be a JSON object, got {_shown(raw)}")
+        self.raw, self.where, self.error = raw, where, error
+
+    def _checked(self, name: str, value: Any, kind: type) -> Any:
+        if type(value) is kind:
+            return value
+        if kind is float and type(value) is int:
+            return float(value)
+        raise self.error(f"{self.where}: {name} must be a JSON {_KINDS[kind]}, got {_shown(value)}")
+
+    def __call__(self, key: str, kind: type, default: Any = _REQUIRED) -> Any:
+        """The value at `key` as a `kind`; an absent key gives `default`, and
+        without one raises "<where>: missing key '<key>'"."""
+        if key in self.raw:
+            return self._checked(key, self.raw[key], kind)
+        if default is _REQUIRED:
+            raise self.error(f"{self.where}: missing key '{key}'")
+        return default
+
+    def items(self, key: str, kind: type, default: Any = _REQUIRED,
+              skip: type | None = None) -> list[Any]:
+        """The array at `key` without its entries of type `skip`; every other
+        entry must be a `kind`."""
+        return [self._checked(f"{key}[{i}]", entry, kind)
+                for i, entry in enumerate(self(key, list, default)) if type(entry) is not skip]
 
 
 @dataclass(frozen=True)
@@ -86,6 +127,8 @@ class TraitSpec:
                 raise ConfigError(
                     f"trait '{name}': minValue/maxValue must be multiples of modValue {self.mod_value}"
                 )
+        if self.func not in (None, "PowFunction"):
+            raise ConfigError(f"trait '{name}': unknown func '{self.func}'; only PowFunction is implemented")
         if self.func == "PowFunction" and (self.pow_value is None or self.pow_value < 2):
             raise ConfigError(f"trait '{name}': func PowFunction requires powValue >= 2, got {self.pow_value}")
         if self.change_rate is not None and not 0 <= self.change_rate <= 1:
@@ -112,13 +155,14 @@ class TraitSpec:
 
     @classmethod
     def from_json(cls, name: str, raw: dict[str, Any]) -> "TraitSpec":
+        f = Fields(raw, f"trait '{name}'")
         spec = cls(
-            min_value=int(raw["minValue"]),
-            max_value=int(raw["maxValue"]),
-            mod_value=int(raw["modValue"]) if "modValue" in raw else None,
-            pow_value=int(raw["powValue"]) if "powValue" in raw else None,
-            change_rate=float(raw["changeRate"]) if "changeRate" in raw else None,
-            func=raw.get("func"),
+            min_value=f("minValue", int),
+            max_value=f("maxValue", int),
+            mod_value=f("modValue", int, None),
+            pow_value=f("powValue", int, None),
+            change_rate=f("changeRate", float, None),
+            func=f("func", str, None),
         )
         spec.validate(name)
         return spec
@@ -166,17 +210,19 @@ class EvalTypeConfig:
 
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "EvalTypeConfig":
+        type_ = Fields(raw, "popConfigValues: evalTypes")("type", str)
+        f = Fields(raw, f"evalType '{type_}'")
         et = cls(
-            type=raw.get("type", ""),
-            weight=float(raw.get("weight", 1.0)),
-            min_value=float(raw["minValue"]),
-            max_value=float(raw["maxValue"]),
-            active=bool(raw.get("active", True)),
-            allow_overflow=bool(raw.get("allowOverflow", False)),
-            minimize=bool(raw.get("minimize", False)),
-            epochs=int(raw["epochs"]) if "epochs" in raw else None,
-            batch_size=int(raw["batchSize"]) if "batchSize" in raw else None,
-            metric=raw.get("metric"),
+            type=type_,
+            weight=f("weight", float, 1.0),
+            min_value=f("minValue", float),
+            max_value=f("maxValue", float),
+            active=f("active", bool, True),
+            allow_overflow=f("allowOverflow", bool, False),
+            minimize=f("minimize", bool, False),
+            epochs=f("epochs", int, None),
+            batch_size=f("batchSize", int, None),
+            metric=f("metric", str, None),
         )
         et.validate()
         return et
@@ -222,14 +268,15 @@ class PopConfig:
 
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "PopConfig":
+        f = Fields(raw, "popConfigValues")
         pop = cls(
-            initial_pop_size=int(raw["initialPopSize"]),
-            max_pop_size=int(raw["maxPopSize"]),
-            change_rate=float(raw["changeRate"]),
-            max_generations=int(raw["maxGenerations"]),
-            fitness_score_goal=float(raw.get("fitnessScoreGoal", math.inf)),
-            eval_types=tuple(map(EvalTypeConfig.from_json, _objects(
-                "popConfigValues: evalTypes", raw.get("evalTypes", []), comments=True))),
+            initial_pop_size=f("initialPopSize", int),
+            max_pop_size=f("maxPopSize", int),
+            change_rate=f("changeRate", float),
+            max_generations=f("maxGenerations", int),
+            fitness_score_goal=f("fitnessScoreGoal", float, math.inf),
+            # string entries are comments
+            eval_types=tuple(map(EvalTypeConfig.from_json, f.items("evalTypes", dict, [], skip=str))),
         )
         pop.validate()
         return pop
@@ -243,7 +290,7 @@ def _cell_types(raw: list[dict[str, Any]]) -> dict[str, dict[str, TraitSpec]]:
     """
     types: dict[str, dict[str, TraitSpec]] = {}
     for entry in raw:
-        ctype = entry.get("cell_type")
+        ctype = Fields(entry, "cellTypes")("cell_type", str)
         if ctype not in CELL_TYPES:
             raise ConfigError(f"unknown cell_type '{ctype}' in cellTypes")
         if ctype in types:
@@ -279,13 +326,14 @@ class HwConfig:
 
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "HwConfig":
+        f = Fields(raw, "hwConfig")
         hw = cls(
-            dsp=int(raw["dsp"]),
-            freq=float(raw["freq"]),
-            sram=float(raw["sram"]),
-            mem_banks=int(raw["mem_banks"]),
-            mem_speed=float(raw["mem_speed"]),
-            mem_rate=float(raw["mem_rate"]),
+            dsp=f("dsp", int),
+            freq=f("freq", float),
+            sram=f("sram", float),
+            mem_banks=f("mem_banks", int),
+            mem_speed=f("mem_speed", float),
+            mem_rate=f("mem_rate", float),
         )
         hw.validate()
         return hw
@@ -324,14 +372,16 @@ class CellInstance:
 
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "CellInstance":
+        name = Fields(raw, "cellArray")("cell_name", str)
+        f = Fields(raw, f"cell '{name}'")
         return cls(
-            cell_type=str(raw["cell_type"]),
-            cell_name=str(raw["cell_name"]),
-            input=str(raw["input"]),
-            output=str(raw["output"]),
-            input_size=int(raw["input_size"]) if "input_size" in raw else None,
-            output_size=int(raw["output_size"]) if "output_size" in raw else None,
-            fixed=bool(raw.get("fixed", False)),
+            cell_type=f("cell_type", str),
+            cell_name=name,
+            input=f("input", str),
+            output=f("output", str),
+            input_size=f("input_size", int, None),
+            output_size=f("output_size", int, None),
+            fixed=f("fixed", bool, False),
         )
 
 
@@ -441,84 +491,58 @@ def _validate(cfg: EcadConfig) -> EcadConfig:
     return replace(cfg, cell_array=chain)
 
 
-def _read_doc(path: Path, what: str, loading: tuple[Path, ...]) -> dict[str, Any]:
-    """`loading` holds the resolved files being read, to catch an include cycle."""
-    key = path.resolve()
-    if key in loading:
-        raise ConfigError(f"include cycle: {' -> '.join(map(str, (*loading, key)))}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"{what} not found: {path}") from None
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
-    return _load_doc(text, path.parent.resolve(), (*loading, key))
-
-
-def _load_doc(text: str, base_dir: Path | None, loading: tuple[Path, ...]) -> dict[str, Any]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    includes = doc.get("includes", [])
-    if not isinstance(includes, list) or not all(isinstance(inc, str) for inc in includes):
-        raise ConfigError(f"includes must be a list of file names, got {includes!r}")
+def _document(source: str | Path | dict[str, Any], what: str = "config file",
+              loading: tuple[Path, ...] = ()) -> dict[str, Any]:
+    """The document at path `source`, or `source` itself when it is a dict,
+    with its includes merged in. A relative include is resolved against the
+    including file's directory, so a dict may not have one. `loading` holds
+    the resolved files being read, to catch an include cycle."""
+    base_dir = None
+    if isinstance(source, dict):
+        doc = source
+    else:
+        path = Path(source)
+        key = path.resolve()
+        if key in loading:
+            raise ConfigError(f"include cycle: {' -> '.join(map(str, (*loading, key)))}")
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            raise ConfigError(f"{what} not found: {path}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config syntax error at line {exc.lineno}, column {exc.colno}: "
+                              f"{exc.msg}") from None
+        base_dir, loading = path.parent.resolve(), (*loading, key)
     merged: dict[str, Any] = {}
-    for inc in includes:
+    for inc in Fields(doc, "config").items("includes", str, []):
         inc_path = Path(inc)
         if not inc_path.is_absolute():
             if base_dir is None:
                 raise ConfigError(f"include '{inc}' is relative but the config was not loaded from a file")
             inc_path = base_dir / inc_path
-        merged.update(_read_doc(inc_path, "include file", loading))
-    merged.update(doc)   # main file wins on conflicts
+        merged.update(_document(inc_path, "include file", loading))
+    merged.update(doc)   # the including document wins on conflicts
     return merged
 
 
-def parse_config(source: str | Path) -> EcadConfig:
-    """Parse a Path, a str naming an existing file, or other JSON text into a
-    validated EcadConfig. Include files are resolved relative to the including
-    file and merged shallowly (main file keys win). Keys the search does not
-    read are ignored.
+def parse_config(source: str | Path | dict[str, Any]) -> EcadConfig:
+    """Parse a config file, named by a str or Path, or an already-parsed JSON
+    document (a dict), into a validated EcadConfig. Include files are resolved
+    relative to the including file and merged shallowly (the including keys
+    win), so a dict may only include absolute paths. Each value the search
+    reads must have its JSON type (see `Fields`); other keys are ignored.
     """
-    if isinstance(source, Path) or ("\n" not in source and os.path.exists(source)):
-        doc = _read_doc(Path(source), "config file", ())
-    else:
-        doc = _load_doc(source, None, ())
-
-    pop_raw = doc.get("popConfigValues")
-    if not isinstance(pop_raw, dict):
-        raise ConfigError("missing 'popConfigValues'")
-    hw_raw = doc.get("hwConfig")
-    if not isinstance(hw_raw, dict):
-        raise ConfigError("missing 'hwConfig'")
-    trait_raw = doc.get("traitConfigValues", {})
-    if not isinstance(trait_raw, dict):
-        raise ConfigError(f"traitConfigValues must be an object, got {type(trait_raw).__name__}")
-
-    def section(key: str, build: Callable[[], Any]) -> Any:
-        try:
-            return build()
-        except KeyError as exc:
-            raise ConfigError(f"{key}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"{key}: bad value: {exc}") from None
-
+    doc = Fields(_document(source), "config")
+    trait = Fields(doc("traitConfigValues", dict, {}), "traitConfigValues")
     cfg = EcadConfig(
-        name=str(doc.get("name", "")),
-        version=str(doc.get("version", "")),
-        pop=section("popConfigValues", lambda: PopConfig.from_json(pop_raw)),
-        def_change_rate=section("traitConfigValues", lambda: float(
-            trait_raw.get("defChangeRate", 0.1))),
-        cell_types=section("cellTypes", lambda: _cell_types(
-            _objects("cellTypes", doc.get("cellTypes", [])))),
-        hw=section("hwConfig", lambda: HwConfig.from_json(hw_raw)),
-        cell_array=section("cellArray", lambda: tuple(map(
-            CellInstance.from_json, _objects("cellArray", doc.get("cellArray", []))))),
+        name=doc("name", str, ""),
+        version=doc("version", str, ""),
+        pop=PopConfig.from_json(doc("popConfigValues", dict)),
+        def_change_rate=trait("defChangeRate", float, 0.1),
+        cell_types=_cell_types(doc.items("cellTypes", dict, [])),
+        hw=HwConfig.from_json(doc("hwConfig", dict)),
+        cell_array=tuple(map(CellInstance.from_json, doc.items("cellArray", dict, []))),
     )
     return _validate(cfg)
-

@@ -63,10 +63,7 @@ class ScoreCard:
         if not self.is_complete(pop):
             missing = [et.type for et in pop.active_eval_types() if et.type not in self.scores]
             raise ValueError(f"score card missing objectives: {missing}")
-        terms = sorted(
-            (et.type, et.weight * self.scores[et.type]) for et in pop.active_eval_types()
-        )
-        return math.fsum(t for _, t in terms)
+        return math.fsum(et.weight * self.scores[et.type] for et in pop.active_eval_types())
 
     def raw_metric(self, eval_type: str, name: str) -> float | None:
         return self.metrics.get(eval_type, {}).get(name)

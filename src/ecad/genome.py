@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Any
 
 from .config import (SYS_ARRAY, SYS_COLS, SYS_INTRLV, SYS_ROWS, CellInstance, EcadConfig,
-                     TraitSpec)
+                     Fields, TraitSpec)
 
 _MUTATE_RETRIES = 16
 
@@ -26,19 +26,6 @@ CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 class GenomeError(ValueError):
     pass
-
-
-def _require_object(what: str, raw: Any) -> dict[str, Any]:
-    if not isinstance(raw, dict):
-        raise GenomeError(f"{what} must be a JSON object, got {type(raw).__name__}")
-    return raw
-
-
-def _require_int(what: str, raw: Any) -> int:
-    # bool is an int subclass, and int() would truncate 2.7 or parse "4"
-    if type(raw) is not int:
-        raise GenomeError(f"{what} must be a JSON integer, got {json.dumps(raw)}")
-    return raw
 
 
 @dataclass(frozen=True)
@@ -276,22 +263,17 @@ class NetworkDescription:
 
     @classmethod
     def from_json(cls, raw: Any) -> "NetworkDescription":
-        """Parse outside input. Raises GenomeError for a root, layer entry or
-        systolic section that is not a JSON object, an id, width, batch or
-        array field that is not a JSON integer, an empty stack, a width,
-        batch or array field below 1, an activation other than relu or none,
-        a bias that is not a boolean, or widths that do not chain."""
-        _require_object("network description", raw)
-        layers = tuple(
-            LayerDesc(
-                name=str(l["name"]),
-                in_features=_require_int(f"layer '{l['name']}': in", l["in"]),
-                out_features=_require_int(f"layer '{l['name']}': out", l["out"]),
-                activation=l["activation"],
-                bias=l["bias"],
-            )
-            for l in (_require_object("layer entry", entry) for entry in raw["layers"])
-        )
+        """Parse outside input, reading each value by its JSON type (see
+        `config.Fields`). Raises GenomeError for a missing key or a value of
+        the wrong type, an empty stack, a width, batch or array field below 1,
+        an activation other than relu or none, or widths that do not chain."""
+        desc = Fields(raw, "network description", GenomeError)
+        layers = []
+        for i, entry in enumerate(desc.items("layers", dict)):
+            name = Fields(entry, f"network description: layers[{i}]", GenomeError)("name", str)
+            layer = Fields(entry, f"layer '{name}'", GenomeError)
+            layers.append(LayerDesc(name, layer("in", int), layer("out", int),
+                                    layer("activation", str), layer("bias", bool)))
         if not layers:
             raise GenomeError("network description has no layers")
         for layer in layers:
@@ -301,25 +283,21 @@ class NetworkDescription:
             if layer.activation not in ("relu", "none"):
                 raise GenomeError(f"layer '{layer.name}': activation must be 'relu' or 'none', "
                                   f"got {layer.activation!r}")
-            if not isinstance(layer.bias, bool):
-                raise GenomeError(f"layer '{layer.name}': bias must be true or false, "
-                                  f"got {layer.bias!r}")
         for prev, layer in zip(layers, layers[1:]):
             if layer.in_features != prev.out_features:
                 raise GenomeError(f"layer '{layer.name}' takes {layer.in_features} inputs, "
                                   f"but '{prev.name}' gives {prev.out_features}")
-        batch = _require_int("network description batch", raw["batch"])
+        batch = desc("batch", int)
         if batch < 1:
             raise GenomeError(f"network description batch must be >= 1, got {batch}")
-        sys_raw = raw.get("systolic")
-        if sys_raw is not None:
-            _require_object("systolic section", sys_raw)
+        sys_raw = desc("systolic", dict, None)
+        array = None if sys_raw is None else Fields(sys_raw, "systolic", GenomeError)
         return cls(
-            id=_require_int("network description id", raw["id"]),
+            id=desc("id", int),
             batch=batch,
-            layers=layers,
-            systolic=None if sys_raw is None else SystolicConfig(
-                *(_require_int(f"systolic {name}", sys_raw[name]) for name in ARRAY_FIELDS)),
+            layers=tuple(layers),
+            systolic=None if array is None else SystolicConfig(
+                *(array(name, int) for name in ARRAY_FIELDS)),
         )
 
 

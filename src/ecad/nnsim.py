@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
@@ -66,7 +65,6 @@ class TrainReport:
     name: str
     accuracy: float
     epochs: int
-    training_time: float
     batch_size: int
 
     def to_json(self) -> dict[str, Any]:
@@ -217,7 +215,6 @@ def train(
     """
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
-    t0 = time.perf_counter()
     flat, m = _init_params(desc, seed, np.float32)
     grad_flat, grads = _flat_layers([p.weights.shape for p in m.layers], flat.dtype)
     opt = _Adam(flat, lr=lr)
@@ -239,7 +236,6 @@ def train(
         name=str(desc.id),
         accuracy=accuracy(m, data.test_x, data.test_y),
         epochs=epochs,
-        training_time=time.perf_counter() - t0,
         batch_size=batch_size,
     )
     return m, report

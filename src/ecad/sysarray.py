@@ -194,7 +194,3 @@ def run_network(
         )
         per_layer.append(layer_stats)
     return x, per_layer
-
-
-def classify(logits: np.ndarray) -> np.ndarray:
-    return np.argmax(logits, axis=1)

@@ -316,14 +316,14 @@ def _sys_scale_zero(doc):
 
 @pytest.mark.parametrize("edit,message", [
     (_drop_dsp, "hwConfig: missing key 'dsp'"),
-    (_dsp_lots, "hwConfig: bad value: invalid literal for int() with base 10: 'lots'"),
+    (_dsp_lots, 'hwConfig: dsp must be a JSON integer, got "lots"'),
     (_drop_max_pop_size, "popConfigValues: missing key 'maxPopSize'"),
     (_drop_cell_name, "cellArray: missing key 'cell_name'"),
     (_activate_phys_job, "evalType 'physJob' has no worker; it must be inactive"),
     (_pow_value_one, "trait 'dense.sys_cols': func PowFunction requires powValue >= 2, got 1"),
-    (_trait_values_list, "traitConfigValues must be an object, got list"),
-    (_eval_type_int, "popConfigValues: evalTypes entry 5 is not an object"),
-    (_cell_types_object, "cellTypes must be a list of objects, got dict"),
+    (_trait_values_list, "config: traitConfigValues must be a JSON object, got a JSON array"),
+    (_eval_type_int, "popConfigValues: evalTypes[3] must be a JSON object, got 5"),
+    (_cell_types_object, "config: cellTypes must be a JSON array, got a JSON object"),
     (_inner_input_cell, "cell 'relu00' of type 'input' is cell 3 of 4; "
                         "the chain must run from one input cell to one output cell"),
     (_drop_input_size, "input cell 'X': input_size must be >= 1, got None"),
@@ -385,8 +385,8 @@ def _includes_directory(directory):
     (None, "config file not found: {dir}/main.ecad.cfg"),
     (_self_include, "include cycle: {dir}/main.ecad.cfg -> {dir}/main.ecad.cfg"),
     (_include_cycle, "include cycle: {dir}/main.ecad.cfg -> {dir}/a.cfg -> {dir}/b.cfg -> {dir}/a.cfg"),
-    (_includes_string, "includes must be a list of file names, got 'GlobalSettings.ecad.cfg'"),
-    (_includes_int, "includes must be a list of file names, got [5]"),
+    (_includes_string, 'config: includes must be a JSON array, got "GlobalSettings.ecad.cfg"'),
+    (_includes_int, "config: includes[0] must be a JSON string, got 5"),
     (_includes_directory, "cannot read include file {dir}: Is a directory"),
 ], ids=["missing-file", "self-include", "include-cycle", "includes-string", "includes-int",
         "includes-directory"])
@@ -531,7 +531,7 @@ def _batch_0(doc):
     (_sigmoid, "cannot load network description {net}: "
                "layer 'dense00': activation must be 'relu' or 'none', got 'sigmoid'"),
     (_bias_string, "cannot load network description {net}: "
-                   "layer 'dense00': bias must be true or false, got 'false'"),
+                   "layer 'dense00': bias must be a JSON boolean, got \"false\""),
     (_width_0, "cannot load network description {net}: "
                "layer 'dense00' maps 784 inputs to 0 outputs; both must be >= 1"),
     (_batch_0, "cannot load network description {net}: "
@@ -599,6 +599,16 @@ def test_train_rejects_label_outside_classes(tmp_path, network_file, capsys):
     assert not (tmp_path / "dest").exists()
 
 
+def test_train_report_is_byte_reproducible(tmp_path, tiny_mnist, network_file, capsys):
+    # the report holds no wall-clock time, so one seed gives one file
+    dests = [tmp_path / "a", tmp_path / "b"]
+    for dest in dests:
+        assert cli.main(["train", str(network_file), str(dest), "--epochs", "2",
+                         "--batch-size", "3", "--seed", "4", "--mnist-dir", str(tiny_mnist)]) == 0
+    assert "s); report in" in capsys.readouterr().out   # the time is still printed
+    assert (dests[0] / "report.json").read_bytes() == (dests[1] / "report.json").read_bytes()
+
+
 def write_bin(path, dims, values):
     path.write_bytes(struct.pack("<4i", *dims) + struct.pack(f"<{len(values)}f", *values))
 
@@ -648,18 +658,30 @@ def _width_null(doc):
     return doc
 
 
+def _layer_name_null(doc):
+    doc["layers"][1]["name"] = None
+    return doc
+
+
+def _no_layers_key(doc):
+    del doc["layers"]
+    return doc
+
+
 def _array_field_below_one(doc):
     doc["systolic"] = {"rows": 0, "cols": 4, "vec": 8, "interleave": 8, "scale": -3}
     return doc
 
 
 @pytest.mark.parametrize("edit,message", [
-    (_root_list, "network description must be a JSON object, got list"),
-    (_layer_int, "layer entry must be a JSON object, got int"),
-    (_systolic_int, "systolic section must be a JSON object, got int"),
+    (_root_list, "network description must be a JSON object, got a JSON array"),
+    (_layer_int, "network description: layers[0] must be a JSON object, got 5"),
+    (_systolic_int, "network description: systolic must be a JSON object, got 5"),
     (_width_null, "layer 'dense00': out must be a JSON integer, got null\n"),
     (_array_field_below_one, "systolic config: rows must be >= 1, got 0\n"),
-], ids=["root-list", "layer-int", "systolic-int", "width-null", "rows-0"])
+    (_layer_name_null, "network description: layers[1]: name must be a JSON string, got null\n"),
+    (_no_layers_key, "network description: missing key 'layers'\n"),
+], ids=["root-list", "layer-int", "systolic-int", "width-null", "rows-0", "name-null", "no-layers-key"])
 def test_description_refused_with_one_error_line(tmp_path, capsys, edit, message):
     net, out = tmp_path / "net.json", tmp_path / "array.h"
     net.write_text(json.dumps(edit(mlp_desc([784, 4, 10], batch=4, cfg=(2, 2, 2, 4, 2)).to_json())),
@@ -686,12 +708,12 @@ def _set_field(path, value):
 
 @pytest.mark.parametrize("command", ["eval", "actualize"])
 @pytest.mark.parametrize("path,value,message", [
-    (("systolic", "rows"), 2.7, "systolic rows must be a JSON integer, got 2.7"),
-    (("systolic", "scale"), 2.0, "systolic scale must be a JSON integer, got 2.0"),
+    (("systolic", "rows"), 2.7, "systolic: rows must be a JSON integer, got 2.7"),
+    (("systolic", "scale"), 2.0, "systolic: scale must be a JSON integer, got 2.0"),
     (("layers", 0, "in"), 4.5, "layer 'dense00': in must be a JSON integer, got 4.5"),
     (("layers", 1, "out"), "4", "layer 'Y': out must be a JSON integer, got \"4\""),
-    (("batch",), 1.9, "network description batch must be a JSON integer, got 1.9"),
-    (("id",), True, "network description id must be a JSON integer, got true"),
+    (("batch",), 1.9, "network description: batch must be a JSON integer, got 1.9"),
+    (("id",), True, "network description: id must be a JSON integer, got true"),
 ], ids=["rows-2.7", "scale-2.0", "in-4.5", "out-string", "batch-1.9", "id-true"])
 def test_non_integer_description_number_refused(tmp_path, capsys, command, path, value, message):
     net, out = tmp_path / "net.json", tmp_path / "array.h"

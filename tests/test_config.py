@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,7 @@ from ecad.cli import DEFAULT_HW
 from ecad.config import HW_METRICS, SYS_ARRAY, ConfigError, TraitSpec, parse_config
 from ecad.genome import SystolicConfig, mutate, spawn, to_description
 
-from helpers import listing_doc, mlp_desc, time_limit
+from helpers import LISTING_CONFIG, listing_doc, mlp_desc, time_limit
 
 
 def minimal_doc(**overrides):
@@ -131,7 +132,7 @@ class TestParseListing:
     def test_metric_override_preserved(self):
         doc = minimal_doc()
         doc["popConfigValues"]["evalTypes"][0]["metric"] = "img_per_s"
-        cfg = parse_config(json.dumps(doc))
+        cfg = parse_config(doc)
         assert cfg.pop.eval_types[0].scored_metric == "img_per_s"
 
     def test_comment_keys_ignored(self):
@@ -139,17 +140,39 @@ class TestParseListing:
         trait_shaped = {"minValue": 2, "maxValue": 4}
         doc["cellTypes"][1].update({"comment": trait_shaped, "neurons_comment": trait_shaped,
                                     "sys_rows-comment": trait_shaped})
-        dense = parse_config(json.dumps(doc)).cell_types["dense"]
+        dense = parse_config(doc).cell_types["dense"]
         assert not {"comment", "neurons_comment", "sys_rows-comment"} & dense.keys()
         assert dense["neurons"].legal_values()[-1] == 16
 
     def test_unread_keys_ignored(self):
-        plain = parse_config(json.dumps(minimal_doc()))
+        plain = parse_config(minimal_doc())
         doc = minimal_doc(custom_key={"anything": 1}, netConfig={"netType": "cnn"},
                           cellConfigValues=[1, 2])
         doc["popConfigValues"]["minIndivEvalCompleteBeforeFitSelect"] = 10_000
         doc["cellTypes"][1]["HWGenMode"] = "MSA"
-        assert parse_config(json.dumps(doc)) == plain
+        assert parse_config(doc) == plain
+
+
+class TestSources:
+    def test_path_str_and_document_agree(self):
+        cfg = parse_config(LISTING_CONFIG)
+        assert parse_config(str(LISTING_CONFIG)) == cfg
+        assert parse_config(listing_doc()) == cfg
+
+    def test_missing_file_named_by_str(self):
+        # a str is always a path, never JSON text
+        with pytest.raises(ConfigError, match="config file not found: no/such.cfg"):
+            parse_config("no/such.cfg")
+
+    def test_relative_include_in_document_refused(self):
+        with pytest.raises(ConfigError, match="include 'base.cfg' is relative"):
+            parse_config(minimal_doc(includes=["base.cfg"]))
+
+    def test_absolute_include_in_document(self, tmp_path):
+        (tmp_path / "base.cfg").write_text(json.dumps({"name": "from-include"}))
+        doc = minimal_doc(includes=[str(tmp_path / "base.cfg")])
+        del doc["name"]
+        assert parse_config(doc).name == "from-include"
 
 
 class TestIncludes:
@@ -188,49 +211,50 @@ class TestIncludes:
 class TestValidation:
     def test_empty_cell_array(self):
         with pytest.raises(ConfigError, match="empty cell array"):
-            parse_config(json.dumps(minimal_doc(cellArray=[])))
+            parse_config(minimal_doc(cellArray=[]))
 
     def test_unknown_cell_type_named(self):
         doc = minimal_doc()
         doc["cellArray"][1]["cell_type"] = "conv"
         with pytest.raises(ConfigError, match="conv"):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
 
     def test_broken_chain(self):
         doc = minimal_doc()
         doc["cellArray"][1]["output"] = "missing_cell"
         with pytest.raises(ConfigError, match="missing_cell"):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
 
     def test_cycle_detected(self):
         doc = minimal_doc()
         doc["cellArray"][3]["output"] = "d0"
         with pytest.raises(ConfigError):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
 
     def test_duplicate_names(self):
         doc = minimal_doc()
         doc["cellArray"][2]["cell_name"] = "d0"
         with pytest.raises(ConfigError, match="unique"):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
 
-    def test_syntax_error_position(self):
-        with pytest.raises(ConfigError, match="line"):
-            parse_config("{\n  broken json\n}")
+    def test_syntax_error_position(self, tmp_path):
+        (tmp_path / "broken.cfg").write_text("{\n  broken json\n}")
+        with pytest.raises(ConfigError, match="line 2, column 3"):
+            parse_config(tmp_path / "broken.cfg")
 
     def test_pop_invariants(self):
         doc = minimal_doc()
         doc["popConfigValues"]["initialPopSize"] = 10
         doc["popConfigValues"]["maxPopSize"] = 5
         with pytest.raises(ConfigError, match="initialPopSize"):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
 
     def test_eval_bounds(self):
         doc = minimal_doc()
         doc["popConfigValues"]["evalTypes"][0]["minValue"] = 5
         doc["popConfigValues"]["evalTypes"][0]["maxValue"] = 5
         with pytest.raises(ConfigError, match="minValue"):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
 
     @pytest.mark.parametrize("change_rate,max_pop", [(1.0, 4), (0.99, 40)])
     def test_children_that_fill_population(self, change_rate, max_pop):
@@ -238,9 +262,9 @@ class TestValidation:
         doc["popConfigValues"]["changeRate"] = change_rate
         doc["popConfigValues"]["maxPopSize"] = max_pop
         with pytest.raises(ConfigError, match=rf"changeRate {change_rate} with maxPopSize {max_pop}"):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
         doc["popConfigValues"]["maxGenerations"] = 1   # no children are ever made
-        assert parse_config(json.dumps(doc)).pop.change_rate == change_rate
+        assert parse_config(doc).pop.change_rate == change_rate
 
     @pytest.mark.parametrize("value", [0, -2])
     def test_sim_epochs_at_least_one(self, value):
@@ -248,7 +272,7 @@ class TestValidation:
         doc["popConfigValues"]["evalTypes"].append(
             {"type": "simJob", "minValue": 0, "maxValue": 1, "epochs": value})
         with pytest.raises(ConfigError, match=rf"simJob': epochs must be >= 1, got {value}"):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
 
     @pytest.mark.parametrize("value", [0, -100])
     def test_sim_batch_size_at_least_one(self, value):
@@ -256,7 +280,7 @@ class TestValidation:
         doc["popConfigValues"]["evalTypes"].append(
             {"type": "simJob", "minValue": 0, "maxValue": 1, "batchSize": value})
         with pytest.raises(ConfigError, match=rf"simJob': batchSize must be >= 1, got {value}"):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
 
     @pytest.mark.parametrize("active", [{"active": True}, {}])
     def test_active_phys_job_rejected(self, active):
@@ -265,13 +289,13 @@ class TestValidation:
         doc["popConfigValues"]["evalTypes"].append(
             {"type": "physJob", "minValue": 0, "maxValue": 1, **active})
         with pytest.raises(ConfigError, match="evalType 'physJob' has no worker"):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
 
     def test_no_active_eval_type(self):
         doc = minimal_doc()
         doc["popConfigValues"]["evalTypes"][0]["active"] = False
         with pytest.raises(ConfigError, match="no active evalType"):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
 
     @pytest.mark.parametrize("active", [True, False])
     def test_eval_type_listed_twice(self, active):
@@ -279,7 +303,7 @@ class TestValidation:
         doc["popConfigValues"]["evalTypes"].append(
             {"type": "hwDBJob", "weight": 5, "minValue": 0, "maxValue": 1e9, "active": active})
         with pytest.raises(ConfigError, match="evalType 'hwDBJob' is listed twice"):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
 
     @pytest.mark.parametrize("entry,message", [
         ({"type": "hwDBJob", "metric": "effective_gop"}, "unknown metric 'effective_gop'"),
@@ -289,7 +313,7 @@ class TestValidation:
         doc = minimal_doc()
         doc["popConfigValues"]["evalTypes"] = [{"minValue": 0, "maxValue": 1, **entry}]
         with pytest.raises(ConfigError, match=message):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
 
     def test_metric_names_are_the_estimate_keys(self):
         est = hwmodel.estimate(mlp_desc([8, 4, 2], batch=2), SystolicConfig(2, 2, 2, 4, 2),
@@ -301,20 +325,20 @@ class TestValidation:
         doc = listing_doc()
         dense = next(ct for ct in doc["cellTypes"] if ct["cell_type"] == "dense")
         dense["sys_intrlv"] = {"minValue": 2, "maxValue": 128, "modValue": 2}
-        cfg = parse_config(json.dumps(doc))
+        cfg = parse_config(doc)
         rng = random.Random(0)
         g = spawn(cfg, rng, 0)
         for gid in range(1, 1001):
             g = mutate(g, cfg, rng, gid)
         dense["sys_rows"] = {"minValue": 2, "maxValue": 66, "modValue": 2}
         with pytest.raises(ConfigError, match=r"dense.sys_intrlv': no power of two >= 130"):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
 
     def test_interleave_range_without_a_power_of_two(self):
         doc = minimal_doc()
         doc["cellTypes"][1]["sys_intrlv"] = {"minValue": 0, "maxValue": 0, "modValue": 2}
         with pytest.raises(ConfigError, match=r"no power of two >= 8 within \[0, 0\]"):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
 
     def test_sim_only_dense_without_array_traits_parses(self):
         doc = minimal_doc()
@@ -322,7 +346,7 @@ class TestValidation:
             {"type": "simJob", "minValue": 0.9, "maxValue": 1, "epochs": 1, "batchSize": 10}]
         for name in SYS_ARRAY:
             del doc["cellTypes"][1][name]
-        cfg = parse_config(json.dumps(doc))
+        cfg = parse_config(doc)
         assert set(cfg.cell_types["dense"]) == {"neurons", "enableBias"}
         assert to_description(spawn(cfg, random.Random(0), 0)).systolic is None
 
@@ -355,13 +379,42 @@ class TestValidation:
         doc = minimal_doc()
         edit(doc)
         with pytest.raises(ConfigError, match=message):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d["popConfigValues"]["evalTypes"][0].update(active="false"),
+         "evalType 'hwDBJob': active must be a JSON boolean, got \"false\""),
+        (lambda d: d["popConfigValues"]["evalTypes"][0].update(allowOverflow="false"),
+         "evalType 'hwDBJob': allowOverflow must be a JSON boolean, got \"false\""),
+        (lambda d: d["popConfigValues"]["evalTypes"][0].update(minimize="false"),
+         "evalType 'hwDBJob': minimize must be a JSON boolean, got \"false\""),
+        (lambda d: d["popConfigValues"].update(maxPopSize=40.9),
+         "popConfigValues: maxPopSize must be a JSON integer, got 40.9"),
+        (lambda d: d["popConfigValues"]["evalTypes"].append(
+            {"type": "simJob", "minValue": 0, "maxValue": 1, "epochs": 4.5}),
+         "evalType 'simJob': epochs must be a JSON integer, got 4.5"),
+        (lambda d: d["popConfigValues"]["evalTypes"].append(
+            {"type": "simJob", "minValue": 0, "maxValue": 1, "batchSize": True}),
+         "evalType 'simJob': batchSize must be a JSON integer, got true"),
+        (lambda d: d["hwConfig"].update(dsp="1518"),
+         "hwConfig: dsp must be a JSON integer, got \"1518\""),
+        (lambda d: d["cellArray"][0].update(input_size=784.7),
+         "cell 'X': input_size must be a JSON integer, got 784.7"),
+        (lambda d: d["cellTypes"][1]["sys_cols"].update(maxValue=64.9),
+         "trait 'dense.sys_cols': maxValue must be a JSON integer, got 64.9"),
+    ], ids=["active-string", "allowOverflow-string", "minimize-string", "maxPopSize-40.9",
+            "epochs-4.5", "batchSize-true", "dsp-string", "input_size-784.7", "maxValue-64.9"])
+    def test_value_of_wrong_json_type_refused(self, edit, message):
+        doc = minimal_doc()
+        edit(doc)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(doc)
 
     def test_hw_positive(self):
         doc = minimal_doc()
         doc["hwConfig"]["dsp"] = 0
         with pytest.raises(ConfigError, match="dsp"):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
 
 
 class TestTraitSpec:
@@ -384,7 +437,13 @@ class TestTraitSpec:
         doc["cellTypes"][1]["sys_cols"]["powValue"] = pow_value
         with time_limit(5), pytest.raises(
                 ConfigError, match=f"trait 'dense.sys_cols': .* powValue >= 2, got {pow_value}"):
-            parse_config(json.dumps(doc))
+            parse_config(doc)
+
+    def test_unknown_func_refused(self):
+        # only PowFunction is implemented; a misspelt name must not make a plain range
+        with pytest.raises(ConfigError, match="trait 't': unknown func 'powFunction'"):
+            TraitSpec.from_json("t", {"minValue": 2, "maxValue": 8, "powValue": 2,
+                                      "func": "powFunction"})
 
     def test_unsatisfiable_pow_range(self):
         with pytest.raises(ConfigError, match="no legal value"):

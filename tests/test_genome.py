@@ -66,7 +66,7 @@ class TestSpawn:
         for ct in doc["cellTypes"]:
             if ct["cell_type"] == "input":
                 ct["batch_size"] = {"minValue": 4, "maxValue": 4, "modValue": 2}
-        cfg = parse_config(json.dumps(doc))
+        cfg = parse_config(doc)
         rng = random.Random(0)
         assert all(traits_of(spawn(cfg, rng, i), "X")["batch_size"] == 4
                    for i in range(20))
@@ -89,7 +89,7 @@ class TestMutate:
             for key, val in ct.items():
                 if isinstance(val, dict) and "minValue" in val:
                     val["changeRate"] = 0.0
-        cfg = parse_config(json.dumps(doc))
+        cfg = parse_config(doc)
         rng = random.Random(5)
         parent = spawn(cfg, rng, 0)
         for gid in range(1, 100):
@@ -239,4 +239,4 @@ class TestErrors:
                 ct["sys_cols"] = {"minValue": 64, "maxValue": 64, "powValue": 2,
                                   "func": "PowFunction"}
         with pytest.raises(ConfigError, match="power of two"):
-            parse_config(json.dumps(doc))
+            parse_config(doc)

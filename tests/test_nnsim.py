@@ -170,8 +170,7 @@ class TestTrain:
         desc = mlp_desc([784, 16, 10], batch=50, net_id=77)
         _, report = train(desc, small_dataset, epochs=2, batch_size=100, seed=1)
         doc = report.to_json()
-        assert set(doc) == {"name", "accuracy", "epochs", "training_time",
-                            "batch_size"}
+        assert set(doc) == {"name", "accuracy", "epochs", "batch_size"}
         assert doc["name"] == "77"
         assert doc["epochs"] == 2
         assert doc["batch_size"] == 100

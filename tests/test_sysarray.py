@@ -12,7 +12,6 @@ from ecad.sysarray import (
     TILE_BYTES,
     block_pack,
     block_unpack,
-    classify,
     run_network,
     simulate_layer,
     tree_reduce,
@@ -283,7 +282,7 @@ class TestRunNetwork:
         x = to_float(small_dataset.test_x[:200])
         logits_sim, _ = run_network(desc, mlp.layers, x)
         logits_ref = forward(mlp, x)
-        pred_sim = classify(logits_sim)
+        pred_sim = np.argmax(logits_sim, axis=1)
         pred_ref = np.argmax(logits_ref, axis=1)
         labels = np.argmax(small_dataset.test_y[:200], axis=1)
         assert np.mean(pred_sim == labels) == np.mean(pred_ref == labels)
