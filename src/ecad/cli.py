@@ -1,6 +1,8 @@
 """Command-line surface: search, train, eval, simulate-array, export, actualize.
 
-Every command exits 0 only on success and writes diagnostics to stderr.
+Every command exits 0 only on success and writes diagnostics to stderr. A
+command that needs images reads real MNIST only from the --mnist-dir
+directory; without the flag it uses the synthetic stand-in.
 """
 
 from __future__ import annotations
@@ -8,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -24,6 +25,7 @@ from .store import DB_FILENAME, EcadDb, StoreError
 from .workers import make_hwdb_worker, make_sim_worker
 
 MACRO_NAMES = ("SYS_ROWS", "SYS_COLS", "SYS_VEC", "INTERLEAVE", "SCALE")
+MNIST_DIR_HELP = "directory of the MNIST IDX files; without it, the synthetic stand-in"
 
 DEFAULT_HW = HwConfig(dsp=1518, freq=250, sram=54260,
                       mem_banks=1, mem_speed=2400, mem_rate=8)
@@ -48,19 +50,15 @@ def _load_description(path: str | Path) -> NetworkDescription:
 
 
 def _resolve_dataset(mnist_dir: str | None, train_subset: int | None) -> ds.Dataset:
-    """Real MNIST from the flag's directory, which must exist; without the flag,
-    from $ECAD_MNIST_DIR or ./data/mnist when present, else synthetic. Pixels
-    stay 8-bit; ``train_subset`` 0 keeps no training rows, and the stand-in
-    then builds only its test split."""
-    candidates = [mnist_dir] if mnist_dir else [os.environ.get("ECAD_MNIST_DIR"), "data/mnist"]
-    for cand in candidates:
-        if cand and Path(cand).is_dir():
-            data = ds.load_mnist(cand)
-            break
-    else:
-        if mnist_dir:
+    """Real MNIST from the --mnist-dir directory, which must exist; without the
+    flag, the synthetic stand-in. Pixels stay 8-bit; ``train_subset`` 0 keeps
+    no training rows, and the stand-in then builds only its test split."""
+    if mnist_dir:
+        if not Path(mnist_dir).is_dir():
             raise CliError(f"MNIST directory not found: {mnist_dir}")
-        print("note: no MNIST IDX files found, using the synthetic stand-in dataset",
+        data = ds.load_mnist(mnist_dir)
+    else:
+        print("note: no --mnist-dir given, using the synthetic stand-in dataset",
               file=sys.stderr)
         data = (ds.synthetic_mnist(seed=0, n_train=0) if train_subset == 0
                 else ds.synthetic_mnist(seed=0))
@@ -162,7 +160,7 @@ def cmd_simulate_array(args: argparse.Namespace) -> int:
         data = _resolve_dataset(args.mnist_dir, 0)
         x = ds.to_float(data.test_x[:args.limit])
         y = data.test_y[:args.limit]
-        outputs, stats = sysarray.run_network(desc, params, x, cfg=cfg)
+        outputs, stats = sysarray.run_network(desc, params, x, cfg)
         acc = float(np.mean(np.argmax(outputs, axis=1) == np.argmax(y, axis=1)))
         print(json.dumps({
             "cfg": list(cfg.as_tuple()),
@@ -219,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="ECAD configuration file (.ecad.cfg / .json)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="search-out")
-    p.add_argument("--mnist-dir", default=None)
+    p.add_argument("--mnist-dir", default=None, help=MNIST_DIR_HELP)
     p.add_argument("--train-subset", type=int, default=None,
                    help="train simJob evaluations on the first N samples")
     p.set_defaults(func=cmd_search)
@@ -231,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=100)
     p.add_argument("--save-wb", action="store_true", help="export weights and biases")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mnist-dir", default=None)
+    p.add_argument("--mnist-dir", default=None, help=MNIST_DIR_HELP)
     p.add_argument("--train-subset", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
@@ -250,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--network", default=None, help="network description JSON")
     p.add_argument("--params-dir", default=None, help="directory of *_weights.bin/*_biases.bin")
-    p.add_argument("--mnist-dir", default=None)
+    p.add_argument("--mnist-dir", default=None, help=MNIST_DIR_HELP)
     p.add_argument("--limit", type=int, default=100, help="images to classify in network mode")
     p.set_defaults(func=cmd_simulate_array)
 

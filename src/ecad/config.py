@@ -52,6 +52,17 @@ SYS_ARRAY = ("sys_rows", "sys_cols", "sys_vec", "sys_intrlv", "sys_scale")
 SYS_ROWS, SYS_COLS, SYS_INTRLV = SYS_ARRAY[0], SYS_ARRAY[1], SYS_ARRAY[3]
 
 
+def interleave_choices(spec: TraitSpec, rows: int, cols: int) -> list[int]:
+    """Powers of two within the sys_intrlv range that satisfy interleave >= rows + cols."""
+    lo = max(rows + cols, spec.min_value)
+    vals, v = [], 1
+    while v <= spec.max_value:
+        if v >= lo:
+            vals.append(v)
+        v *= 2
+    return vals
+
+
 def _is_comment_key(key: str) -> bool:
     return key == "comment" or key.endswith(("_comment", "-comment"))
 
@@ -104,6 +115,11 @@ class Fields:
         entry must be a `kind`."""
         return [self._checked(f"{key}[{i}]", entry, kind)
                 for i, entry in enumerate(self(key, list, default)) if type(entry) is not skip]
+
+    def table(self, key: str, kind: type) -> dict[str, Any]:
+        """The object at `key`, each of its values read as a `kind`."""
+        inner = Fields(self(key, dict), f"{self.where}: {key}", self.error)
+        return {name: inner(name, kind) for name in inner.raw}
 
 
 @dataclass(frozen=True)
@@ -461,11 +477,11 @@ def _validate(cfg: EcadConfig) -> EcadConfig:
                               "declare all five or none")
         if not missing:
             spec = traits[SYS_INTRLV]
-            need = max(traits[SYS_ROWS].legal_values()[-1] + traits[SYS_COLS].legal_values()[-1],
-                       spec.min_value)
-            # the largest power of two in range must reach the widest rows + cols
-            if spec.max_value < 1 or 1 << (spec.max_value.bit_length() - 1) < need:
-                raise ConfigError(f"trait '{ctype}.{SYS_INTRLV}': no power of two >= {need} "
+            rows, cols = traits[SYS_ROWS].legal_values()[-1], traits[SYS_COLS].legal_values()[-1]
+            # the widest rows and cols need the largest interleave
+            if not interleave_choices(spec, rows, cols):
+                raise ConfigError(f"trait '{ctype}.{SYS_INTRLV}': no power of two "
+                                  f">= {max(rows + cols, spec.min_value)} "
                                   f"within [{spec.min_value}, {spec.max_value}]")
         for name in ("neurons", "batch_size", *SYS_ARRAY):
             lowest = traits[name].legal_values()[0] if name in traits else 1

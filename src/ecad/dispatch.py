@@ -15,10 +15,6 @@ from typing import Any, Callable
 from .genome import NetworkDescription
 
 
-class DispatchError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class EvalJob:
     genome_id: int
@@ -55,13 +51,8 @@ class Dispatcher:
         self.workers = dict(workers)
 
     def dispatch_all(self, jobs: list[EvalJob]) -> list[EvalResult]:
-        """One result per job, in job order.
-
-        Raises DispatchError before any job runs if an eval type has no worker.
-        """
-        missing = sorted({job.eval_type for job in jobs} - self.workers.keys())
-        if missing:
-            raise DispatchError(f"no worker registered for eval type(s): {', '.join(missing)}")
+        """One result per job, in job order. `cli._build_dispatcher` registers a
+        worker for every active eval type, and the engine makes jobs of no other."""
         return [self._run(job) for job in jobs]
 
     def _run(self, job: EvalJob) -> EvalResult:

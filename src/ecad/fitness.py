@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from .config import EvalTypeConfig, PopConfig
+from .config import EvalTypeConfig, Fields, PopConfig
 from .dispatch import EvalResult
 
 
@@ -76,9 +76,12 @@ class ScoreCard:
         }
 
     @classmethod
-    def from_json(cls, raw: dict[str, Any]) -> "ScoreCard":
+    def from_json(cls, raw: Any) -> "ScoreCard":
+        """A card as `to_json` writes it, read by type (`config.Fields`); raises ValueError."""
+        card = Fields(raw, "card", ValueError)
+        metrics = Fields(card("metrics", dict), "card: metrics", ValueError)
         return cls(
-            metrics={k: dict(v) for k, v in raw.get("metrics", {}).items()},
-            scores={k: float(v) for k, v in raw.get("scores", {}).items()},
-            failed=dict(raw.get("failed", {})),
+            metrics={et: metrics.table(et, float) for et in metrics.raw},
+            scores=card.table("scores", float),
+            failed=card.table("failed", str),
         )

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Any
 
 from .config import (SYS_ARRAY, SYS_COLS, SYS_INTRLV, SYS_ROWS, CellInstance, EcadConfig,
-                     Fields, TraitSpec)
+                     Fields, TraitSpec, interleave_choices)
 
 _MUTATE_RETRIES = 16
 
@@ -66,29 +66,21 @@ class NetworkGenome:
                 f'"parent_id":{CANONICAL_JSON.encode(self.parent_id)}}}')
 
     @classmethod
-    def from_json(cls, raw: dict[str, Any]) -> "NetworkGenome":
+    def from_json(cls, raw: Any) -> "NetworkGenome":
+        """A genome as `to_json_text` writes it, read by type (`config.Fields`);
+        raises GenomeError, or ConfigError for a cell instance."""
+        genome = Fields(raw, "genome", GenomeError)
+        cells = []
+        for i, entry in enumerate(genome.items("cells", dict)):
+            cell = Fields(entry, f"genome: cells[{i}]", GenomeError)
+            cells.append(CellState(CellInstance.from_json(cell("instance", dict)),
+                                   cell.table("trait_values", int)))
         return cls(
-            id=int(raw["id"]),
-            parent_id=None if raw.get("parent_id") is None else int(raw["parent_id"]),
-            cells=tuple(
-                CellState(
-                    instance=CellInstance.from_json(c["instance"]),
-                    trait_values={k: int(v) for k, v in c["trait_values"].items()},
-                )
-                for c in raw["cells"]
-            ),
+            id=genome("id", int),
+            # a spawned genome's parent_id is null
+            parent_id=None if raw.get("parent_id", 0) is None else genome("parent_id", int),
+            cells=tuple(cells),
         )
-
-
-def _interleave_choices(spec: TraitSpec, rows: int, cols: int) -> list[int]:
-    """Powers of two within the trait range that satisfy interleave >= rows + cols."""
-    lo = max(rows + cols, spec.min_value)
-    vals, v = [], 1
-    while v <= spec.max_value:
-        if v >= lo:
-            vals.append(v)
-        v *= 2
-    return vals
 
 
 def _apply_interleave_rule(traits: dict[str, int], specs: dict[str, TraitSpec], rng: random.Random) -> None:
@@ -96,7 +88,7 @@ def _apply_interleave_rule(traits: dict[str, int], specs: dict[str, TraitSpec], 
         return
     # parse_config guarantees a choice for every legal rows and cols
     traits[SYS_INTRLV] = rng.choice(
-        _interleave_choices(specs[SYS_INTRLV], traits[SYS_ROWS], traits[SYS_COLS]))
+        interleave_choices(specs[SYS_INTRLV], traits[SYS_ROWS], traits[SYS_COLS]))
 
 
 def spawn(cfg: EcadConfig, rng: random.Random, genome_id: int) -> NetworkGenome:
@@ -116,20 +108,16 @@ def _mutation_pass(
     cells = []
     for cell in parent.cells:
         ctype = cell.cell_type
-        specs = cfg.cell_types[ctype]
-        if not specs:
-            cells.append(cell)   # nothing to mutate; genomes are immutable, so the child shares it
-            continue
         drawn = [(name, rng.choice(values))
                  for name, rate, values in rows_by_type[ctype] if rng.random() < rate]
         if not drawn:
-            cells.append(cell)
+            cells.append(cell)   # genomes are immutable, so the child shares the unchanged cell
             continue
         traits = dict(cell.trait_values)
         traits.update(drawn)
         # the parent satisfies the interleave rule, so only a drawn rows, cols or intrlv can break it
         if any(name in (SYS_ROWS, SYS_COLS, SYS_INTRLV) for name, _ in drawn):
-            _apply_interleave_rule(traits, specs, rng)
+            _apply_interleave_rule(traits, cfg.cell_types[ctype], rng)
         cells.append(CellState(instance=cell.instance, trait_values=traits))
     return cells
 
@@ -150,7 +138,7 @@ def _force_single_change(
         traits = dict(cell.trait_values)
         current = traits[name]
         if name == SYS_INTRLV:
-            options = [v for v in _interleave_choices(specs[name], traits[SYS_ROWS], traits[SYS_COLS]) if v != current]
+            options = [v for v in interleave_choices(specs[name], traits[SYS_ROWS], traits[SYS_COLS]) if v != current]
         else:
             legal = next(values for n, _, values in cfg.mutation_rows[cell.cell_type] if n == name)
             options = [v for v in legal if v != current]

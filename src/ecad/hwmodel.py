@@ -103,11 +103,9 @@ def potential_gops(cfg: SystolicConfig, freq_mhz: float) -> float:
     return 2.0 * cfg.rows * cfg.cols * cfg.vec * freq_mhz * 1e6 / 1e9
 
 
-# resource screen calibration (optimistic): a scale factor and a fixed
-# overhead for the DSP count and for the memory estimate in KiB
-K_DSP = 1.0
+# resource screen calibration (optimistic): a fixed overhead for the DSP
+# count and for the memory estimate in KiB
 C_DSP = 32.0
-K_MEM = 1.0
 C_MEM = 256.0
 
 
@@ -118,9 +116,9 @@ def resource_estimate(cfg: SystolicConfig, hw: HwConfig) -> tuple[float, float, 
     the double-buffered block caches along both grid edges, plus a constant
     covering the drain and bias buffers.
     """
-    dsp_est = K_DSP * cfg.rows * cfg.cols * cfg.vec + C_DSP
+    dsp_est = cfg.rows * cfg.cols * cfg.vec + C_DSP
     cb = cfg.vec * cfg.scale
-    mem_kb_est = K_MEM * (cfg.rows + cfg.cols) * 2 * cfg.interleave * cb * 4 / 1024 + C_MEM
+    mem_kb_est = (cfg.rows + cfg.cols) * 2 * cfg.interleave * cb * 4 / 1024 + C_MEM
     feasible = dsp_est <= hw.dsp and mem_kb_est <= hw.sram
     return dsp_est, mem_kb_est, feasible
 

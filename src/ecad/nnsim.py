@@ -209,12 +209,11 @@ def train(
 ) -> tuple[Mlp, TrainReport]:
     """Mini-batch Adam training; deterministic for a fixed seed. Each batch's
     8-bit pixels become float32 inputs when it is gathered. Test accuracy is
-    measured once, after the last epoch.
+    measured once, after the last epoch. ``epochs`` and ``batch_size`` are at
+    least 1: `parse_config` and the CLI refuse smaller values.
 
     Raises TrainingDiverged on a non-finite loss.
     """
-    if epochs < 1 or batch_size < 1:
-        raise ValueError("epochs and batch_size must be >= 1")
     flat, m = _init_params(desc, seed, np.float32)
     grad_flat, grads = _flat_layers([p.weights.shape for p in m.layers], flat.dtype)
     opt = _Adam(flat, lr=lr)

@@ -12,8 +12,13 @@ A record is one line of canonical JSON: the `genome` (`id`, `parent_id`,
 raw `metrics`, the normalized `scores` and the `failed` diagnostics) and the
 `combined` score. A failed result keeps its metrics, so the hwDBJob entry of a
 design that does not fit the device holds the screen metrics `dsp_est`,
-`mem_kb_est` and `feasible` 0.0. Readers ignore other keys, such as the `seq`,
-`card.genome_id` and `genome.generation` of older lines.
+`mem_kb_est` and `feasible` 0.0. Readers read each value by its JSON type
+(`config.Fields`), never coercing or filling in: a missing key, an `id`,
+`generation` or trait value that is not a JSON integer (0.9, "3"), a
+`parent_id` that is neither an integer nor null, a metric, score or
+`combined` that is not a number, or a non-string diagnostic makes the line
+corrupt. They ignore other keys, such as the `seq`, `card.genome_id` and
+`genome.generation` of older lines.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO, Iterator
 
+from .config import Fields
 from .fitness import ScoreCard
 from .genome import CANONICAL_JSON, NetworkDescription, NetworkGenome, to_description
 
@@ -48,12 +54,14 @@ class DbRecord:
                 f'"generation":{self.generation},"genome":{self.genome.to_json_text()}}}')
 
     @classmethod
-    def from_json(cls, raw: dict[str, Any]) -> "DbRecord":
+    def from_json(cls, raw: Any) -> "DbRecord":
+        """One line's record, read by type; raises a ValueError naming the key."""
+        rec = Fields(raw, "record", StoreError)
         return cls(
-            genome=NetworkGenome.from_json(raw["genome"]),
-            card=ScoreCard.from_json(raw["card"]),
-            generation=int(raw["generation"]),
-            combined=float(raw["combined"]),
+            genome=NetworkGenome.from_json(rec("genome", dict)),
+            card=ScoreCard.from_json(rec("card", dict)),
+            generation=rec("generation", int),
+            combined=rec("combined", float),
         )
 
 
@@ -99,7 +107,7 @@ class EcadDb:
                     continue
                 try:
                     rec = DbRecord.from_json(json.loads(line))
-                except (ValueError, KeyError, TypeError) as exc:
+                except ValueError as exc:   # bad JSON, or a missing key or mistyped value
                     raise StoreError(f"{self.path}:{lineno}: corrupt record: {exc}") from exc
                 yield rec
 

@@ -165,17 +165,13 @@ def run_network(
     desc: NetworkDescription,
     params: list,
     inputs: np.ndarray,
-    cfg: SystolicConfig | None = None,
+    cfg: SystolicConfig,
 ) -> tuple[np.ndarray, list[CycleStats]]:
     """Run each layer as one simulate_layer call on the previous layer's output.
 
     ``params`` is a list of objects with ``weights`` (in x out) and ``bias``
     attributes, one per described layer.
     """
-    if cfg is None:
-        if desc.systolic is None:
-            raise SimulationError("network description carries no systolic configuration")
-        cfg = desc.systolic
     if len(params) != len(desc.layers):
         raise SimulationError(f"expected {len(desc.layers)} layer params, got {len(params)}")
 

@@ -53,9 +53,8 @@ def make_sim_worker(data: Dataset) -> Worker:
 
     def worker(job: EvalJob) -> EvalResult:
         try:
-            _, report = train(job.network, data, epochs=int(job.params["epochs"]),
-                              batch_size=int(job.params["batchSize"]),
-                              seed=int(job.params["seed"]))
+            _, report = train(job.network, data, epochs=job.params["epochs"],
+                              batch_size=job.params["batchSize"], seed=job.params["seed"])
         except TrainingDiverged as exc:
             return failed_result(job, str(exc))
         return EvalResult(

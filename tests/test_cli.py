@@ -12,7 +12,7 @@ import pytest
 
 from ecad import cli, store
 from ecad.config import parse_config
-from ecad.dataset import write_idx_images, write_idx_labels
+from ecad.dataset import synthetic_mnist, write_idx_images, write_idx_labels
 from ecad.dispatch import EvalJob
 from ecad.genome import to_description
 from ecad.hwmodel import resource_estimate
@@ -727,10 +727,7 @@ def test_non_integer_description_number_refused(tmp_path, capsys, command, path,
     assert sorted(tmp_path.iterdir()) == [net]
 
 
-def test_explicit_mnist_dir_must_exist(tmp_path, tiny_mnist, network_file, capsys, monkeypatch):
-    # the environment's dataset is the fallback only when no directory is named
-    monkeypatch.setenv("ECAD_MNIST_DIR", str(tiny_mnist))
-    assert cli._resolve_dataset(None, None).train_x.shape[0] == 6
+def test_explicit_mnist_dir_must_exist(tmp_path, network_file, capsys):
     missing = tmp_path / "no" / "such" / "dir"
     argv = ["train", str(network_file), str(tmp_path / "dest"), "--mnist-dir", str(missing)]
     assert cli.main(argv) == 1
@@ -738,6 +735,30 @@ def test_explicit_mnist_dir_must_exist(tmp_path, tiny_mnist, network_file, capsy
     assert captured.out == ""
     assert captured.err == f"error: MNIST directory not found: {missing}\n"
     assert not (tmp_path / "dest").exists()
+
+
+def test_dataset_comes_only_from_the_mnist_dir_flag(tmp_path, tiny_mnist, network_file, capsys,
+                                                    monkeypatch):
+    # neither $ECAD_MNIST_DIR nor ./data/mnist names the dataset: without the
+    # flag a command uses the synthetic stand-in
+    params = tmp_path / "params"
+    assert cli.main(["train", str(network_file), str(params), "--epochs", "1", "--batch-size", "3",
+                     "--save-wb", "--mnist-dir", str(tiny_mnist)]) == 0
+    capsys.readouterr()
+    work = tmp_path / "work"
+    shutil.copytree(tiny_mnist, work / "data" / "mnist")
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("ECAD_MNIST_DIR", str(tiny_mnist))
+    argv = ["simulate-array", "--cfg", "2,2,2,4,2", "--network", str(network_file),
+            "--params-dir", str(params), "--limit", "5"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "note: no --mnist-dir given, using the synthetic stand-in dataset\n"
+    assert json.loads(captured.out)["images"] == 5   # the IDX fixture holds 3 test images
+    data, stand_in = cli._resolve_dataset(None, 0), synthetic_mnist(seed=0, n_train=0)
+    assert data.train_x.shape[0] == 0
+    assert np.array_equal(data.test_x, stand_in.test_x)
+    assert np.array_equal(data.test_y, stand_in.test_y)
 
 
 def test_clock_comes_from_the_device_config(tmp_path, capsys):

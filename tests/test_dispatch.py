@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from ecad import engine
-from ecad.dispatch import DispatchError, Dispatcher, EvalJob, EvalResult
+from ecad.dispatch import Dispatcher, EvalJob, EvalResult
 
 from helpers import TimeLimitExceeded, mlp_desc, time_limit
 
@@ -32,14 +32,6 @@ def test_mixed_eval_types_come_back_in_job_order():
         1.0 if j.eval_type == "simJob" else 2.0 for j in jobs]
     assert calls == list(range(7))
     assert all(r.ok for r in results)
-
-
-def test_unknown_eval_type_raises_before_any_job_runs():
-    calls: list[int] = []
-    disp = Dispatcher({"hwDBJob": echo(0.0, calls)})
-    with pytest.raises(DispatchError, match="physJob"):
-        disp.dispatch_all([job(0, "hwDBJob"), job(1, "physJob")])
-    assert calls == []
 
 
 def test_raising_worker_yields_one_failed_result():

@@ -96,6 +96,41 @@ def test_record_without_generation_is_corrupt(tmp_path, listing_cfg):
         list(EcadDb(path).scan())
 
 
+
+def _dense_neurons(rec):
+    cell = next(c for c in rec["genome"]["cells"] if "neurons" in c["trait_values"])
+    return cell["trait_values"]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda r: r["genome"].update(id=0.9), "genome: id must be a JSON integer, got 0.9"),
+    (lambda r: r["genome"].update(parent_id="0"),
+     'genome: parent_id must be a JSON integer, got "0"'),
+    (lambda r: r.update(generation="3"), 'record: generation must be a JSON integer, got "3"'),
+    (lambda r: _dense_neurons(r).update(neurons=37.8),
+     "trait_values: neurons must be a JSON integer, got 37.8"),
+    (lambda r: r.update(combined=True), "record: combined must be a JSON number, got true"),
+    (lambda r: r["card"]["scores"].update(hwDBJob="0.1"),
+     'card: scores: hwDBJob must be a JSON number, got "0.1"'),
+    (lambda r: r["card"].update(metrics={"hwDBJob": {"feasible": None}}),
+     "card: metrics: hwDBJob: feasible must be a JSON number, got null"),
+    (lambda r: r["card"].pop("failed"), "card: missing key 'failed'"),
+], ids=["id-0.9", "parent-string", "generation-string", "neurons-37.8", "combined-true",
+        "score-string", "metric-null", "no-failed"])
+def test_mistyped_record_value_is_corrupt(tmp_path, listing_cfg, edit, message):
+    # a record is read by type, never coerced or filled in
+    path = tmp_path / "ecad.db.jsonl"
+    fill(path, listing_cfg, 2)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    raw = json.loads(lines[1])
+    edit(raw)
+    lines[1] = json.dumps(raw) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(StoreError) as exc:
+        list(EcadDb(path).scan())
+    assert str(exc.value).startswith(f"{path}:2: corrupt record: ")
+    assert str(exc.value).endswith(message)
+
 def test_line_with_the_old_id_keys_reads_as_the_same_record(tmp_path, listing_cfg, capsys):
     # lines written before `seq`, `card.genome_id` and `genome.generation` were
     # dropped carry those keys; readers, and so `ecad export`, still load them

@@ -252,7 +252,7 @@ class TestRunNetwork:
                         np.array([-1.0, 0.0, 1.0, 2.0], dtype=np.float32)),
         ]
         x = np.random.default_rng(10).uniform(0, 1, (5, 8)).astype(np.float32)
-        out, stats = run_network(desc, params, x)
+        out, stats = run_network(desc, params, x, desc.systolic)
         assert np.array_equal(out, np.tile([-1.0, 0.0, 1.0, 2.0], (5, 1)))
         assert len(stats) == 2
 
@@ -264,7 +264,7 @@ class TestRunNetwork:
                               rng.uniform(-1, 1, l.out_features).astype(np.float32))
                   for l in desc.layers]
         x = rng.uniform(0, 1, (5, 12)).astype(np.float32)
-        out, stats = run_network(desc, params, x)
+        out, stats = run_network(desc, params, x, desc.systolic)
         cfg = SystolicConfig(2, 2, 2, 2, 2)
         chained, chained_stats = x, []
         for layer, p in zip(desc.layers, params):
@@ -280,7 +280,7 @@ class TestRunNetwork:
         desc = mlp_desc([784, 32, 10], batch=64, cfg=(2, 4, 8, 8, 2))
         mlp, _ = train(desc, small_dataset, epochs=1, batch_size=100, seed=5)
         x = to_float(small_dataset.test_x[:200])
-        logits_sim, _ = run_network(desc, mlp.layers, x)
+        logits_sim, _ = run_network(desc, mlp.layers, x, desc.systolic)
         logits_ref = forward(mlp, x)
         pred_sim = np.argmax(logits_sim, axis=1)
         pred_ref = np.argmax(logits_ref, axis=1)
@@ -292,17 +292,11 @@ class TestRunNetwork:
         desc = mlp_desc([8, 4], batch=2, cfg=(1, 1, 1, 1, 1))
         bad = [LayerParams(np.zeros((8, 5), dtype=np.float32), np.zeros(5, dtype=np.float32))]
         with pytest.raises(SimulationError, match="weights shape"):
-            run_network(desc, bad, np.zeros((2, 8), dtype=np.float32))
+            run_network(desc, bad, np.zeros((2, 8), dtype=np.float32), desc.systolic)
 
     @pytest.mark.parametrize("length", [3, 5])
     def test_mis_sized_bias_rejected(self, length):
         desc = mlp_desc([8, 4], batch=2, cfg=(2, 2, 2, 2, 2))
         params = [LayerParams(np.ones((8, 4), dtype=np.float32), np.ones(length, dtype=np.float32))]
         with pytest.raises(SimulationError, match="bias shape"):
-            run_network(desc, params, np.ones((2, 8), dtype=np.float32))
-
-    def test_requires_systolic_config(self):
-        desc = mlp_desc([8, 4], batch=2)
-        params = [LayerParams(np.zeros((8, 4), dtype=np.float32), np.zeros(4, dtype=np.float32))]
-        with pytest.raises(SimulationError, match="systolic"):
-            run_network(desc, params, np.zeros((2, 8), dtype=np.float32))
+            run_network(desc, params, np.ones((2, 8), dtype=np.float32), desc.systolic)
