@@ -94,7 +94,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     cfg = parse_config(Path(args.config))
     dispatcher = _build_dispatcher(cfg, args.mnist_dir, args.train_subset)
     out_dir = Path(args.out_dir)
-    with EcadDb.create(out_dir / DB_FILENAME) as store:   # each search writes a fresh database
+    # each search writes a fresh database, headed by the config's cell array
+    with EcadDb.create(out_dir / DB_FILENAME, cfg.cell_array) as store:
         report, _ = engine.run(cfg, dispatcher, store=store, seed=args.seed)
 
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:

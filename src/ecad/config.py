@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Any
@@ -365,26 +365,10 @@ class CellInstance:
     output: str
     input_size: int | None = None
     output_size: int | None = None
-    fixed: bool = False
-
-    @cached_property
-    def _json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "cell_type": self.cell_type,
-            "cell_name": self.cell_name,
-            "input": self.input,
-            "output": self.output,
-        }
-        if self.input_size is not None:
-            out["input_size"] = self.input_size
-        if self.output_size is not None:
-            out["output_size"] = self.output_size
-        out["fixed"] = self.fixed
-        return out
 
     def to_json(self) -> dict[str, Any]:
-        """The instance as a JSON object; built once, so callers must not mutate it."""
-        return self._json
+        """The instance as a JSON object, without the sizes it does not set."""
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     @classmethod
     def from_json(cls, raw: dict[str, Any]) -> "CellInstance":
@@ -397,7 +381,6 @@ class CellInstance:
             output=f("output", str),
             input_size=f("input_size", int, None),
             output_size=f("output_size", int, None),
-            fixed=f("fixed", bool, False),
         )
 
 

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from .config import EcadConfig
+from .config import CellInstance, EcadConfig
 from .dispatch import Dispatcher, EvalJob
 from .fitness import ScoreCard
 from .genome import mutate, spawn, to_description
@@ -47,8 +47,8 @@ class SearchReport:
     history: list[GenerationStats] = field(default_factory=list)
 
 
-def _genome_summary(member: DbRecord) -> dict[str, Any]:
-    desc = to_description(member.genome)
+def _genome_summary(member: DbRecord, cells: tuple[CellInstance, ...]) -> dict[str, Any]:
+    desc = to_description(member.genome, cells)
     traits = {
         "neurons": [l.out_features for l in desc.layers[:-1]] or [desc.layers[-1].out_features],
         "batch": desc.batch,
@@ -89,7 +89,7 @@ def run(
         cards = {g.id: ScoreCard() for g in fresh}
         jobs: list[EvalJob] = []
         for genome in fresh:
-            desc = to_description(genome)
+            desc = to_description(genome, cfg.cell_array)
             for et in active:
                 params: dict[str, Any] = {}
                 if et.type == "simJob":
@@ -115,7 +115,7 @@ def run(
             population=len(members),
             best=best.combined,
             mean=math.fsum(m.combined for m in members.values()) / len(members),
-            best_genome=_genome_summary(best),
+            best_genome=_genome_summary(best, cfg.cell_array),
         ))
 
         # 3. stop conditions

@@ -1,17 +1,17 @@
 """Network genomes: one individual of the population.
 
-A genome pairs the config's cell array with concrete trait values
-(neuron counts, batch size, systolic-array shape). Genomes are immutable;
-``spawn`` and ``mutate`` return new instances and draw randomness only from
-the caller's ``random.Random`` so runs are reproducible from a seed.
+A genome is its trait values: one ``{trait: value}`` dict per cell of the
+config's cell array, in chain order (neuron counts, batch size, systolic-array
+shape). The cell array itself belongs to the config, so `to_description`
+takes it beside the genome. Genomes are immutable; ``spawn`` and ``mutate``
+return new instances and draw randomness only from the caller's
+``random.Random`` so runs are reproducible from a seed.
 """
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Any
 
 from .config import (SYS_ARRAY, SYS_COLS, SYS_INTRLV, SYS_ROWS, CellInstance, EcadConfig,
@@ -19,67 +19,36 @@ from .config import (SYS_ARRAY, SYS_COLS, SYS_INTRLV, SYS_ROWS, CellInstance, Ec
 
 _MUTATE_RETRIES = 16
 
-#: canonical JSON of genomes and database records: sorted keys, no spaces,
-#: so a fixed seed gives fixed bytes
-CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
 
 class GenomeError(ValueError):
     pass
 
 
 @dataclass(frozen=True)
-class CellState:
-    """A cell instance plus its resolved trait values."""
-
-    instance: CellInstance
-    trait_values: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def cell_name(self) -> str:
-        return self.instance.cell_name
-
-    @property
-    def cell_type(self) -> str:
-        return self.instance.cell_type
-
-    @cached_property
-    def json_text(self) -> str:
-        """The cell as canonical JSON, encoded on first use. A child shares its
-        parent's unchanged cells, so a cell is encoded once however many
-        database records hold it."""
-        return CANONICAL_JSON.encode(
-            {"instance": self.instance.to_json(), "trait_values": self.trait_values})
-
-
-@dataclass(frozen=True)
 class NetworkGenome:
+    """An individual: its id, its parent's id (None when spawned) and one trait
+    dict per cell of ``cfg.cell_array``, in chain order."""
+
     id: int
     parent_id: int | None
-    cells: tuple[CellState, ...]
+    traits: tuple[dict[str, int], ...]
 
-    def to_json_text(self) -> str:
-        """The genome as the text CANONICAL_JSON would give, assembled around
-        each cell's cached text."""
-        cells = ",".join(c.json_text for c in self.cells)
-        return (f'{{"cells":[{cells}],"id":{self.id},'
-                f'"parent_id":{CANONICAL_JSON.encode(self.parent_id)}}}')
+    def to_json(self) -> dict[str, Any]:
+        return {"id": self.id, "parent_id": self.parent_id, "traits": self.traits}
 
     @classmethod
     def from_json(cls, raw: Any) -> "NetworkGenome":
-        """A genome as `to_json_text` writes it, read by type (`config.Fields`);
-        raises GenomeError, or ConfigError for a cell instance."""
+        """A genome as `to_json` gives it, read by type (`config.Fields`); raises GenomeError."""
         genome = Fields(raw, "genome", GenomeError)
-        cells = []
-        for i, entry in enumerate(genome.items("cells", dict)):
-            cell = Fields(entry, f"genome: cells[{i}]", GenomeError)
-            cells.append(CellState(CellInstance.from_json(cell("instance", dict)),
-                                   cell.table("trait_values", int)))
+        traits = []
+        for i, entry in enumerate(genome.items("traits", dict)):
+            cell = Fields(entry, f"genome: traits[{i}]", GenomeError)
+            traits.append({name: cell(name, int) for name in entry})
         return cls(
             id=genome("id", int),
             # a spawned genome's parent_id is null
             parent_id=None if raw.get("parent_id", 0) is None else genome("parent_id", int),
-            cells=tuple(cells),
+            traits=tuple(traits),
         )
 
 
@@ -97,50 +66,49 @@ def spawn(cfg: EcadConfig, rng: random.Random, genome_id: int) -> NetworkGenome:
     for inst in cfg.cell_array:
         traits = {name: rng.choice(values) for name, _, values in cfg.mutation_rows[inst.cell_type]}
         _apply_interleave_rule(traits, cfg.cell_types[inst.cell_type], rng)
-        cells.append(CellState(instance=inst, trait_values=traits))
-    return NetworkGenome(id=genome_id, parent_id=None, cells=tuple(cells))
+        cells.append(traits)
+    return NetworkGenome(id=genome_id, parent_id=None, traits=tuple(cells))
 
 
 def _mutation_pass(
     parent: NetworkGenome, cfg: EcadConfig, rng: random.Random
-) -> list[CellState]:
+) -> list[dict[str, int]]:
     rows_by_type = cfg.mutation_rows
     cells = []
-    for cell in parent.cells:
-        ctype = cell.cell_type
+    for inst, parent_traits in zip(cfg.cell_array, parent.traits, strict=True):
         drawn = [(name, rng.choice(values))
-                 for name, rate, values in rows_by_type[ctype] if rng.random() < rate]
+                 for name, rate, values in rows_by_type[inst.cell_type] if rng.random() < rate]
         if not drawn:
-            cells.append(cell)   # genomes are immutable, so the child shares the unchanged cell
+            cells.append(parent_traits)   # genomes are immutable, so the child shares the unchanged dict
             continue
-        traits = dict(cell.trait_values)
+        traits = dict(parent_traits)
         traits.update(drawn)
         # the parent satisfies the interleave rule, so only a drawn rows, cols or intrlv can break it
         if any(name in (SYS_ROWS, SYS_COLS, SYS_INTRLV) for name, _ in drawn):
-            _apply_interleave_rule(traits, cfg.cell_types[ctype], rng)
-        cells.append(CellState(instance=cell.instance, trait_values=traits))
+            _apply_interleave_rule(traits, cfg.cell_types[inst.cell_type], rng)
+        cells.append(traits)
     return cells
 
 
 def _force_single_change(
     parent: NetworkGenome, cfg: EcadConfig, rng: random.Random
-) -> list[CellState]:
+) -> list[dict[str, int]]:
     """Change exactly one trait, preferring values that keep constraints intact."""
-    candidates = [(idx, name) for idx, cell in enumerate(parent.cells)
-                  for name, _, values in cfg.mutation_rows[cell.cell_type] if len(values) > 1]
-    cells = [CellState(instance=c.instance, trait_values=dict(c.trait_values)) for c in parent.cells]
+    kinds = [inst.cell_type for inst in cfg.cell_array]
+    candidates = [(idx, name) for idx, kind in enumerate(kinds)
+                  for name, _, values in cfg.mutation_rows[kind] if len(values) > 1]
+    cells = list(parent.traits)
     if not candidates:
         return cells   # every trait is a singleton; the child cannot differ
     rng.shuffle(candidates)
     for idx, name in candidates:
-        cell = cells[idx]
-        specs = cfg.cell_types[cell.cell_type]
-        traits = dict(cell.trait_values)
+        specs = cfg.cell_types[kinds[idx]]
+        traits = dict(cells[idx])
         current = traits[name]
         if name == SYS_INTRLV:
             options = [v for v in interleave_choices(specs[name], traits[SYS_ROWS], traits[SYS_COLS]) if v != current]
         else:
-            legal = next(values for n, _, values in cfg.mutation_rows[cell.cell_type] if n == name)
+            legal = next(values for n, _, values in cfg.mutation_rows[kinds[idx]] if n == name)
             options = [v for v in legal if v != current]
             if name in (SYS_ROWS, SYS_COLS):
                 # keep the existing interleave valid so only this trait changes
@@ -152,7 +120,7 @@ def _force_single_change(
         traits[name] = rng.choice(options)
         if name in (SYS_ROWS, SYS_COLS) and traits[SYS_ROWS] + traits[SYS_COLS] > traits[SYS_INTRLV]:
             _apply_interleave_rule(traits, specs, rng)
-        cells[idx] = CellState(instance=cell.instance, trait_values=traits)
+        cells[idx] = traits
         return cells
     return cells
 
@@ -162,10 +130,10 @@ def mutate(parent: NetworkGenome, cfg: EcadConfig, rng: random.Random,
     """Produce a child genome; guaranteed to differ from the parent when possible."""
     for _ in range(_MUTATE_RETRIES):
         cells = _mutation_pass(parent, cfg, rng)
-        if [c.trait_values for c in cells] != [c.trait_values for c in parent.cells]:
-            return NetworkGenome(id=genome_id, parent_id=parent.id, cells=tuple(cells))
+        if cells != list(parent.traits):
+            return NetworkGenome(id=genome_id, parent_id=parent.id, traits=tuple(cells))
     cells = _force_single_change(parent, cfg, rng)
-    return NetworkGenome(id=genome_id, parent_id=parent.id, cells=tuple(cells))
+    return NetworkGenome(id=genome_id, parent_id=parent.id, traits=tuple(cells))
 
 
 # --- network description ----------------------------------------------------
@@ -254,7 +222,10 @@ class NetworkDescription:
         """Parse outside input, reading each value by its JSON type (see
         `config.Fields`). Raises GenomeError for a missing key or a value of
         the wrong type, an empty stack, a width, batch or array field below 1,
-        an activation other than relu or none, or widths that do not chain."""
+        an activation other than relu or none, widths that do not chain, or a
+        layer name that cannot name its parameter files (`nnsim.save_params`
+        writes ``<name>_weights.bin``): a repeated or empty name, ``.``,
+        ``..``, or one holding ``/`` or ``\\``."""
         desc = Fields(raw, "network description", GenomeError)
         layers = []
         for i, entry in enumerate(desc.items("layers", dict)):
@@ -264,7 +235,14 @@ class NetworkDescription:
                                     layer("activation", str), layer("bias", bool)))
         if not layers:
             raise GenomeError("network description has no layers")
+        names = [layer.name for layer in layers]
         for layer in layers:
+            if layer.name in ("", ".", "..") or "/" in layer.name or "\\" in layer.name:
+                raise GenomeError(f"layer name {layer.name!r} cannot name a file: it must not be "
+                                  "empty, '.' or '..', or hold '/' or '\\'")
+            if names.count(layer.name) > 1:
+                raise GenomeError(f"layer name '{layer.name}' is used twice; each layer's "
+                                  "parameters are saved under its name")
             if min(layer.in_features, layer.out_features) < 1:
                 raise GenomeError(f"layer '{layer.name}' maps {layer.in_features} inputs to "
                                   f"{layer.out_features} outputs; both must be >= 1")
@@ -289,14 +267,17 @@ class NetworkDescription:
         )
 
 
-def to_description(genome: NetworkGenome) -> NetworkDescription:
+def to_description(genome: NetworkGenome, cells: tuple[CellInstance, ...]) -> NetworkDescription:
     """Flatten the cell chain into an ordered layer list plus the array config.
 
-    Dense cells contribute one affine layer each; a trailing relu cell sets the
-    layer's activation. The output cell contributes the final projection to its
-    declared output_size (no activation, bias inherited from the last dense cell).
-    The first dense cell with array traits gives the array config. `parse_config`
-    guarantees the chain runs from a sized input cell to a sized output cell.
+    ``cells`` is the cell array the genome was made for (``cfg.cell_array``, or
+    a database header), paired with ``genome.traits`` one to one; a length
+    mismatch raises ValueError. Dense cells contribute one affine layer each; a
+    trailing relu cell sets the layer's activation. The output cell contributes
+    the final projection to its declared output_size (no activation, bias
+    inherited from the last dense cell). The first dense cell with array traits
+    gives the array config. `parse_config` guarantees that the config's chain
+    runs from a sized input cell to a sized output cell.
     """
     batch = 1
     systolic: SystolicConfig | None = None
@@ -304,12 +285,11 @@ def to_description(genome: NetworkGenome) -> NetworkDescription:
     width: int | None = None
     last_bias = True
 
-    for cell in genome.cells:
+    for cell, traits in zip(cells, genome.traits, strict=True):
         kind = cell.cell_type
-        traits = cell.trait_values
         if kind == "input":
             batch = traits.get("batch_size", 1)
-            width = cell.instance.input_size
+            width = cell.input_size
         elif kind == "dense":
             neurons = traits["neurons"]
             last_bias = bool(traits.get("enableBias", 1))
@@ -321,7 +301,7 @@ def to_description(genome: NetworkGenome) -> NetworkDescription:
             if layers:
                 layers[-1][3] = "relu"
         elif kind == "output":
-            layers.append([cell.cell_name, width, cell.instance.output_size, "none", last_bias])
+            layers.append([cell.cell_name, width, cell.output_size, "none", last_bias])
     return NetworkDescription(id=genome.id, batch=batch,
                               layers=tuple(LayerDesc(*layer) for layer in layers), systolic=systolic)
 

@@ -1,24 +1,28 @@
 """EcadDB: write-once JSON-lines store of evaluated individuals.
 
-One search writes one fresh file: `EcadDb.create` truncates it and holds one
-open handle until the search ends, and the engine appends each genome once, in
-genome-id order. Every record is flushed as it is written, so a killed search
-leaves the records it completed and at most a torn last line. Readers
-(`EcadDb(path)`) skip that torn line; a corrupt line anywhere else raises
-StoreError naming its line.
+One search writes one fresh file: `EcadDb.create` truncates it, writes the
+header and holds one open handle until the search ends, and the engine
+appends each genome once, in genome-id order. Every line is flushed as it is
+written, so a killed search leaves the records it completed and at most a
+torn last line. Readers (`EcadDb(path)`) skip that torn line; a corrupt line
+anywhere else raises StoreError naming its line.
 
-A record is one line of canonical JSON: the `genome` (`id`, `parent_id`,
-`cells`), the `generation` that scored it, its score `card` (per eval type the
-raw `metrics`, the normalized `scores` and the `failed` diagnostics) and the
-`combined` score. A failed result keeps its metrics, so the hwDBJob entry of a
-design that does not fit the device holds the screen metrics `dsp_est`,
-`mem_kb_est` and `feasible` 0.0. Readers read each value by its JSON type
-(`config.Fields`), never coercing or filling in: a missing key, an `id`,
+Every line is canonical JSON. Line 1, the header, is written once per file:
+``{"cells": [...]}``, the config's cell array in chain order. Each later line
+is a record: the `genome` (`id`, `parent_id`, and `traits`, one object per
+header cell), the `generation` that scored it, its score `card` (per eval
+type the raw `metrics`, the normalized `scores` and the `failed` diagnostics)
+and the `combined` score. A failed result keeps its metrics, so the hwDBJob
+entry of a design that does not fit the device holds the screen metrics
+`dsp_est`, `mem_kb_est` and `feasible` 0.0. Readers read each value by its
+JSON type (`config.Fields`), never coercing or filling in. A file whose line
+1 is not a header, such as one written before the header existed, is refused
+naming line 1; a torn header means no records yet. A missing key, an `id`,
 `generation` or trait value that is not a JSON integer (0.9, "3"), a
 `parent_id` that is neither an integer nor null, a metric, score or
-`combined` that is not a number, or a non-string diagnostic makes the line
-corrupt. They ignore other keys, such as the `seq`, `card.genome_id` and
-`genome.generation` of older lines.
+`combined` that is not a number, a non-string diagnostic, or a `traits` list
+whose length is not the header's cell count makes a record corrupt. Other
+keys are ignored.
 """
 
 from __future__ import annotations
@@ -28,11 +32,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO, Iterator
 
-from .config import Fields
+from .config import CellInstance, Fields
 from .fitness import ScoreCard
-from .genome import CANONICAL_JSON, NetworkDescription, NetworkGenome, to_description
+from .genome import NetworkDescription, NetworkGenome, to_description
 
 DB_FILENAME = "ecad.db.jsonl"
+
+#: canonical JSON of database lines: sorted keys, no spaces, so a fixed seed gives fixed bytes
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class StoreError(ValueError):
@@ -46,12 +53,9 @@ class DbRecord:
     generation: int
     combined: float
 
-    def to_json_text(self) -> str:
-        """The record as the text CANONICAL_JSON would give, assembled around the
-        genome's text; one database line without its newline."""
-        return (f'{{"card":{CANONICAL_JSON.encode(self.card.to_json())},'
-                f'"combined":{CANONICAL_JSON.encode(self.combined)},'
-                f'"generation":{self.generation},"genome":{self.genome.to_json_text()}}}')
+    def to_json(self) -> dict[str, Any]:
+        return {"card": self.card.to_json(), "combined": self.combined,
+                "generation": self.generation, "genome": self.genome.to_json()}
 
     @classmethod
     def from_json(cls, raw: Any) -> "DbRecord":
@@ -78,11 +82,13 @@ class EcadDb:
         self._fh: BinaryIO | None = None
 
     @classmethod
-    def create(cls, path: str | Path) -> "EcadDb":
-        """Open a fresh, empty database for writing, replacing any file at path."""
+    def create(cls, path: str | Path, cells: tuple[CellInstance, ...]) -> "EcadDb":
+        """Open a fresh database for writing, replacing any file at path, and
+        write its header: the cell array every record's traits pair with."""
         db = cls(path)
         db.path.parent.mkdir(parents=True, exist_ok=True)
         db._fh = open(db.path, "wb")
+        db._write({"cells": [cell.to_json() for cell in cells]})
         return db
 
     def __enter__(self) -> "EcadDb":
@@ -92,24 +98,52 @@ class EcadDb:
         if self._fh is not None:
             self._fh.close()
 
-    def append(self, rec: DbRecord) -> None:
-        self._fh.write((rec.to_json_text() + "\n").encode("utf-8"))
+    def _write(self, doc: dict[str, Any]) -> None:
+        self._fh.write((CANONICAL_JSON.encode(doc) + "\n").encode("utf-8"))
         self._fh.flush()
 
-    def scan(self) -> Iterator[DbRecord]:
+    def append(self, rec: DbRecord) -> None:
+        self._write(rec.to_json())
+
+    def _lines(self) -> Iterator[tuple[int, str]]:
+        """(line number, text) of each complete line; a torn last line ends the file."""
         if not self.path.exists():
             raise StoreError(f"database file {self.path} does not exist")
         with open(self.path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.endswith("\n"):
-                    return   # torn tail of an interrupted append
-                if not line.strip():
-                    continue
-                try:
-                    rec = DbRecord.from_json(json.loads(line))
-                except ValueError as exc:   # bad JSON, or a missing key or mistyped value
-                    raise StoreError(f"{self.path}:{lineno}: corrupt record: {exc}") from exc
-                yield rec
+                    return   # torn tail of an interrupted write
+                yield lineno, line
+
+    def _header(self, line: str) -> tuple[CellInstance, ...]:
+        try:   # bad JSON, a record where the header belongs, or a mistyped cell
+            header = Fields(json.loads(line), "header", StoreError)
+            return tuple(map(CellInstance.from_json, header.items("cells", dict)))
+        except ValueError as exc:
+            raise StoreError(f"{self.path}:1: not a database header: {exc}") from exc
+
+    def cells(self) -> tuple[CellInstance, ...]:
+        """The cell array of the header line."""
+        for _, line in self._lines():
+            return self._header(line)
+        raise StoreError(f"{self.path} has no complete header line")
+
+    def scan(self) -> Iterator[DbRecord]:
+        n_cells = 0
+        for lineno, line in self._lines():
+            if lineno == 1:
+                n_cells = len(self._header(line))
+                continue
+            if not line.strip():
+                continue
+            try:
+                rec = DbRecord.from_json(json.loads(line))
+                if len(rec.genome.traits) != n_cells:
+                    raise StoreError(f"genome has {len(rec.genome.traits)} trait objects, "
+                                     f"but the header has {n_cells} cells")
+            except ValueError as exc:   # bad JSON, a missing key or mistyped value, or wrong traits
+                raise StoreError(f"{self.path}:{lineno}: corrupt record: {exc}") from exc
+            yield rec
 
     def top(self, k: int) -> list[DbRecord]:
         """Best k records by combined score, ties broken by older genome id."""
@@ -125,9 +159,9 @@ class EcadDb:
 
     def export(self, genome_id: int, out_path: str | Path) -> Path:
         """Write the genome's network description as a standalone JSON file."""
-        rec = self.get(genome_id)
+        rec, cells = self.get(genome_id), self.cells()
         try:   # the file is outside input: check the description as `ecad eval` would
-            desc = NetworkDescription.from_json(to_description(rec.genome).to_json())
+            desc = NetworkDescription.from_json(to_description(rec.genome, cells).to_json())
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreError(f"genome {genome_id} in {self.path} is not a valid network: {exc}") from exc
         out = Path(out_path)

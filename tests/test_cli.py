@@ -61,7 +61,7 @@ def test_search_is_byte_reproducible(tmp_path, hw_only_config):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     pop = parse_config(hw_only_config).pop
-    records = (outs[0] / "ecad.db.jsonl").read_text(encoding="utf-8").splitlines()
+    records = (outs[0] / "ecad.db.jsonl").read_text(encoding="utf-8").splitlines()[1:]   # after the header
     children = math.ceil(pop.change_rate * pop.max_pop_size)
     assert len(records) == pop.initial_pop_size + children * (GENERATIONS - 1)
     report = json.loads((outs[0] / "report.json").read_text(encoding="utf-8"))
@@ -77,7 +77,7 @@ def test_search_matches_golden_digests(tmp_path, hw_only_config):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("ecad.db.jsonl", "report.json")}
     assert digests == {
-        "ecad.db.jsonl": "18a77d99cc7d2cd3cafd678367d4a6ed0bc068d8e89054c2877003768fa1255d",
+        "ecad.db.jsonl": "1c1c654f65b93ecfde102e9f51dca87a98f9781030b8acbb4553b929b60d9481",
         "report.json": "1bf88218ff6e00de28717e50f98265f7e936e61caf70b5d2858ff5e439a018d3",
     }
 
@@ -90,7 +90,7 @@ def test_long_search_matches_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("ecad.db.jsonl", "report.json", "generations.csv")}
     assert digests == {
-        "ecad.db.jsonl": "29589b428e10c539fe06afa7bc93628896382694736d98576fc363271503a44c",
+        "ecad.db.jsonl": "d8882cf7e0f8d9b5f0a11206e4b1b2d9c0e8b3b4d6265248bdfbde81ca32fc81",
         "report.json": "ed974b59de0e9703e3439af18ee6e6ed401926392d8effe34f519b7335d586bd",
         "generations.csv": "58dd751718bffe962f5d7c14cfeba25daf716806146e44b3ac6f08481667d224",
     }
@@ -101,8 +101,9 @@ def test_infeasible_record_keeps_its_screen_metrics(tmp_path, hw_only_config):
     assert cli.main(["search", str(hw_only_config), "--seed", "3", "--out-dir", str(out)]) == 0
     hw = parse_config(hw_only_config).hw
     infeasible = 0
+    cells = parse_config(hw_only_config).cell_array
     for rec in EcadDb(out / "ecad.db.jsonl").scan():
-        dsp_est, mem_kb_est, feasible = resource_estimate(to_description(rec.genome).systolic, hw)
+        dsp_est, mem_kb_est, feasible = resource_estimate(to_description(rec.genome, cells).systolic, hw)
         if feasible:
             continue
         infeasible += 1
@@ -165,7 +166,8 @@ def test_interrupted_search_leaves_completed_generations(tmp_path, hw_only_confi
     data = (out / "ecad.db.jsonl").read_bytes()
     assert data.endswith(b"\n")
     lines = data.splitlines(keepends=True)
-    assert lines == (full / "ecad.db.jsonl").read_bytes().splitlines(keepends=True)[:done]
+    # the header, then the records of generations 1-2
+    assert lines == (full / "ecad.db.jsonl").read_bytes().splitlines(keepends=True)[:1 + done]
     assert [r.genome.id for r in EcadDb(out / "ecad.db.jsonl").scan()] == list(range(done))
     assert not (out / "report.json").exists()
 
@@ -725,6 +727,36 @@ def test_non_integer_description_number_refused(tmp_path, capsys, command, path,
     assert captured.out == ""
     assert captured.err == f"error: cannot load network description {net}: {message}\n"
     assert sorted(tmp_path.iterdir()) == [net]
+
+
+NOT_A_FILE_NAME = "cannot name a file: it must not be empty, '.' or '..', or hold '/' or '\\'"
+
+
+@pytest.mark.parametrize("names,message", [
+    (("a", "a"), "layer name 'a' is used twice; each layer's parameters are saved under its name"),
+    (("", "Y"), f"layer name '' {NOT_A_FILE_NAME}"),
+    ((".", "Y"), f"layer name '.' {NOT_A_FILE_NAME}"),
+    (("..", "Y"), f"layer name '..' {NOT_A_FILE_NAME}"),
+    (("../escaped", "Y"), f"layer name '../escaped' {NOT_A_FILE_NAME}"),
+    (("dense00", "out/Y"), f"layer name 'out/Y' {NOT_A_FILE_NAME}"),
+    (("a\\b", "Y"), f"layer name 'a\\\\b' {NOT_A_FILE_NAME}"),
+], ids=["twice", "empty", "dot", "dotdot", "escapes", "slash", "backslash"])
+def test_layer_name_that_cannot_name_a_file_is_refused(tmp_path, capsys, tiny_mnist, names,
+                                                       message):
+    # `train --save-wb` writes <name>_weights.bin per layer: a repeated name
+    # would overwrite the first layer's files, a path would leave the destination
+    net, dest = tmp_path / "net.json", tmp_path / "out" / "p"
+    doc = mlp_desc([784, 4, 10], batch=4).to_json()
+    for layer, name in zip(doc["layers"], names):
+        layer["name"] = name
+    net.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["train", str(net), str(dest), "--epochs", "1", "--batch-size", "3", "--save-wb",
+            "--mnist-dir", str(tiny_mnist)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot load network description {net}: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mnist", "net.json"]
 
 
 def test_explicit_mnist_dir_must_exist(tmp_path, network_file, capsys):

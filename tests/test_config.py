@@ -348,7 +348,7 @@ class TestValidation:
             del doc["cellTypes"][1][name]
         cfg = parse_config(doc)
         assert set(cfg.cell_types["dense"]) == {"neurons", "enableBias"}
-        assert to_description(spawn(cfg, random.Random(0), 0)).systolic is None
+        assert to_description(spawn(cfg, random.Random(0), 0), cfg.cell_array).systolic is None
 
     @pytest.mark.parametrize("edit,message", [
         (lambda d: d["cellArray"][0].update(cell_type="dense"),

@@ -5,6 +5,7 @@ import pytest
 
 from ecad import engine
 from ecad.dispatch import Dispatcher, EvalJob, EvalResult
+from ecad.genome import to_description
 from ecad.store import EcadDb
 
 GENERATIONS = 12
@@ -33,7 +34,8 @@ def small_cfg(listing_cfg):
 
 
 def search(cfg, tmp_path, seed=5):
-    with EcadDb.create(tmp_path / f"seed{seed}-goal{cfg.pop.fitness_score_goal}.jsonl") as store:
+    path = tmp_path / f"seed{seed}-goal{cfg.pop.fitness_score_goal}.jsonl"
+    with EcadDb.create(path, cfg.cell_array) as store:
         report, _ = engine.run(cfg, Dispatcher({"hwDBJob": width_worker}), store=store, seed=seed)
     return report, list(store.scan())
 
@@ -42,8 +44,8 @@ def n_children(cfg) -> int:
     return math.ceil(cfg.pop.change_rate * cfg.pop.max_pop_size)
 
 
-def width(rec) -> int:
-    return next(c for c in rec.genome.cells if c.cell_type == "dense").trait_values["neurons"]
+def width(rec, cfg) -> int:
+    return to_description(rec.genome, cfg.cell_array).layers[0].out_features
 
 
 def test_records_per_generation(small_cfg, tmp_path):
@@ -53,7 +55,7 @@ def test_records_per_generation(small_cfg, tmp_path):
     for g in range(1, GENERATIONS + 1):
         upto = [r for r in records if r.generation <= g]
         assert len(upto) == small_cfg.pop.initial_pop_size + n_children(small_cfg) * (g - 1)
-    assert all(rec.combined == width(rec) / MAX_GOPS for rec in records)
+    assert all(rec.combined == width(rec, small_cfg) / MAX_GOPS for rec in records)
 
 
 def test_population_never_exceeds_max(small_cfg, tmp_path):
@@ -106,3 +108,25 @@ def test_stops_when_goal_reached(small_cfg, tmp_path):
     assert [h.best for h in report.history] == bests[:g]
     assert max(r.generation for r in records) == g
     assert full.stop_reason == "max generations reached"
+
+
+def test_database_round_trips_the_run(small_cfg, tmp_path):
+    # what the store reads back is what the engine held: each member's record,
+    # and from the header cells the description each genome was scored on
+    scored = {}
+
+    def recording_worker(job: EvalJob) -> EvalResult:
+        scored[job.genome_id] = job.network
+        return width_worker(job)
+
+    path = tmp_path / "ecad.db.jsonl"
+    with EcadDb.create(path, small_cfg.cell_array) as store:
+        _, members = engine.run(small_cfg, Dispatcher({"hwDBJob": recording_worker}),
+                                store=store, seed=5)
+    db = EcadDb(path)
+    cells = db.cells()
+    assert cells == small_cfg.cell_array
+    records = {rec.genome.id: rec for rec in db.scan()}
+    assert sorted(records) == sorted(scored)
+    assert all(records[gid] == member for gid, member in members.items())
+    assert all(to_description(rec.genome, cells) == scored[gid] for gid, rec in records.items())

@@ -57,7 +57,7 @@ def test_every_searched_design_matches_the_full_model(listing_cfg, estimate_call
     worker = workers.make_hwdb_worker(listing_cfg.hw)
     feasible = 0
     for gid in range(300):
-        desc = to_description(spawn(listing_cfg, rng, gid))
+        desc = to_description(spawn(listing_cfg, rng, gid), listing_cfg.cell_array)
         full = hwmodel.estimate(desc, desc.systolic, listing_cfg.hw)
         res = worker(EvalJob(genome_id=gid, eval_type="hwDBJob", network=desc))
         if full.feasible:
