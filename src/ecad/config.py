@@ -19,20 +19,23 @@ fewer than maxPopSize children are made per generation; each cell type is
 declared once, each trait has a legal value, and every legal neurons,
 batch_size and array trait value is >= 1; a cell type declares all five
 array traits (`SYS_ARRAY`) or none, and every legal sys_rows + sys_cols has a
-power of two at least as large in its sys_intrlv range; `cell_array` is one
-chain, in order, of cells of declared types, from one input cell with an
-input_size >= 1 to one output cell with an output_size >= 1, and no other
-cell is an input or output; a dense cell's type declares neurons; and with
-hwDBJob active, the chain has a dense cell whose type declares the array
-traits. So every genome `spawn` and `mutate` make describes a valid network,
-and a valid array when hwDBJob is active.
+power of two at least as large in its sys_intrlv range; `cell_array` is the
+chain in listed order: each cell's input and output name the cells listed
+before and after it, 'global' at the ends, and names are unique and not
+'global'; each cell's type is declared, and the chain runs from one input
+cell with an input_size >= 1 to one output cell with an output_size >= 1,
+with no other input or output cell; a dense or output cell's name is a layer
+name, so it is not empty, '.' or '..' and holds no '/' or '\\'; a dense
+cell's type declares neurons; and with hwDBJob active, the chain has a dense
+cell whose type declares the array traits. So every genome `spawn` and
+`mutate` make describes a valid network, and with hwDBJob a valid array.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Any
@@ -391,12 +394,11 @@ TraitRow = tuple[str, float, tuple[int, ...]]
 @dataclass(frozen=True)
 class EcadConfig:
     name: str
-    version: str
     pop: PopConfig
     def_change_rate: float
     cell_types: dict[str, dict[str, TraitSpec]]   # cell_type -> trait -> spec
     hw: HwConfig
-    cell_array: tuple[CellInstance, ...]          # in chain order, 'global' input first
+    cell_array: tuple[CellInstance, ...]          # the chain, 'global' input first
 
     @cached_property
     def mutation_rows(self) -> dict[str, tuple[TraitRow, ...]]:
@@ -413,44 +415,36 @@ class EcadConfig:
         }
 
 
-def _ordered_chain(cells: tuple[CellInstance, ...]) -> list[CellInstance]:
-    by_name = {c.cell_name: c for c in cells}
-    heads = [c for c in cells if c.input == "global"]
-    if len(heads) != 1:
-        raise ConfigError(f"cell array must have exactly one cell with input 'global', found {len(heads)}")
-    chain: list[CellInstance] = []
-    seen: set[str] = set()
-    cur: CellInstance | None = heads[0]
-    while cur is not None:
-        if cur.cell_name in seen:
-            raise ConfigError(f"cell chain has a cycle at '{cur.cell_name}'")
-        seen.add(cur.cell_name)
-        chain.append(cur)
-        if cur.output == "global":
-            cur = None
-        elif cur.output in by_name:
-            cur = by_name[cur.output]
-        else:
-            raise ConfigError(f"cell '{cur.cell_name}' outputs to undeclared cell '{cur.output}'")
-    if len(chain) != len(cells):
-        stray = sorted(set(by_name) - seen)
-        raise ConfigError(f"cell array is not a single chain; unreachable cells: {stray}")
-    return chain
+def check_layer_name(name: str, error: type[ValueError] = ConfigError) -> None:
+    """Raise `error` unless `name` can name a layer's parameter files
+    (``<name>_weights.bin``): not empty, ``.`` or ``..``, and without ``/`` or ``\\``."""
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise error(f"layer name {name!r} cannot name a file: it must not be "
+                    "empty, '.' or '..', or hold '/' or '\\'")
 
 
-def _validate(cfg: EcadConfig) -> EcadConfig:
-    """`cfg` with its invariants checked and its cell array in chain order."""
-    if not cfg.version:
-        raise ConfigError("missing 'version'")
-    if not cfg.cell_array:
+def _validate(cfg: EcadConfig) -> None:
+    """Raise ConfigError unless `cfg` holds the invariants the module docstring lists."""
+    chain = cfg.cell_array
+    if not chain:
         raise ConfigError("empty cell array")
-    names = [c.cell_name for c in cfg.cell_array]
-    if len(names) != len(set(names)):
-        raise ConfigError("cell_name values must be unique")
-    for cell in cfg.cell_array:
+    links = ["global", *(c.cell_name for c in chain), "global"]
+    if len(set(links)) != len(links) - 1:   # only 'global' may appear twice
+        raise ConfigError("cell_name values must be unique and not 'global'")
+    for pos, cell in enumerate(chain):
+        before, after = links[pos], links[pos + 2]
+        if (cell.input, cell.output) != (before, after):
+            raise ConfigError(f"cell '{cell.cell_name}' links '{cell.input}' -> '{cell.output}', "
+                              f"but cellArray lists it between '{before}' and '{after}'")
         if cell.cell_type not in cfg.cell_types:
             raise ConfigError(f"cell '{cell.cell_name}' references undeclared cell_type '{cell.cell_type}'")
-    chain = tuple(_ordered_chain(cfg.cell_array))
+        # the first cell must be the one input, the last the one output
+        end = {0: "input", len(chain) - 1: "output"}.get(pos)
+        if end != (cell.cell_type if cell.cell_type in ("input", "output") else None):
+            raise ConfigError(f"cell '{cell.cell_name}' of type '{cell.cell_type}' is cell {pos + 1} "
+                              f"of {len(chain)}; the chain must run from one input cell to one output cell")
+        if cell.cell_type in ("dense", "output"):
+            check_layer_name(cell.cell_name)
     if not 0 < cfg.def_change_rate <= 1:
         raise ConfigError("traitConfigValues: defChangeRate must be in (0, 1]")
     for ctype, traits in cfg.cell_types.items():
@@ -470,12 +464,6 @@ def _validate(cfg: EcadConfig) -> EcadConfig:
             lowest = traits[name].legal_values()[0] if name in traits else 1
             if lowest < 1:
                 raise ConfigError(f"trait '{ctype}.{name}': every legal value must be >= 1, got {lowest}")
-    for pos, cell in enumerate(chain):
-        # the first cell must be the one input, the last the one output
-        end = {0: "input", len(chain) - 1: "output"}.get(pos)
-        if end != (cell.cell_type if cell.cell_type in ("input", "output") else None):
-            raise ConfigError(f"cell '{cell.cell_name}' of type '{cell.cell_type}' is cell {pos + 1} "
-                              f"of {len(chain)}; the chain must run from one input cell to one output cell")
     for cell, key in ((chain[0], "input_size"), (chain[-1], "output_size")):
         size = getattr(cell, key)
         if size is None or size < 1:
@@ -487,7 +475,6 @@ def _validate(cfg: EcadConfig) -> EcadConfig:
             and not (dense and SYS_ROWS in cfg.cell_types["dense"])):
         raise ConfigError("evalType 'hwDBJob' needs a dense cell whose cell_type declares "
                           f"the array traits {', '.join(SYS_ARRAY)}")
-    return replace(cfg, cell_array=chain)
 
 
 def _document(source: str | Path | dict[str, Any], what: str = "config file",
@@ -534,14 +521,16 @@ def parse_config(source: str | Path | dict[str, Any]) -> EcadConfig:
     reads must have its JSON type (see `Fields`); other keys are ignored.
     """
     doc = Fields(_document(source), "config")
+    if not doc("version", str, ""):
+        raise ConfigError("missing 'version'")
     trait = Fields(doc("traitConfigValues", dict, {}), "traitConfigValues")
     cfg = EcadConfig(
         name=doc("name", str, ""),
-        version=doc("version", str, ""),
         pop=PopConfig.from_json(doc("popConfigValues", dict)),
         def_change_rate=trait("defChangeRate", float, 0.1),
         cell_types=_cell_types(doc.items("cellTypes", dict, [])),
         hw=HwConfig.from_json(doc("hwConfig", dict)),
         cell_array=tuple(map(CellInstance.from_json, doc.items("cellArray", dict, []))),
     )
-    return _validate(cfg)
+    _validate(cfg)
+    return cfg

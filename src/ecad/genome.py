@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .config import (SYS_ARRAY, SYS_COLS, SYS_INTRLV, SYS_ROWS, CellInstance, EcadConfig,
-                     Fields, TraitSpec, interleave_choices)
+                     Fields, TraitSpec, check_layer_name, interleave_choices)
 
 _MUTATE_RETRIES = 16
 
@@ -223,9 +223,8 @@ class NetworkDescription:
         `config.Fields`). Raises GenomeError for a missing key or a value of
         the wrong type, an empty stack, a width, batch or array field below 1,
         an activation other than relu or none, widths that do not chain, or a
-        layer name that cannot name its parameter files (`nnsim.save_params`
-        writes ``<name>_weights.bin``): a repeated or empty name, ``.``,
-        ``..``, or one holding ``/`` or ``\\``."""
+        layer name that cannot name its parameter files: a repeated name, or
+        one `config.check_layer_name` refuses."""
         desc = Fields(raw, "network description", GenomeError)
         layers = []
         for i, entry in enumerate(desc.items("layers", dict)):
@@ -237,9 +236,7 @@ class NetworkDescription:
             raise GenomeError("network description has no layers")
         names = [layer.name for layer in layers]
         for layer in layers:
-            if layer.name in ("", ".", "..") or "/" in layer.name or "\\" in layer.name:
-                raise GenomeError(f"layer name {layer.name!r} cannot name a file: it must not be "
-                                  "empty, '.' or '..', or hold '/' or '\\'")
+            check_layer_name(layer.name, GenomeError)
             if names.count(layer.name) > 1:
                 raise GenomeError(f"layer name '{layer.name}' is used twice; each layer's "
                                   "parameters are saved under its name")

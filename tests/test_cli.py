@@ -22,6 +22,7 @@ from ecad.workers import make_hwdb_worker
 from helpers import LISTING_CONFIG, listing_doc, mlp_desc, time_limit
 
 GENERATIONS = 30
+NOT_A_FILE_NAME = "cannot name a file: it must not be empty, '.' or '..', or hold '/' or '\\'"
 
 
 @pytest.fixture
@@ -290,6 +291,19 @@ def _inner_input_cell(doc):
     doc["cellArray"][2]["cell_type"] = "input"
 
 
+def _wrong_input_link(doc):
+    _hw_only(doc)
+    doc["cellArray"][1]["input"] = "Y"
+
+
+def _dense_named_a_path(doc):
+    # a layer name no network description accepts: the search must not run only
+    # to leave a database that no `ecad export` can read
+    _hw_only(doc)
+    doc["cellArray"][1]["cell_name"] = doc["cellArray"][0]["output"] = "../d"
+    doc["cellArray"][2]["input"] = "../d"
+
+
 def _drop_input_size(doc):
     _hw_only(doc)
     del doc["cellArray"][0]["input_size"]
@@ -328,6 +342,9 @@ def _sys_scale_zero(doc):
     (_cell_types_object, "config: cellTypes must be a JSON array, got a JSON object"),
     (_inner_input_cell, "cell 'relu00' of type 'input' is cell 3 of 4; "
                         "the chain must run from one input cell to one output cell"),
+    (_wrong_input_link, "cell 'dense00' links 'Y' -> 'relu00', but cellArray lists it "
+                        "between 'X' and 'relu00'"),
+    (_dense_named_a_path, f"layer name '../d' {NOT_A_FILE_NAME}"),
     (_drop_input_size, "input cell 'X': input_size must be >= 1, got None"),
     (_drop_neurons, "cell_type 'dense' must declare the trait 'neurons'"),
     (_drop_sys_scale, "cell_type 'dense' lacks array trait(s) sys_scale; declare all five or none"),
@@ -336,7 +353,8 @@ def _sys_scale_zero(doc):
     (_sys_scale_zero, "trait 'dense.sys_scale': every legal value must be >= 1, got 0"),
 ], ids=["no-dsp", "dsp-lots", "no-maxPopSize", "no-cell_name", "active-physJob", "powValue-1",
         "traitConfigValues-list", "evalTypes-int", "cellTypes-object", "inner-input-cell",
-        "no-input_size", "no-neurons", "no-sys_scale", "no-array-traits", "sys_scale-0"])
+        "wrong-input-link", "dense-named-a-path", "no-input_size", "no-neurons", "no-sys_scale",
+        "no-array-traits", "sys_scale-0"])
 def test_search_rejects_bad_config(tmp_path, capsys, edit, message):
     doc = listing_doc()
     edit(doc)
@@ -727,9 +745,6 @@ def test_non_integer_description_number_refused(tmp_path, capsys, command, path,
     assert captured.out == ""
     assert captured.err == f"error: cannot load network description {net}: {message}\n"
     assert sorted(tmp_path.iterdir()) == [net]
-
-
-NOT_A_FILE_NAME = "cannot name a file: it must not be empty, '.' or '..', or hold '/' or '\\'"
 
 
 @pytest.mark.parametrize("names,message", [

@@ -59,6 +59,15 @@ def minimal_doc(**overrides):
     return doc
 
 
+def rename_cell(doc, pos, name):
+    """Rename cell ``pos`` of ``doc``'s cellArray, and its neighbours' links to it."""
+    old = doc["cellArray"][pos]["cell_name"]
+    for cell in doc["cellArray"]:
+        for key in ("cell_name", "input", "output"):
+            if cell[key] == old:
+                cell[key] = name
+
+
 class TestParseListing:
     def test_population_values(self, listing_cfg):
         assert listing_cfg.pop.initial_pop_size == 20
@@ -219,22 +228,58 @@ class TestValidation:
         with pytest.raises(ConfigError, match="conv"):
             parse_config(doc)
 
-    def test_broken_chain(self):
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d["cellArray"][1].update(input="Y"),
+         "cell 'd0' links 'Y' -> 'r0', but cellArray lists it between 'X' and 'r0'"),
+        (lambda d: d["cellArray"].insert(1, d["cellArray"].pop(2)),
+         "cell 'X' links 'global' -> 'd0', but cellArray lists it between 'global' and 'r0'"),
+        (lambda d: d["cellArray"][1].update(output="missing_cell"),
+         "cell 'd0' links 'X' -> 'missing_cell', but cellArray lists it between 'X' and 'r0'"),
+        (lambda d: d["cellArray"][3].update(output="d0"),
+         "cell 'Y' links 'r0' -> 'd0', but cellArray lists it between 'r0' and 'global'"),
+    ], ids=["wrong-input", "out-of-order", "broken-output", "links-back"])
+    def test_link_must_name_the_listed_neighbour(self, edit, message):
+        # the cell array is the chain in listed order; it is never reordered
         doc = minimal_doc()
-        doc["cellArray"][1]["output"] = "missing_cell"
-        with pytest.raises(ConfigError, match="missing_cell"):
-            parse_config(doc)
-
-    def test_cycle_detected(self):
-        doc = minimal_doc()
-        doc["cellArray"][3]["output"] = "d0"
-        with pytest.raises(ConfigError):
+        edit(doc)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(doc)
 
     def test_duplicate_names(self):
         doc = minimal_doc()
         doc["cellArray"][2]["cell_name"] = "d0"
         with pytest.raises(ConfigError, match="unique"):
+            parse_config(doc)
+
+    def test_cell_named_global_refused(self):
+        # its links would read as links to either end of the chain
+        doc = minimal_doc()
+        rename_cell(doc, 2, "global")
+        with pytest.raises(ConfigError, match="^cell_name values must be unique and not 'global'$"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("pos,name", [(1, ""), (1, "."), (1, ".."), (1, "../d"),
+                                          (1, "a\\b"), (3, "out/Y")],
+                             ids=["empty", "dot", "dotdot", "escapes", "backslash", "output-slash"])
+    def test_layer_name_that_cannot_name_a_file_refused(self, pos, name):
+        # a dense or output cell's name becomes its layer's parameter file names
+        doc = minimal_doc()
+        rename_cell(doc, pos, name)
+        with pytest.raises(ConfigError, match=f"^layer name {re.escape(repr(name))} cannot name a file"):
+            parse_config(doc)
+
+    def test_names_of_cells_that_are_no_layer_are_free(self):
+        doc = minimal_doc()
+        rename_cell(doc, 0, "")
+        rename_cell(doc, 2, "r/0")
+        assert [c.cell_name for c in parse_config(doc).cell_array] == ["", "d0", "r/0", "Y"]
+
+    @pytest.mark.parametrize("edit", [lambda d: d.pop("version"), lambda d: d.update(version="")],
+                             ids=["absent", "empty"])
+    def test_version_required(self, edit):
+        doc = minimal_doc()
+        edit(doc)
+        with pytest.raises(ConfigError, match="^missing 'version'$"):
             parse_config(doc)
 
     def test_syntax_error_position(self, tmp_path):
