@@ -117,14 +117,17 @@ def one_hot(labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:
 
 
 def _load_split(dir_path: Path, images_stem: str, labels_stem: str) -> tuple[np.ndarray, np.ndarray]:
-    images = read_idx_images(_find(dir_path, images_stem))
+    images_path = _find(dir_path, images_stem)
+    images = read_idx_images(images_path)
+    if images.shape[0] == 0:
+        raise DatasetError(f"{images_path}: holds no images")
     labels_path = _find(dir_path, labels_stem)
     labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
         raise DatasetError(
             f"{dir_path}: {images.shape[0]} images but {labels.shape[0]} labels"
         )
-    if labels.size and labels.max() >= NUM_CLASSES:
+    if labels.max() >= NUM_CLASSES:
         raise DatasetError(
             f"{labels_path}: label {labels.max()} is outside 0..{NUM_CLASSES - 1}"
         )

@@ -8,8 +8,8 @@ then drains one element per cycle through the optional bias and ReLU.
 ``CycleStats`` is this blocked count, from ``hwmodel.block_geometry``.
 
 Numerics are float32 in a fixed order: each step's vec-wide products are
-reduced level-wise over adjacent pairs (an odd trailing element passes
-through), then the steps accumulate sequentially in K order, as in the
+rounded once, reduced level-wise over adjacent pairs (an odd trailing element
+passes through), then the steps accumulate sequentially in K order, as in the
 pipelined reduction-tree hardware. Output elements are independent, so the
 block grouping of rows and columns moves no bit: the simulator computes only
 the real M x N output, in row tiles, over K padded to a multiple of vec.
@@ -121,12 +121,12 @@ def simulate_layer(
     Returns the M x N result, with the optional bias and ReLU applied at the
     drain, and the layer's cycle statistics. Each output element gets
     ``acc += tree_reduce(products)`` for consecutive vec-wide K slices in K
-    order, over row tiles sized so one step's (vec, rows, N) product array
-    stays near ``TILE_BYTES``; padded M rows and N columns are not computed.
-    Skipping the all-zero K slices between k rounded up to vec and to vec*scale
-    is exact: the accumulator starts at +0.0, and in round-to-nearest an exactly
-    zero sum is +0.0 unless both terms are -0.0, so the accumulator is never
-    -0.0 and adding a zero slice sum leaves its bits unchanged.
+    order, over row tiles sized so one step's (vec, rows, N) einsum outer
+    product stays near ``TILE_BYTES``; padded M rows and N columns are not
+    computed. einsum adds each rounded product to +0.0, so -0.0 comes out +0.0.
+    That and skipping the zero K slices past k rounded up to vec move no bit, as in
+    round-to-nearest a zero sum is +0.0 unless both terms are -0.0: zero signs reach
+    only zero sums, and acc, which starts at +0.0, is never -0.0, so it absorbs them.
     """
     a = np.asarray(a, dtype=np.float32)
     b = np.asarray(b, dtype=np.float32)
@@ -141,15 +141,15 @@ def simulate_layer(
     vec = cfg.vec
     steps = -(-k // vec)
     a = np.pad(a, ((0, 0), (0, steps * vec - k)))
-    b_steps = np.pad(b, ((0, steps * vec - k), (0, 0))).reshape(steps, vec, 1, n)
+    b_steps = np.pad(b, ((0, steps * vec - k), (0, 0))).reshape(steps, vec, n)
     tile_rows = max(1, TILE_BYTES // (vec * n * 4))
 
     out = np.zeros((m, n), dtype=np.float32)
     for r0 in range(0, m, tile_rows):
         acc = out[r0:r0 + tile_rows]
-        a_steps = np.ascontiguousarray(a[r0:r0 + tile_rows].T).reshape(steps, vec, -1, 1)
+        a_steps = np.ascontiguousarray(a[r0:r0 + tile_rows].T).reshape(steps, vec, -1)
         for s in range(steps):
-            acc += tree_reduce(a_steps[s] * b_steps[s])
+            acc += tree_reduce(np.einsum("jr,jn->jrn", a_steps[s], b_steps[s]))
     # drain: one element per cycle through the bias/ReLU stage
     if bias is not None:
         out += np.asarray(bias, dtype=np.float32)

@@ -216,6 +216,15 @@ def test_non_integer_array_field_is_an_error(network_file, capsys, command):
     assert captured.err == "error: expected 5 comma-separated integers, got '4,4,x,8,8'\n"
 
 
+def test_simulate_array_matches_golden_digest(capsys):
+    # 64 outputs, so the printed result lists every value: the digest pins each
+    # output bit of the Table 2 array over 98 vec-wide K steps
+    argv = ["simulate-array", "--cfg", "4,4,8,8,8", "--m", "8", "--k", "784", "--n", "8", "--seed", "0"]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "d04db8d7e76960a13a9d005d1a8aa05ffb32498fbc7a8abb1a544bbed57ab579"
+
+
 def test_simulate_array_hand_computed_cycles(capsys):
     # the counts worked by hand in test_sysarray.py::TestSimulateLayer::test_hand_computed_cycles
     assert cli.main(["simulate-array", "--cfg", "2,2,2,2,2", "--m", "5", "--k", "9", "--n", "6"]) == 0
@@ -781,6 +790,18 @@ def test_explicit_mnist_dir_must_exist(tmp_path, network_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: MNIST directory not found: {missing}\n"
+    assert not (tmp_path / "dest").exists()
+
+
+def test_empty_test_split_is_an_error(tmp_path, tiny_mnist, network_file, capsys):
+    images = tiny_mnist / "t10k-images-idx3-ubyte"
+    write_idx_images(images, np.zeros((0, 784), dtype=np.uint8))
+    write_idx_labels(tiny_mnist / "t10k-labels-idx1-ubyte", np.zeros(0, dtype=np.uint8))
+    argv = ["train", str(network_file), str(tmp_path / "dest"), "--mnist-dir", str(tiny_mnist)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {images}: holds no images\n"
     assert not (tmp_path / "dest").exists()
 
 

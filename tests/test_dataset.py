@@ -97,6 +97,13 @@ class TestIdxFiles:
         with pytest.raises(DatasetError, match="100 images but 99 labels"):
             load_mnist(tmp_path)
 
+    @pytest.mark.parametrize("stem,sizes", [("train", {"n_train": 0}), ("t10k", {"n_test": 0})])
+    def test_empty_split_refused(self, tmp_path, stem, sizes):
+        write_split(tmp_path, **sizes)
+        images_path = tmp_path / f"{stem}-images-idx3-ubyte"
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(images_path))}: holds no images$"):
+            load_mnist(tmp_path)
+
     def test_label_out_of_range(self, tmp_path):
         write_split(tmp_path)
         labels_path = tmp_path / "t10k-labels-idx1-ubyte"

@@ -24,7 +24,7 @@ from oracles import dense_oracle, max_rel_error, ordered_oracle, scalar_ordered_
 def random_case(rng):
     cfg = SystolicConfig(
         rows=rng.choice([1, 2, 4]), cols=rng.choice([1, 2, 4, 8]),
-        vec=rng.choice([1, 2, 4, 8, 16]), interleave=rng.choice([1, 2, 4, 8, 16]),
+        vec=rng.choice([1, 2, 3, 4, 5, 8, 16]), interleave=rng.choice([1, 2, 4, 8, 16]),
         scale=rng.choice([1, 2, 3, 4]),
     )
     m, k, n = (rng.randint(1, 512) for _ in range(3))
