@@ -52,11 +52,11 @@ def _load_description(path: str | Path) -> NetworkDescription:
 def _resolve_dataset(mnist_dir: str | None, train_subset: int | None) -> ds.Dataset:
     """Real MNIST from the --mnist-dir directory, which must exist; without the
     flag, the synthetic stand-in. Pixels stay 8-bit; ``train_subset`` 0 keeps
-    no training rows, and the stand-in then builds only its test split."""
+    no training rows, and then only the test split is read or built."""
     if mnist_dir:
         if not Path(mnist_dir).is_dir():
             raise CliError(f"MNIST directory not found: {mnist_dir}")
-        data = ds.load_mnist(mnist_dir)
+        data = ds.load_mnist(mnist_dir, train=train_subset != 0)
     else:
         print("note: no --mnist-dir given, using the synthetic stand-in dataset",
               file=sys.stderr)
@@ -147,6 +147,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cycle_counts(cost: hwmodel.GemmCost) -> dict[str, int]:
+    """The counts simulate-array prints for one GEMM, all of them the model's."""
+    return {key: getattr(cost, key) for key in ("compute_cycles", "blocks", "drain_elements")}
+
+
 def cmd_simulate_array(args: argparse.Namespace) -> int:
     _require_at_least_one(args, "m", "k", "n", "limit")
     cfg = SystolicConfig.parse(args.cfg)
@@ -161,27 +166,24 @@ def cmd_simulate_array(args: argparse.Namespace) -> int:
         data = _resolve_dataset(args.mnist_dir, 0)
         x = ds.to_float(data.test_x[:args.limit])
         y = data.test_y[:args.limit]
-        outputs, stats = sysarray.run_network(desc, params, x, cfg)
+        outputs, costs = sysarray.run_network(desc, params, x, cfg)
         acc = float(np.mean(np.argmax(outputs, axis=1) == np.argmax(y, axis=1)))
         print(json.dumps({
             "cfg": list(cfg.as_tuple()),
             "images": int(x.shape[0]),
             "accuracy": acc,
-            "layers": [vars(s) for s in stats],
+            "layers": [_cycle_counts(c) for c in costs],
         }, indent=2))
         return 0
 
     rng = np.random.default_rng(args.seed)
     a = rng.uniform(-1.0, 1.0, size=(args.m, args.k)).astype(np.float32)
     b = rng.uniform(-1.0, 1.0, size=(args.k, args.n)).astype(np.float32)
-    result, stats = sysarray.simulate_layer(a, b, cfg)
+    result, cost = sysarray.simulate_layer(a, b, cfg)
     doc = {
         "cfg": list(cfg.as_tuple()),
         "m": args.m, "k": args.k, "n": args.n,
-        "compute_cycles": stats.compute_cycles,
-        "a_blocks": stats.a_blocks,
-        "b_blocks": stats.b_blocks,
-        "drain_elements": stats.drain_elements,
+        **_cycle_counts(cost),
         "result_checksum": float(np.sum(result, dtype=np.float64)),
     }
     if result.size <= 64:

@@ -28,6 +28,8 @@ _TEST_LABELS = "t10k-labels-idx1-ubyte"
 # draw is 1.5 MiB, small enough that the allocator does not keep freed chunk
 # temporaries resident next to the output
 SYNTHETIC_CHUNK_ROWS = 256
+SYNTHETIC_SPREAD = 0.18   # class prototype pixels are uniform in 0.5 +- spread / 2
+SYNTHETIC_NOISE = 0.30    # standard deviation of the normal noise on each pixel
 
 
 class DatasetError(ValueError):
@@ -134,11 +136,13 @@ def _load_split(dir_path: Path, images_stem: str, labels_stem: str) -> tuple[np.
     return images, one_hot(labels)
 
 
-def load_mnist(dir_path: str | Path) -> Dataset:
-    """Load the four standard MNIST IDX files (optionally gzipped) from a directory."""
+def load_mnist(dir_path: str | Path, train: bool = True) -> Dataset:
+    """Load the four standard MNIST IDX files (optionally gzipped) from a directory;
+    without ``train`` only the t10k files are read and the train split is empty."""
     d = Path(dir_path)
-    train_x, train_y = _load_split(d, _TRAIN_IMAGES, _TRAIN_LABELS)
+    train_split = _load_split(d, _TRAIN_IMAGES, _TRAIN_LABELS) if train else None
     test_x, test_y = _load_split(d, _TEST_IMAGES, _TEST_LABELS)
+    train_x, train_y = train_split if train else (test_x[:0], test_y[:0])
     return Dataset(train_x, train_y, test_x, test_y)
 
 
@@ -148,17 +152,15 @@ def synthetic_mnist(
     n_test: int = 10000,
     num_features: int = 784,
     num_classes: int = 10,
-    spread: float = 0.18,
-    noise: float = 0.30,
 ) -> Dataset:
     """Deterministic MNIST-shaped stand-in: noisy class prototypes, 8-bit.
 
     Used when the real IDX files are not available; same shapes, pixel type
     and label encoding as the real dataset. Each row is a class prototype
     plus normal noise, clipped to [0, 1] in float32 and stored as the uint8
-    ``rint(v * 255)``. The default spread/noise put a small MLP in the
-    mid-to-high nineties after a few epochs, so accuracy behaves like a real
-    classification task rather than saturating at 1.
+    ``rint(v * 255)``. SYNTHETIC_SPREAD and SYNTHETIC_NOISE put a small MLP
+    in the mid-to-high nineties after a few epochs, so accuracy behaves like
+    a real classification task rather than saturating at 1.
 
     The test split is drawn before the training split, so ``n_train`` does
     not change it: ``synthetic_mnist(n_train=0)`` has the default test split.
@@ -169,7 +171,7 @@ def synthetic_mnist(
     """
     rng = np.random.default_rng(seed)
     prototypes = (
-        0.5 + spread * (rng.uniform(0.0, 1.0, size=(num_classes, num_features)) - 0.5)
+        0.5 + SYNTHETIC_SPREAD * (rng.uniform(0.0, 1.0, size=(num_classes, num_features)) - 0.5)
     ).astype(np.float32)
 
     def make(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +181,7 @@ def synthetic_mnist(
         # without its float64 intermediate
         for lo in range(0, n, SYNTHETIC_CHUNK_ROWS):
             rows = x[lo:lo + SYNTHETIC_CHUNK_ROWS]
-            v = rng.normal(0.0, noise, size=rows.shape).astype(np.float32)
+            v = rng.normal(0.0, SYNTHETIC_NOISE, size=rows.shape).astype(np.float32)
             v += prototypes[labels[lo:lo + rows.shape[0]]]
             np.clip(v, 0.0, 1.0, out=v)
             v *= 255

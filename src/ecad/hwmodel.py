@@ -11,15 +11,17 @@ hardware. Two parts:
     time, potential and effective GOP/s, images/s, latency) with the
     screen's metrics and a per-layer breakdown.
 
-Timing model per layer (GEMM of M x K by K x N):
-  - compute: each PE consumes one vec-wide vector per cycle and owns
-    interleave^2 accumulators, so one output block costs (K'/V) * I^2 cycles
-    and the layer costs (M'/BH) * (N'/BW) * (K'/V) * I^2.
-  - drain: the global drain moves one element per cycle and the flush
-    sequence serializes it against compute, adding M' * N' cycles.
-  - memory: every A/B block is streamed once per output block it feeds,
-    plus one write of the padded output; the layer takes
-    max(cycles / f, bytes / bandwidth), f being the device clock ``HwConfig.freq``.
+Timing model per layer: `gemm_cost` prices its M x K by K x N GEMM, with M,
+K and N padded up to whole blocks of BH = rows * I, vec * scale and
+BW = cols * I (M', K', N'; I is the interleave):
+  - compute_cycles: each PE consumes one vec-wide vector per cycle and owns
+    I^2 accumulators, so one output block costs block_cycles = (K'/V) * I^2
+    and the layer (M'/BH) * (N'/BW) * block_cycles.
+  - drain_elements: the drain moves one element per cycle, serialized
+    against compute by the flush sequence: M' * N' more cycles.
+  - stream_bytes: each A/B block pair once per output block, plus one write
+    of the padded output. The layer takes max((compute_cycles +
+    drain_elements) / f, stream_bytes / bandwidth), f being ``HwConfig.freq``.
 """
 
 from __future__ import annotations
@@ -31,71 +33,38 @@ from .config import HW_METRICS, HwConfig
 from .genome import NetworkDescription, SystolicConfig
 
 
-def _pad_up(n: int, block: int) -> int:
-    return ((n + block - 1) // block) * block
-
-
 @dataclass(frozen=True)
-class BlockGeometry:
-    """Blocked dimensions of one GEMM on a given array configuration."""
+class GemmCost:
+    """Blocked cost of one M x K by K x N GEMM on one array configuration."""
 
-    block_height: int    # matrix A block height = rows * interleave
-    block_width: int     # matrix B block width  = cols * interleave
-    common_block: int    # shared A-width / B-height = vec * scale
-    m: int
-    k: int
-    n: int
-    m_pad: int
-    k_pad: int
-    n_pad: int
-    block_cycles: int    # accumulation of one output block = (K'/V) * I^2
-
-    @property
-    def m_blocks(self) -> int:
-        return self.m_pad // self.block_height
-
-    @property
-    def k_blocks(self) -> int:
-        return self.k_pad // self.common_block
-
-    @property
-    def n_blocks(self) -> int:
-        return self.n_pad // self.block_width
-
-    @property
-    def compute_cycles(self) -> int:
-        """Exact PE-grid cycle count: every output block accumulates in turn."""
-        return self.m_blocks * self.n_blocks * self.block_cycles
-
-    @property
-    def drain_cycles(self) -> int:
-        """Global-drain cycles: one element per cycle over the padded output."""
-        return self.m_pad * self.n_pad
-
-    @property
-    def stream_bytes(self) -> int:
-        """DDR traffic: A/B blocks streamed per output block plus the output write."""
-        per_pair = (self.block_height * self.common_block + self.common_block * self.block_width) * 4
-        return self.m_blocks * self.n_blocks * self.k_blocks * per_pair + self.m_pad * self.n_pad * 4
+    blocks: int           # A/B block pairs streamed: m_blocks * n_blocks * k_blocks
+    block_cycles: int     # accumulation of one output block: (K'/V) * I^2
+    compute_cycles: int   # every output block accumulates in turn
+    drain_elements: int   # the padded output M' * N', drained one per cycle
+    stream_bytes: int     # every A/B block pair, then one write of the padded output
 
 
-def block_geometry(cfg: SystolicConfig, m: int, k: int, n: int) -> BlockGeometry:
+def gemm_cost(cfg: SystolicConfig, m: int, k: int, n: int) -> GemmCost:
     """Every dimension is >= 1: a description's widths and batch are checked where it enters."""
     bh = cfg.rows * cfg.interleave
     bw = cfg.cols * cfg.interleave
     cb = cfg.vec * cfg.scale
-    k_pad = _pad_up(k, cb)
-    return BlockGeometry(
-        block_height=bh, block_width=bw, common_block=cb,
-        m=m, k=k, n=n,
-        m_pad=_pad_up(m, bh), k_pad=k_pad, n_pad=_pad_up(n, bw),
-        block_cycles=(k_pad // cfg.vec) * cfg.interleave ** 2,
+    m_blocks, k_blocks, n_blocks = -(-m // bh), -(-k // cb), -(-n // bw)
+    blocks = m_blocks * n_blocks * k_blocks
+    block_cycles = k_blocks * cfg.scale * cfg.interleave ** 2   # K'/V = k_blocks * scale
+    drain_elements = m_blocks * bh * n_blocks * bw
+    return GemmCost(
+        blocks=blocks,
+        block_cycles=block_cycles,
+        compute_cycles=m_blocks * n_blocks * block_cycles,
+        drain_elements=drain_elements,
+        stream_bytes=(blocks * (bh + bw) * cb + drain_elements) * 4,
     )
 
 
 def compute_cycles(cfg: SystolicConfig, m: int, k: int, n: int) -> int:
     """Exact PE-grid cycle count for one blocked GEMM."""
-    return block_geometry(cfg, m, k, n).compute_cycles
+    return gemm_cost(cfg, m, k, n).compute_cycles
 
 
 def potential_gops(cfg: SystolicConfig, freq_mhz: float) -> float:
@@ -129,9 +98,7 @@ class LayerTiming:
     m: int
     k: int
     n: int
-    compute_cycles: int
-    drain_cycles: int
-    bytes: int
+    cost: GemmCost
     seconds: float
     memory_bound: bool
 
@@ -146,7 +113,7 @@ class HwEstimate:
     dsp_est: float
     mem_kb_est: float
     feasible: bool
-    layers: tuple[LayerTiming, ...] = ()
+    layers: tuple[LayerTiming, ...]
 
     def metrics(self) -> dict[str, float]:
         """Flat metric map as carried by worker results, keyed by `HW_METRICS`."""
@@ -158,41 +125,34 @@ def total_ops(desc: NetworkDescription) -> int:
     return 2 * desc.batch * sum(l.in_features * l.out_features for l in desc.layers)
 
 
-def estimate(
-    desc: NetworkDescription,
-    cfg: SystolicConfig,
-    hw: HwConfig,
-) -> HwEstimate:
+def estimate(desc: NetworkDescription, cfg: SystolicConfig, hw: HwConfig) -> HwEstimate:
     """Model one network on one array configuration (single shared array) at ``hw.freq``."""
     freq_hz = hw.freq * 1e6
     bandwidth = hw.bandwidth_bytes_per_s
 
     timings: list[LayerTiming] = []
     for layer in desc.layers:
-        g = block_geometry(cfg, desc.batch, layer.in_features, layer.out_features)
-        cc, dc, nbytes = g.compute_cycles, g.drain_cycles, g.stream_bytes
-        t_compute = (cc + dc) / freq_hz
-        t_memory = nbytes / bandwidth
+        m, k, n = desc.batch, layer.in_features, layer.out_features
+        cost = gemm_cost(cfg, m, k, n)
+        t_compute = (cost.compute_cycles + cost.drain_elements) / freq_hz
+        t_memory = cost.stream_bytes / bandwidth
         timings.append(LayerTiming(
-            name=layer.name, m=g.m, k=g.k, n=g.n,
-            compute_cycles=cc, drain_cycles=dc, bytes=nbytes,
+            name=layer.name, m=m, k=k, n=n, cost=cost,
             seconds=max(t_compute, t_memory),
             memory_bound=t_memory > t_compute,
         ))
 
     total_s = math.fsum(t.seconds for t in timings)
-    ops = total_ops(desc)
-    effective = ops / total_s / 1e9
 
     # latency: all earlier layers complete, then the last layer's first
-    # output block (g is the last layer's geometry) finishes its accumulation
-    latency_s = math.fsum(t.seconds for t in timings[:-1]) + g.block_cycles / freq_hz
+    # output block finishes its accumulation
+    latency_s = math.fsum(t.seconds for t in timings[:-1]) + cost.block_cycles / freq_hz
 
     dsp_est, mem_kb_est, feasible = resource_estimate(cfg, hw)
     return HwEstimate(
         total_time_ms=total_s * 1e3,
         potential_gops=potential_gops(cfg, hw.freq),
-        effective_gops=effective,
+        effective_gops=total_ops(desc) / total_s / 1e9,
         img_per_s=desc.batch / total_s,
         latency_ms=latency_s * 1e3,
         dsp_est=dsp_est,

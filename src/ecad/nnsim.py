@@ -42,6 +42,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 FLUSH_EVERY = 256     # steps between first-moment flushes
 FLUSH_BELOW = 1e-20   # first-moment magnitude flushed to 0
+ACCURACY_CHUNK = 2048  # test rows made float32 inputs at a time
 
 
 class TrainingDiverged(RuntimeError):
@@ -159,13 +160,14 @@ def grad(m: Mlp, batch: np.ndarray, labels: np.ndarray) -> list[LayerParams]:
     return grads
 
 
-def accuracy(m: Mlp, x: np.ndarray, y: np.ndarray, chunk: int = 2048) -> float:
+def accuracy(m: Mlp, x: np.ndarray, y: np.ndarray) -> float:
     """Share of rows of 8-bit pixels ``x`` whose argmax logit is the one-hot
-    label's class; ``chunk`` rows at a time become float32 inputs."""
+    label's class; ``ACCURACY_CHUNK`` rows at a time become float32 inputs."""
     hits = 0
-    for lo in range(0, x.shape[0], chunk):
-        logits = forward(m, to_float(x[lo:lo + chunk]))
-        hits += int(np.sum(np.argmax(logits, axis=1) == np.argmax(y[lo:lo + chunk], axis=1)))
+    for lo in range(0, x.shape[0], ACCURACY_CHUNK):
+        logits = forward(m, to_float(x[lo:lo + ACCURACY_CHUNK]))
+        labels = y[lo:lo + ACCURACY_CHUNK]
+        hits += int(np.sum(np.argmax(logits, axis=1) == np.argmax(labels, axis=1)))
     return hits / x.shape[0]
 
 

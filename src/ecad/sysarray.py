@@ -5,7 +5,10 @@ blocks and B, transposed on the host, into (cols*interleave) x (vec*scale)
 blocks (the ``block_pack`` DDR layout). Each output block advances through
 the common dimension one vec-wide slice per step, interleave^2 cycles a step,
 then drains one element per cycle through the optional bias and ReLU.
-``CycleStats`` is this blocked count, from ``hwmodel.block_geometry``.
+The cycle figures are the model's (``hwmodel.gemm_cost``); the simulator's
+own result is its numerics. ``BlockedMatrix``, ``block_pack`` and
+``block_unpack`` stay only for perfbench's traced ``block_pack`` hook, and go
+with ROADMAP item 13 after item 2.
 
 Numerics are float32 in a fixed order: each step's vec-wide products are
 rounded once, reduced level-wise over adjacent pairs (an odd trailing element
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .genome import NetworkDescription, SystolicConfig
-from .hwmodel import block_geometry
+from .hwmodel import GemmCost, gemm_cost
 
 
 class SimulationError(ValueError):
@@ -101,25 +104,17 @@ def tree_reduce(products: np.ndarray) -> np.ndarray:
 TILE_BYTES = 512 * 1024   # one step's product array per row tile; fits a 2 MiB L2
 
 
-@dataclass
-class CycleStats:
-    compute_cycles: int
-    a_blocks: int
-    b_blocks: int
-    drain_elements: int
-
-
 def simulate_layer(
     a: np.ndarray,
     b: np.ndarray,
     cfg: SystolicConfig,
     bias: np.ndarray | None = None,
     relu: bool = False,
-) -> tuple[np.ndarray, CycleStats]:
+) -> tuple[np.ndarray, GemmCost]:
     """Run one M x K by K x N GEMM through the array dataflow.
 
     Returns the M x N result, with the optional bias and ReLU applied at the
-    drain, and the layer's cycle statistics. Each output element gets
+    drain, and the model's cost of the GEMM. Each output element gets
     ``acc += tree_reduce(products)`` for consecutive vec-wide K slices in K
     order, over row tiles sized so one step's (vec, rows, N) einsum outer
     product stays near ``TILE_BYTES``; padded M rows and N columns are not
@@ -156,9 +151,7 @@ def simulate_layer(
     if relu:
         np.maximum(out, np.float32(0.0), out=out)
 
-    g = block_geometry(cfg, m, k, n)
-    blocks = g.m_blocks * g.n_blocks * g.k_blocks
-    return out, CycleStats(g.compute_cycles, blocks, blocks, g.drain_cycles)
+    return out, gemm_cost(cfg, m, k, n)
 
 
 def run_network(
@@ -166,7 +159,7 @@ def run_network(
     params: list,
     inputs: np.ndarray,
     cfg: SystolicConfig,
-) -> tuple[np.ndarray, list[CycleStats]]:
+) -> tuple[np.ndarray, list[GemmCost]]:
     """Run each layer as one simulate_layer call on the previous layer's output.
 
     ``params`` is a list of objects with ``weights`` (in x out) and ``bias``
@@ -176,17 +169,17 @@ def run_network(
         raise SimulationError(f"expected {len(desc.layers)} layer params, got {len(params)}")
 
     x = np.asarray(inputs, dtype=np.float32)
-    per_layer: list[CycleStats] = []
+    per_layer: list[GemmCost] = []
     for layer, p in zip(desc.layers, params):
         if p.weights.shape != (layer.in_features, layer.out_features):
             raise SimulationError(
                 f"layer '{layer.name}': weights shape {p.weights.shape} does not match "
                 f"({layer.in_features}, {layer.out_features})"
             )
-        x, layer_stats = simulate_layer(
+        x, cost = simulate_layer(
             x, p.weights, cfg,
             bias=p.bias if layer.bias else None,
             relu=layer.activation == "relu",
         )
-        per_layer.append(layer_stats)
+        per_layer.append(cost)
     return x, per_layer

@@ -24,6 +24,14 @@ def listing_doc() -> dict[str, Any]:
     return merged
 
 
+def padded(cfg: SystolicConfig, m: int, k: int, n: int) -> tuple[int, int, int]:
+    """(M', K', N'): a GEMM's dimensions padded up to whole blocks of
+    rows * interleave, vec * scale and cols * interleave, worked out here
+    rather than by the model."""
+    bh, cb, bw = cfg.rows * cfg.interleave, cfg.vec * cfg.scale, cfg.cols * cfg.interleave
+    return -(-m // bh) * bh, -(-k // cb) * cb, -(-n // bw) * bw
+
+
 class TimeLimitExceeded(BaseException):
     """Raised by `time_limit`. Not an Exception, so code under test that
     catches Exception, such as a dispatcher failing one job, cannot swallow it."""

@@ -10,11 +10,12 @@ import importlib
 import json
 import sys
 
+import numpy as np
 import pytest
 
-from ecad import cli, hwmodel
+from ecad import cli, hwmodel, nnsim, sysarray
 
-from helpers import LISTING_CONFIG, REPO_ROOT
+from helpers import LISTING_CONFIG, REPO_ROOT, mlp_desc
 
 # the hardware model's largest relative error against the paper's Table 2; it
 # moves only together with test_hwmodel.py::TestEstimate::test_table2_within_tolerance
@@ -51,3 +52,31 @@ def test_model_table2_error(bench, tmp_path):
     net.write_text(json.dumps(bench["table2"].network(784, 10)), encoding="utf-8")
     spec = {"cfg_path": str(LISTING_CONFIG), "net_path": str(net)}
     assert bench["workload"].model_table2(spec) == pytest.approx(TABLE2_ERR_MAX, rel=1e-12)
+
+
+def test_simulator_results_carry_what_the_benchmark_reads(bench, tmp_path, capsys):
+    # the traced hook on simulate_layer sums two fields of its result, and the
+    # deploy check sums the per-layer compute_cycles that simulate-array prints
+    workload, tracer = bench["workload"], bench["tracer"]
+    cfg = hwmodel.SystolicConfig(2, 2, 2, 4, 2)
+    a, b = np.ones((5, 9), dtype=np.float32), np.ones((9, 6), dtype=np.float32)
+    t = tracer.Tracer()
+    try:
+        it = workload.Iteration(t)
+        it.on_simulate_layer((a, b, cfg), {}, sysarray.simulate_layer(a, b, cfg))
+    finally:
+        t.close()
+    cost = hwmodel.gemm_cost(cfg, 5, 9, 6)
+    assert (it.compute_cycles, it.drain_elements) == (cost.compute_cycles, cost.drain_elements)
+    assert it.compute_cycles == hwmodel.compute_cycles(cfg, 5, 9, 6)
+
+    desc = mlp_desc([784, 12, 10], batch=4, cfg=cfg.as_tuple())
+    net, params = tmp_path / "net.json", tmp_path / "params"
+    net.write_text(json.dumps(desc.to_json()), encoding="utf-8")
+    nnsim.save_params(nnsim.init_mlp(desc, seed=0), params, [l.name for l in desc.layers])
+    argv = ["simulate-array", "--cfg", "2,2,2,4,2", "--network", str(net),
+            "--params-dir", str(params), "--limit", "5"]
+    assert cli.main(argv) == 0
+    layers = json.loads(capsys.readouterr().out)["layers"]
+    assert [layer["compute_cycles"] for layer in layers] == [
+        hwmodel.compute_cycles(cfg, 5, l.in_features, l.out_features) for l in desc.layers]

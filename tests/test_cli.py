@@ -222,14 +222,15 @@ def test_simulate_array_matches_golden_digest(capsys):
     argv = ["simulate-array", "--cfg", "4,4,8,8,8", "--m", "8", "--k", "784", "--n", "8", "--seed", "0"]
     assert cli.main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "d04db8d7e76960a13a9d005d1a8aa05ffb32498fbc7a8abb1a544bbed57ab579"
+    assert digest == "aa64b53175767ee63216dae100873288cd31941bb2b74e61e1a61a8a606b511b"
 
 
 def test_simulate_array_hand_computed_cycles(capsys):
     # the counts worked by hand in test_sysarray.py::TestSimulateLayer::test_hand_computed_cycles
     assert cli.main(["simulate-array", "--cfg", "2,2,2,2,2", "--m", "5", "--k", "9", "--n", "6"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert (doc["compute_cycles"], doc["a_blocks"], doc["b_blocks"], doc["drain_elements"]) == (96, 12, 12, 64)
+    assert (doc["compute_cycles"], doc["blocks"], doc["drain_elements"]) == (96, 12, 64)
+    assert "a_blocks" not in doc and "b_blocks" not in doc
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -827,6 +828,32 @@ def test_dataset_comes_only_from_the_mnist_dir_flag(tmp_path, tiny_mnist, networ
     assert data.train_x.shape[0] == 0
     assert np.array_equal(data.test_x, stand_in.test_x)
     assert np.array_equal(data.test_y, stand_in.test_y)
+
+
+def test_simulate_network_reads_only_the_test_split(tmp_path, tiny_mnist, network_file, capsys):
+    # simulate-array classifies test images only: a directory holding just the
+    # t10k files, or an empty train split next to them, gives the full one's output
+    params = tmp_path / "params"
+    assert cli.main(["train", str(network_file), str(params), "--epochs", "1", "--batch-size", "3",
+                     "--save-wb", "--mnist-dir", str(tiny_mnist)]) == 0
+    test_only, empty_train = tmp_path / "t10k-only", tmp_path / "empty-train"
+    for d in (test_only, empty_train):
+        d.mkdir()
+        for name in ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"):
+            shutil.copy(tiny_mnist / name, d / name)
+    write_idx_images(empty_train / "train-images-idx3-ubyte", np.zeros((0, 784), dtype=np.uint8))
+    write_idx_labels(empty_train / "train-labels-idx1-ubyte", np.zeros(0, dtype=np.uint8))
+    capsys.readouterr()
+    outputs = []
+    for mnist in (tiny_mnist, test_only, empty_train):
+        argv = ["simulate-array", "--cfg", "2,2,2,4,2", "--network", str(network_file),
+                "--params-dir", str(params), "--mnist-dir", str(mnist), "--limit", "5"]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[1] == outputs[2] == outputs[0]
+    assert json.loads(outputs[0])["images"] == 3
 
 
 def test_clock_comes_from_the_device_config(tmp_path, capsys):

@@ -123,6 +123,20 @@ class TestIdxFiles:
         with pytest.raises(DatasetError, match="missing IDX file"):
             load_mnist(tmp_path)
 
+    def test_without_train_reads_only_the_t10k_files(self, tmp_path):
+        write_split(tmp_path, n_test=5, value=9)
+        full = load_mnist(tmp_path)
+        for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"):
+            (tmp_path / name).unlink()
+        test_only = load_mnist(tmp_path, train=False)
+        assert test_only.test_x.tobytes() == full.test_x.tobytes()
+        assert test_only.test_y.tobytes() == full.test_y.tobytes()
+        stand_in = synthetic_mnist(n_train=0)
+        for got, want in ((test_only.train_x, stand_in.train_x), (test_only.train_y, stand_in.train_y)):
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        with pytest.raises(DatasetError, match="missing IDX file 'train-images-idx3-ubyte"):
+            load_mnist(tmp_path)
+
     def test_gzip_variant(self, tmp_path):
         write_split(tmp_path, value=128)
         for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",

@@ -6,15 +6,16 @@ import pytest
 from ecad.config import HwConfig
 from ecad.genome import GenomeError, SystolicConfig
 from ecad.hwmodel import (
-    block_geometry,
+    GemmCost,
     compute_cycles,
     estimate,
+    gemm_cost,
     potential_gops,
     resource_estimate,
     total_ops,
 )
 
-from helpers import TABLE2_MODELED, TABLE3_CONFIGS, mlp_desc
+from helpers import TABLE2_MODELED, TABLE3_CONFIGS, mlp_desc, padded
 
 ARRIA10 = HwConfig(dsp=1518, freq=250, sram=54260,
                    mem_banks=1, mem_speed=2400, mem_rate=8)
@@ -23,32 +24,59 @@ TABLE2_CFG = SystolicConfig(4, 4, 8, 8, 8)
 TABLE2_DIMS = [784, 196, 190, 150, 10]
 
 
+def expected_cost(cfg, m, k, n):
+    """The cost record worked out from padding the test computes itself."""
+    bh, cb, bw = cfg.rows * cfg.interleave, cfg.vec * cfg.scale, cfg.cols * cfg.interleave
+    m_pad, k_pad, n_pad = padded(cfg, m, k, n)
+    blocks = (m_pad // bh) * (k_pad // cb) * (n_pad // bw)
+    block_cycles = (k_pad // cfg.vec) * cfg.interleave ** 2
+    return GemmCost(
+        blocks=blocks,
+        block_cycles=block_cycles,
+        compute_cycles=(m_pad // bh) * (n_pad // bw) * block_cycles,
+        drain_elements=m_pad * n_pad,
+        stream_bytes=blocks * (bh * cb + cb * bw) * 4 + m_pad * n_pad * 4,
+    )
+
+
 class TestBlockGeometry:
+    """`gemm_cost` against block padding the tests work out themselves."""
+
     def test_common_dimension_anchor(self):
         # (4, 8, 8, 16, 18): common block 144 pads 784 up to 864 -> 91% efficient
-        g = block_geometry(SystolicConfig(4, 8, 8, 16, 18), m=1024, k=784, n=10)
-        assert g.common_block == 144
-        assert g.k_pad == 864
-        assert g.k / g.k_pad == pytest.approx(784 / 864)
+        cfg = SystolicConfig(4, 8, 8, 16, 18)
+        _, k_pad, _ = padded(cfg, 1024, 784, 10)
+        assert cfg.vec * cfg.scale == 144 and k_pad == 864
+        c = gemm_cost(cfg, m=1024, k=784, n=10)
+        assert c.block_cycles == (864 // 8) * 16 ** 2
+        assert c.blocks == (1024 // 64) * 1 * (864 // 144)
+        assert 784 / k_pad == pytest.approx(0.9074, abs=1e-4)
 
     def test_batch_dimension_anchor(self):
         # block height 64 divides batch 1024 exactly -> 100% efficient
-        g = block_geometry(SystolicConfig(4, 8, 8, 16, 18), m=1024, k=784, n=10)
-        assert g.block_height == 64
-        assert g.m_pad == 1024
-        assert g.m / g.m_pad == 1.0
+        cfg = SystolicConfig(4, 8, 8, 16, 18)
+        m_pad, _, n_pad = padded(cfg, 1024, 784, 10)
+        assert cfg.rows * cfg.interleave == 64 and m_pad == 1024
+        c = gemm_cost(cfg, m=1024, k=784, n=10)
+        assert c.drain_elements == 1024 * n_pad == 1024 * 128
+        assert c.compute_cycles == (1024 // 64) * c.block_cycles
 
     def test_unit_case(self):
-        g = block_geometry(SystolicConfig(1, 1, 1, 1, 1), 1, 1, 1)
-        assert (g.m_pad, g.k_pad, g.n_pad) == (1, 1, 1)
-        assert (g.m_blocks, g.k_blocks, g.n_blocks) == (1, 1, 1)
+        c = gemm_cost(SystolicConfig(1, 1, 1, 1, 1), 1, 1, 1)
+        assert padded(SystolicConfig(1, 1, 1, 1, 1), 1, 1, 1) == (1, 1, 1)
+        assert c == GemmCost(blocks=1, block_cycles=1, compute_cycles=1,
+                             drain_elements=1, stream_bytes=(1 + 1 + 1) * 4)
 
     def test_b_block_height_equals_a_block_width(self):
+        # one A block is 32 x 32 and one B block 32 x 128: both span the common
+        # block vec * scale = 32, which K pads up to
         cfg = SystolicConfig(2, 8, 16, 16, 2)
-        g = block_geometry(cfg, 64, 300, 500)
-        assert g.common_block == cfg.vec * cfg.scale        # shared dimension
-        assert g.block_width == cfg.cols * cfg.interleave
-        assert g.block_height == cfg.rows * cfg.interleave
+        c = gemm_cost(cfg, 64, 300, 500)
+        m_pad, k_pad, n_pad = padded(cfg, 64, 300, 500)
+        assert (m_pad, k_pad, n_pad) == (64, 320, 512)
+        assert c.blocks == (64 // 32) * (320 // 32) * (512 // 128)
+        assert c.stream_bytes == c.blocks * (32 * 32 + 32 * 128) * 4 + 64 * 512 * 4
+        assert c.block_cycles == (320 // 16) * 16 ** 2
 
     def test_padding_is_minimal_cover(self):
         rng = random.Random(0)
@@ -56,10 +84,20 @@ class TestBlockGeometry:
             cfg = SystolicConfig(rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 16),
                                  rng.randint(1, 16), rng.randint(1, 8))
             m, k, n = (rng.randint(1, 999) for _ in range(3))
-            g = block_geometry(cfg, m, k, n)
-            assert g.m_pad >= m and g.m_pad - g.block_height < m
-            assert g.k_pad >= k and g.k_pad - g.common_block < k
-            assert g.n_pad >= n and g.n_pad - g.block_width < n
+            m_pad, k_pad, n_pad = padded(cfg, m, k, n)
+            assert m_pad >= m and m_pad - cfg.rows * cfg.interleave < m
+            assert k_pad >= k and k_pad - cfg.vec * cfg.scale < k
+            assert n_pad >= n and n_pad - cfg.cols * cfg.interleave < n
+            assert gemm_cost(cfg, m, k, n) == expected_cost(cfg, m, k, n)
+
+    def test_padded_dimensions_cost_the_same(self):
+        # a GEMM already padded to whole blocks costs what the unpadded one does
+        rng = random.Random(2)
+        for _ in range(100):
+            cfg = SystolicConfig(rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 16),
+                                 rng.randint(1, 16), rng.randint(1, 8))
+            m, k, n = (rng.randint(1, 999) for _ in range(3))
+            assert gemm_cost(cfg, *padded(cfg, m, k, n)) == gemm_cost(cfg, m, k, n)
 
 
 class TestPotentialGops:
@@ -85,9 +123,11 @@ class TestComputeCycles:
             cfg = SystolicConfig(rng.randint(1, 8), rng.randint(1, 8),
                                  rng.randint(1, 16), rng.randint(1, 16), rng.randint(1, 8))
             m, k, n = (rng.randint(1, 600) for _ in range(3))
-            g = block_geometry(cfg, m, k, n)
-            expected = g.m_blocks * g.n_blocks * (g.k_pad // cfg.vec) * cfg.interleave ** 2
+            m_pad, k_pad, n_pad = padded(cfg, m, k, n)
+            output_blocks = (m_pad // (cfg.rows * cfg.interleave)) * (n_pad // (cfg.cols * cfg.interleave))
+            expected = output_blocks * (k_pad // cfg.vec) * cfg.interleave ** 2
             assert compute_cycles(cfg, m, k, n) == expected
+            assert gemm_cost(cfg, m, k, n).compute_cycles == expected
 
 
 class TestEstimate:
@@ -141,9 +181,9 @@ class TestEstimate:
                                  rng.choice([2, 4, 8]), rng.choice([2, 4, 8]),
                                  rng.choice([1, 2, 4]))
             m, k, n = (rng.randint(1, 700) for _ in range(3))
-            g = block_geometry(cfg, m, k, n)
+            m_pad, k_pad, n_pad = padded(cfg, m, k, n)
             compute_only_eff = (2 * m * k * n) / (compute_cycles(cfg, m, k, n) / (ARRIA10.freq * 1e6)) / 1e9
-            factorized = potential_gops(cfg, ARRIA10.freq) * (g.m / g.m_pad) * (g.k / g.k_pad) * (g.n / g.n_pad)
+            factorized = potential_gops(cfg, ARRIA10.freq) * (m / m_pad) * (k / k_pad) * (n / n_pad)
             assert compute_only_eff == pytest.approx(factorized, rel=1e-9)
 
     def test_monotone_in_batch(self):
@@ -161,8 +201,10 @@ class TestEstimate:
         desc = mlp_desc(TABLE2_DIMS, 1)
         est = estimate(desc, TABLE2_CFG, ARRIA10)
         freq_hz = ARRIA10.freq * 1e6
-        g_last = block_geometry(TABLE2_CFG, 1, 150, 10)
-        first_block = (g_last.k_pad // TABLE2_CFG.vec) * TABLE2_CFG.interleave ** 2
+        _, k_pad, _ = padded(TABLE2_CFG, 1, 150, 10)
+        assert k_pad == 192
+        first_block = (k_pad // TABLE2_CFG.vec) * TABLE2_CFG.interleave ** 2
+        assert est.layers[-1].cost.block_cycles == first_block
         expected = sum(t.seconds for t in est.layers[:-1]) + first_block / freq_hz
         assert est.latency_ms == pytest.approx(expected * 1e3, rel=1e-12)
         assert est.latency_ms < est.total_time_ms
@@ -173,7 +215,7 @@ class TestEstimate:
         desc = mlp_desc([784, 64, 10], 32)
         est = estimate(desc, TABLE2_CFG, starved)
         assert all(t.memory_bound for t in est.layers)
-        expected = sum(block_geometry(TABLE2_CFG, 32, l.in_features, l.out_features).stream_bytes
+        expected = sum(expected_cost(TABLE2_CFG, 32, l.in_features, l.out_features).stream_bytes
                        for l in desc.layers) / 1e6
         assert est.total_time_ms == pytest.approx(expected * 1e3, rel=1e-12)
 
@@ -244,13 +286,24 @@ def test_drain_cycles_match_padded_output():
         cfg = SystolicConfig(rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 8),
                              rng.randint(1, 8), rng.randint(1, 4))
         m, k, n = (rng.randint(1, 500) for _ in range(3))
-        g = block_geometry(cfg, m, k, n)
-        assert g.drain_cycles == g.m_pad * g.n_pad
+        m_pad, _, n_pad = padded(cfg, m, k, n)
+        assert gemm_cost(cfg, m, k, n).drain_elements == m_pad * n_pad
 
 
 def test_stream_bytes_formula():
+    # (4, 4, 8, 8, 8): 32 x 64 A blocks and 64 x 32 B blocks; 32 x 784 x 196
+    # pads to 32 x 832 x 224, so 1 * 13 * 7 = 91 block pairs
     cfg = SystolicConfig(4, 4, 8, 8, 8)
-    g = block_geometry(cfg, 32, 784, 196)
-    per_pair = (g.block_height * g.common_block + g.common_block * g.block_width) * 4
-    expected = g.m_blocks * g.n_blocks * g.k_blocks * per_pair + g.m_pad * g.n_pad * 4
-    assert g.stream_bytes == expected == 1_519_616
+    assert padded(cfg, 32, 784, 196) == (32, 832, 224)
+    per_pair = (32 * 64 + 64 * 32) * 4
+    expected = 91 * per_pair + 32 * 224 * 4
+    assert gemm_cost(cfg, 32, 784, 196).stream_bytes == expected == 1_519_616
+
+
+def test_estimate_layers_carry_their_cost():
+    desc = mlp_desc(TABLE2_DIMS, 64)
+    est = estimate(desc, TABLE2_CFG, ARRIA10)
+    assert [(t.name, t.m, t.k, t.n) for t in est.layers] == [
+        (l.name, 64, l.in_features, l.out_features) for l in desc.layers]
+    assert [t.cost for t in est.layers] == [
+        gemm_cost(TABLE2_CFG, 64, l.in_features, l.out_features) for l in desc.layers]

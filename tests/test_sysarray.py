@@ -5,7 +5,7 @@ import pytest
 
 from ecad.dataset import to_float
 from ecad.genome import SystolicConfig
-from ecad.hwmodel import block_geometry, compute_cycles
+from ecad.hwmodel import compute_cycles, gemm_cost
 from ecad.nnsim import LayerParams
 from ecad.sysarray import (
     SimulationError,
@@ -17,7 +17,7 @@ from ecad.sysarray import (
     tree_reduce,
 )
 
-from helpers import mlp_desc
+from helpers import mlp_desc, padded
 from oracles import dense_oracle, max_rel_error, ordered_oracle, scalar_ordered_oracle
 
 
@@ -137,10 +137,11 @@ class TestSimulateLayer:
         # 2*2 output blocks * (12/2 slices * 2^2 cycles) = 96, 2*2*3 = 12 block pairs
         a = np.ones((5, 9), dtype=np.float32)
         b = np.ones((9, 6), dtype=np.float32)
-        _, stats = simulate_layer(a, b, SystolicConfig(2, 2, 2, 2, 2))
-        assert stats.compute_cycles == 96
-        assert stats.a_blocks == stats.b_blocks == 12
-        assert stats.drain_elements == 64
+        _, cost = simulate_layer(a, b, SystolicConfig(2, 2, 2, 2, 2))
+        assert padded(SystolicConfig(2, 2, 2, 2, 2), 5, 9, 6) == (8, 12, 8)
+        assert cost.compute_cycles == 96
+        assert cost.blocks == 12
+        assert cost.drain_elements == 64
 
     def test_bit_exact_at_table2_shape(self):
         # first layer of the paper's Table 2 network on its (4,4,8,8,8) array
@@ -205,11 +206,14 @@ class TestSimulateLayer:
             data = np.random.default_rng(0)
             a = data.uniform(-1, 1, (m, k)).astype(np.float32)
             b = data.uniform(-1, 1, (k, n)).astype(np.float32)
-            _, stats = simulate_layer(a, b, cfg)
-            assert stats.compute_cycles == compute_cycles(cfg, m, k, n)
-            g = block_geometry(cfg, m, k, n)
-            assert stats.drain_elements == g.m_pad * g.n_pad
-            assert stats.a_blocks == stats.b_blocks == g.m_blocks * g.n_blocks * g.k_blocks
+            _, cost = simulate_layer(a, b, cfg)
+            assert cost == gemm_cost(cfg, m, k, n)
+            assert cost.compute_cycles == compute_cycles(cfg, m, k, n)
+            m_pad, k_pad, n_pad = padded(cfg, m, k, n)
+            assert cost.drain_elements == m_pad * n_pad
+            assert cost.blocks == ((m_pad // (cfg.rows * cfg.interleave))
+                                   * (n_pad // (cfg.cols * cfg.interleave))
+                                   * (k_pad // (cfg.vec * cfg.scale)))
 
     def test_shape_mismatch(self):
         with pytest.raises(SimulationError):
