@@ -26,6 +26,7 @@ from .workers import make_hwdb_worker, make_sim_worker
 
 MACRO_NAMES = ("SYS_ROWS", "SYS_COLS", "SYS_VEC", "INTERLEAVE", "SCALE")
 MNIST_DIR_HELP = "directory of the MNIST IDX files; without it, the synthetic stand-in"
+STAND_IN_ROWS_HELP = "; without --mnist-dir only those stand-in rows are built (at most 60,000)"
 
 DEFAULT_HW = HwConfig(dsp=1518, freq=250, sram=54260,
                       mem_banks=1, mem_speed=2400, mem_rate=8)
@@ -49,20 +50,23 @@ def _load_description(path: str | Path) -> NetworkDescription:
         raise CliError(f"cannot load network description {path}: {exc}") from exc
 
 
-def _resolve_dataset(mnist_dir: str | None, train_subset: int | None) -> ds.Dataset:
+def _resolve_dataset(mnist_dir: str | None, train_subset: int | None,
+                     test_limit: int | None = None) -> ds.Dataset:
     """Real MNIST from the --mnist-dir directory, which must exist; without the
-    flag, the synthetic stand-in. Pixels stay 8-bit; ``train_subset`` 0 keeps
-    no training rows, and then only the test split is read or built."""
+    flag, the synthetic stand-in. Pixels stay 8-bit. ``train_subset`` keeps the
+    first N training rows, 0 none, and then the train files are not read. The
+    stand-in builds only the rows kept: the first ``train_subset`` training
+    rows and, given ``test_limit``, the first ``test_limit`` test rows."""
     if mnist_dir:
         if not Path(mnist_dir).is_dir():
             raise CliError(f"MNIST directory not found: {mnist_dir}")
         data = ds.load_mnist(mnist_dir, train=train_subset != 0)
-    else:
-        print("note: no --mnist-dir given, using the synthetic stand-in dataset",
-              file=sys.stderr)
-        data = (ds.synthetic_mnist(seed=0, n_train=0) if train_subset == 0
-                else ds.synthetic_mnist(seed=0))
-    return data if train_subset is None else data.subset(train_subset)
+        return data if train_subset is None else data.subset(train_subset)
+    print("note: no --mnist-dir given, using the synthetic stand-in dataset",
+          file=sys.stderr)
+    n_train = ds.MNIST_TRAIN_ROWS if train_subset is None else min(train_subset, ds.MNIST_TRAIN_ROWS)
+    n_test = ds.MNIST_TEST_ROWS if test_limit is None else min(test_limit, ds.MNIST_TEST_ROWS)
+    return ds.synthetic_mnist(seed=0, n_train=n_train, n_test=n_test)
 
 
 def _check_widths(what: str, n_in: int | None, n_out: int | None, data: ds.Dataset) -> None:
@@ -163,7 +167,7 @@ def cmd_simulate_array(args: argparse.Namespace) -> int:
             params = nnsim.load_params(args.params_dir, [l.name for l in desc.layers])
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot load parameters from {args.params_dir}: {exc}") from exc
-        data = _resolve_dataset(args.mnist_dir, 0)
+        data = _resolve_dataset(args.mnist_dir, 0, args.limit)
         x = ds.to_float(data.test_x[:args.limit])
         y = data.test_y[:args.limit]
         outputs, costs = sysarray.run_network(desc, params, x, cfg)
@@ -222,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="search-out")
     p.add_argument("--mnist-dir", default=None, help=MNIST_DIR_HELP)
     p.add_argument("--train-subset", type=int, default=None,
-                   help="train simJob evaluations on the first N samples")
+                   help="train simJob evaluations on the first N samples" + STAND_IN_ROWS_HELP)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("train", help="train one network description")
@@ -233,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-wb", action="store_true", help="export weights and biases")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mnist-dir", default=None, help=MNIST_DIR_HELP)
-    p.add_argument("--train-subset", type=int, default=None)
+    p.add_argument("--train-subset", type=int, default=None,
+                   help="train on the first N samples" + STAND_IN_ROWS_HELP)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="run the hardware model on a network description")

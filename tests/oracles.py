@@ -7,12 +7,14 @@ then sequential accumulation over the scale vectors and the common-dimension
 blocks) without any of the package's blocking or state machinery, and the
 genome oracles re-derive every trait's legal values and change rate from its
 spec on every draw, the way spawn and mutate did before they read per-config
-tables.
+tables, and the stand-in oracle builds each chunk of the synthetic dataset on
+its own from the documented streams and quantile table.
 """
 
 from __future__ import annotations
 
 import random
+import statistics
 
 import numpy as np
 
@@ -163,6 +165,38 @@ def adam_reference(params: np.ndarray, grads: list[np.ndarray], lr: float, beta1
         alpha_t = lr * np.sqrt(1 - beta2 ** t) / (1 - beta1 ** t)
         p = p - alpha_t * m / (np.sqrt(v) + eps)
     return p, m, v
+
+
+# --- synthetic MNIST stand-in ---------------------------------------------------
+
+def reference_synthetic_mnist(seed: int, n_train: int, n_test: int, features: int,
+                              classes: int) -> tuple[np.ndarray, ...]:
+    """(train_x, train_labels, test_x, test_labels) of the documented stand-in.
+
+    Prototypes are 0.5 + 0.18 * (U[0, 1) - 0.5) from default_rng(seed).
+    Chunk c of 256 rows of the training split (stream id 1) or the test split
+    (stream id 2) draws 256 labels, then 256 rows of uint16 noise indices,
+    from default_rng([seed, id, c]). An index i stands for the N(0, 0.3)
+    quantile at probability (i + 0.5) / 65536, rounded to float32. Each chunk
+    is built whole; the split is the chunks joined and cut to its size.
+    """
+    sigma, chunk_rows, levels = 0.30, 256, 65536
+    quantiles = np.array([statistics.NormalDist().inv_cdf((i + 0.5) / levels) * sigma
+                          for i in range(levels)], dtype=np.float32)
+    rng = np.random.default_rng(seed)
+    prototypes = (0.5 + 0.18 * (rng.uniform(0.0, 1.0, size=(classes, features)) - 0.5)).astype(np.float32)
+    splits = []
+    for stream, n in ((1, n_train), (2, n_test)):
+        xs, ys = [np.zeros((0, features), dtype=np.uint8)], [np.zeros(0, dtype=np.int64)]
+        for chunk in range(-(-n // chunk_rows)):
+            chunk_rng = np.random.default_rng([seed, stream, chunk])
+            labels = chunk_rng.integers(0, classes, size=chunk_rows)
+            indices = chunk_rng.integers(0, levels, size=(chunk_rows, features), dtype=np.uint16)
+            v = prototypes[labels] + quantiles[indices]
+            xs.append(np.rint(np.clip(v, 0.0, 1.0) * np.float32(255)).astype(np.uint8))
+            ys.append(labels)
+        splits += [np.concatenate(xs)[:n], np.concatenate(ys)[:n]]
+    return tuple(splits)
 
 
 # --- genome operators -----------------------------------------------------------

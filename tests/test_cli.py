@@ -856,6 +856,49 @@ def test_simulate_network_reads_only_the_test_split(tmp_path, tiny_mnist, networ
     assert json.loads(outputs[0])["images"] == 3
 
 
+@pytest.fixture(scope="module")
+def stand_in():
+    """The whole synthetic stand-in, 60,000 training and 10,000 test rows."""
+    return synthetic_mnist(seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 255, 257, 2000, 60001])
+def test_train_subset_builds_a_prefix_of_the_stand_in(n, stand_in):
+    data = cli._resolve_dataset(None, n)
+    kept = min(n, 60000)
+    assert data.train_x.shape[0] == kept
+    for got, want in ((data.train_x, stand_in.train_x[:kept]), (data.train_y, stand_in.train_y[:kept]),
+                      (data.test_x, stand_in.test_x), (data.test_y, stand_in.test_y)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("limit", [5, 300])
+def test_simulate_network_builds_only_its_limit_of_stand_in_rows(
+        tmp_path, tiny_mnist, network_file, stand_in, capsys, monkeypatch, limit):
+    # the output equals that of an IDX directory holding the first --limit
+    # rows of the whole stand-in test split
+    params = tmp_path / "params"
+    assert cli.main(["train", str(network_file), str(params), "--epochs", "1", "--batch-size", "3",
+                     "--save-wb", "--mnist-dir", str(tiny_mnist)]) == 0
+    t10k = tmp_path / "t10k"
+    t10k.mkdir()
+    write_idx_images(t10k / "t10k-images-idx3-ubyte", stand_in.test_x[:limit])
+    write_idx_labels(t10k / "t10k-labels-idx1-ubyte", stand_in.test_y[:limit].argmax(axis=1))
+    built = []
+    build = cli.ds.synthetic_mnist
+    monkeypatch.setattr(cli.ds, "synthetic_mnist", lambda **kw: built.append(kw) or build(**kw))
+    capsys.readouterr()
+    outputs = []
+    for flags in ([], ["--mnist-dir", str(t10k)]):
+        argv = ["simulate-array", "--cfg", "2,2,2,4,2", "--network", str(network_file),
+                "--params-dir", str(params), "--limit", str(limit), *flags]
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["images"] == limit
+    assert built == [{"seed": 0, "n_train": 0, "n_test": limit}]
+
+
 def test_clock_comes_from_the_device_config(tmp_path, capsys):
     # the (4, 4, 8, 8, 8) array is compute-bound on every Table 2 layer, so
     # every time scales with the clock period

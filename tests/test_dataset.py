@@ -21,6 +21,7 @@ from ecad.dataset import (
 )
 
 from conftest import find_mnist_dir
+from oracles import reference_synthetic_mnist
 
 MiB = 1 << 20
 
@@ -180,22 +181,39 @@ class TestSynthetic:
         data, peak = traced_peak(lambda: synthetic_mnist(n_train=20000, n_test=2000))
         assert peak - nbytes(data) <= 4 * MiB
 
-    def test_chunked_build_equals_one_shot(self):
-        # one-shot reference: every noise row drawn in a single call
+    def test_build_equals_chunk_stream_reference(self):
         n_train, n_test, features, classes = 2 * SYNTHETIC_CHUNK_ROWS + 7, 33, 20, 10
-        rng = np.random.default_rng(5)
-        prototypes = (0.5 + 0.18 * (rng.uniform(0.0, 1.0, size=(classes, features)) - 0.5)).astype(np.float32)
-        expected = []
-        for n in (n_test, n_train):   # the test split is drawn first
-            labels = rng.integers(0, classes, size=n)
-            x = prototypes[labels] + rng.normal(0.0, 0.30, size=(n, features)).astype(np.float32)
-            expected += [np.rint(np.clip(x, 0.0, 1.0) * np.float32(255)).astype(np.uint8),
-                         one_hot(labels, classes)]
+        train_x, train_labels, test_x, test_labels = reference_synthetic_mnist(
+            5, n_train, n_test, features, classes)
         data = synthetic_mnist(seed=5, n_train=n_train, n_test=n_test,
                                num_features=features, num_classes=classes)
+        expected = (test_x, one_hot(test_labels, classes), train_x, one_hot(train_labels, classes))
         for got, want in zip((data.test_x, data.test_y, data.train_x, data.train_y), expected):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, SYNTHETIC_CHUNK_ROWS - 1, SYNTHETIC_CHUNK_ROWS + 1])
+    def test_split_prefix_does_not_depend_on_its_size(self, n):
+        whole, part = synthetic_mnist(n_train=600, n_test=600), synthetic_mnist(n_train=n, n_test=n)
+        for got, full in ((part.train_x, whole.train_x), (part.train_y, whole.train_y),
+                          (part.test_x, whole.test_x), (part.test_y, whole.test_y)):
+            assert got.tobytes() == full[:n].tobytes()
+
+    def test_noise_law_matches_a_float64_normal_draw(self):
+        # 8,192 rows, 6.4 M pixels. Two float64 builds with different noise
+        # seeds differ by a total variation of 0.0032-0.0036 in the pixel
+        # histogram at this size, the table build from a float64 one by
+        # 0.0032-0.0037. A noise deviation of 0.295 or 0.305 instead of 0.30
+        # reads 0.008-0.009, and 0.29 or 0.31 reads 0.015-0.017.
+        n, features, classes = 8192, 784, 10
+        data = synthetic_mnist(seed=4, n_train=n, n_test=0)
+        rng = np.random.default_rng(4)
+        prototypes = (0.5 + 0.18 * (rng.uniform(0.0, 1.0, size=(classes, features)) - 0.5)).astype(np.float32)
+        v = (prototypes[data.train_y.argmax(axis=1)]
+             + np.random.default_rng(99).normal(0.0, 0.30, size=(n, features)).astype(np.float32))
+        reference = np.rint(np.clip(v, 0.0, 1.0) * np.float32(255)).astype(np.uint8)
+        hists = [np.bincount(x.ravel(), minlength=256) / x.size for x in (data.train_x, reference)]
+        assert 0.5 * np.abs(hists[0] - hists[1]).sum() <= 0.006
 
     def test_test_split_does_not_depend_on_n_train(self):
         full, test_only = synthetic_mnist(), synthetic_mnist(n_train=0)
