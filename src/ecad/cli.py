@@ -26,7 +26,7 @@ from .workers import make_hwdb_worker, make_sim_worker
 
 MACRO_NAMES = ("SYS_ROWS", "SYS_COLS", "SYS_VEC", "INTERLEAVE", "SCALE")
 MNIST_DIR_HELP = "directory of the MNIST IDX files; without it, the synthetic stand-in"
-STAND_IN_ROWS_HELP = "; without --mnist-dir only those stand-in rows are built (at most 60,000)"
+STAND_IN_ROWS_HELP = "; only those rows are read or built (the stand-in has 60,000)"
 
 DEFAULT_HW = HwConfig(dsp=1518, freq=250, sram=54260,
                       mem_banks=1, mem_speed=2400, mem_rate=8)
@@ -53,15 +53,14 @@ def _load_description(path: str | Path) -> NetworkDescription:
 def _resolve_dataset(mnist_dir: str | None, train_subset: int | None,
                      test_limit: int | None = None) -> ds.Dataset:
     """Real MNIST from the --mnist-dir directory, which must exist; without the
-    flag, the synthetic stand-in. Pixels stay 8-bit. ``train_subset`` keeps the
-    first N training rows, 0 none, and then the train files are not read. The
-    stand-in builds only the rows kept: the first ``train_subset`` training
-    rows and, given ``test_limit``, the first ``test_limit`` test rows."""
+    flag, the synthetic stand-in. Pixels stay 8-bit. Either source reads or
+    builds only the first ``train_subset`` training rows and the first
+    ``test_limit`` test rows (None: the whole split); with ``train_subset`` 0
+    the train files are not read."""
     if mnist_dir:
         if not Path(mnist_dir).is_dir():
             raise CliError(f"MNIST directory not found: {mnist_dir}")
-        data = ds.load_mnist(mnist_dir, train=train_subset != 0)
-        return data if train_subset is None else data.subset(train_subset)
+        return ds.load_mnist(mnist_dir, n_train=train_subset, n_test=test_limit)
     print("note: no --mnist-dir given, using the synthetic stand-in dataset",
           file=sys.stderr)
     n_train = ds.MNIST_TRAIN_ROWS if train_subset is None else min(train_subset, ds.MNIST_TRAIN_ROWS)
@@ -168,8 +167,9 @@ def cmd_simulate_array(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot load parameters from {args.params_dir}: {exc}") from exc
         data = _resolve_dataset(args.mnist_dir, 0, args.limit)
-        x = ds.to_float(data.test_x[:args.limit])
-        y = data.test_y[:args.limit]
+        _check_widths(f"network {args.network}", desc.layers[0].in_features,
+                      desc.layers[-1].out_features, data)
+        x, y = ds.to_float(data.test_x), data.test_y
         outputs, costs = sysarray.run_network(desc, params, x, cfg)
         acc = float(np.mean(np.argmax(outputs, axis=1) == np.argmax(y, axis=1)))
         print(json.dumps({
@@ -257,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", default=None, help="network description JSON")
     p.add_argument("--params-dir", default=None, help="directory of *_weights.bin/*_biases.bin")
     p.add_argument("--mnist-dir", default=None, help=MNIST_DIR_HELP)
-    p.add_argument("--limit", type=int, default=100, help="images to classify in network mode")
+    p.add_argument("--limit", type=int, default=100,
+                   help="network mode: classify the first N test images; only those are read or built")
     p.set_defaults(func=cmd_simulate_array)
 
     p = sub.add_parser("export", help="export a genome's network description from the database")

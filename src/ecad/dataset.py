@@ -5,6 +5,10 @@ Pixels are kept as the IDX files store them, one ``uint8`` per pixel in
 ``to_float`` is the one place where pixels become network inputs: it turns
 the rows a batch uses into float32 in [0, 1].
 
+Both sources take the same row arguments and hold only the rows asked for.
+``load_mnist`` reads the first rows of an IDX image file and skips the rest
+in bounded pieces, and reads the labels whole, so it checks the whole file.
+
 The stand-in is built SYNTHETIC_CHUNK_ROWS rows at a time, each chunk from
 its own random stream, and its normal noise comes from a 16-bit quantile
 table rather than a float64 draw. A split's first n rows are therefore the
@@ -15,6 +19,7 @@ the build needs under 4 MiB of scratch beyond the arrays it returns.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,13 +30,11 @@ IMAGES_MAGIC = 2051
 LABELS_MAGIC = 2049
 NUM_CLASSES = 10
 
-_TRAIN_IMAGES = "train-images-idx3-ubyte"
-_TRAIN_LABELS = "train-labels-idx1-ubyte"
-_TEST_IMAGES = "t10k-images-idx3-ubyte"
-_TEST_LABELS = "t10k-labels-idx1-ubyte"
-
 MNIST_TRAIN_ROWS = 60000
 MNIST_TEST_ROWS = 10000
+# the largest piece read at once from an IDX file's bytes past the rows kept;
+# a gzip read holds about three times the piece while it decompresses
+IDX_SKIP_BYTES = 1 << 18
 
 # rows of the stand-in drawn from one random stream; at 784 features one
 # chunk's scratch, its lookup indices the largest part at 1.5 MiB, is under 3 MiB
@@ -72,15 +75,6 @@ class Dataset:
             if dtype != np.uint8:
                 raise DatasetError(f"{name} must hold uint8 pixels, got {dtype}")
 
-    def subset(self, n_train: int) -> "Dataset":
-        """First n_train training rows; the test split is kept whole.
-
-        The training rows are copied, so the subset does not keep the full
-        training arrays alive; the test arrays are shared with this dataset.
-        """
-        n = min(n_train, self.train_x.shape[0])
-        return Dataset(self.train_x[:n].copy(), self.train_y[:n].copy(), self.test_x, self.test_y)
-
 
 def _open_maybe_gzip(path: Path):
     if path.suffix == ".gz":
@@ -95,34 +89,30 @@ def _find(dir_path: Path, stem: str) -> Path:
     raise DatasetError(f"missing IDX file '{stem}[.gz]' in {dir_path}")
 
 
-def read_idx_images(path: Path) -> np.ndarray:
-    """Read an IDX3 image file into a (count, rows*cols) uint8 array."""
+def read_idx(path: Path, magic: int, n: int | None = None) -> tuple[int, np.ndarray]:
+    """The row count in an IDX file's header and its first n rows (all of
+    them without n) as uint8: (rows,) for labels, (rows, values per row) for
+    images. The low byte of the magic is the number of dimensions. The bytes
+    past the rows kept are read and dropped, so a short file is refused
+    whatever n is."""
+    ndim = magic & 0xFF
     with _open_maybe_gzip(Path(path)) as fh:
-        header = fh.read(16)
-        if len(header) < 16:
+        header = fh.read(4 * (1 + ndim))
+        if len(header) < 4 * (1 + ndim):
             raise DatasetError(f"{path}: truncated IDX header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != IMAGES_MAGIC:
-            raise DatasetError(f"{path}: bad magic {magic}, expected {IMAGES_MAGIC}")
-        body = fh.read(count * rows * cols)
-        if len(body) != count * rows * cols:
-            raise DatasetError(f"{path}: truncated image data")
-        return np.frombuffer(body, dtype=np.uint8).reshape(count, rows * cols)
-
-
-def read_idx_labels(path: Path) -> np.ndarray:
-    """Read an IDX1 label file into a (count,) uint8 array."""
-    with _open_maybe_gzip(Path(path)) as fh:
-        header = fh.read(8)
-        if len(header) < 8:
-            raise DatasetError(f"{path}: truncated IDX header")
-        magic, count = struct.unpack(">II", header)
-        if magic != LABELS_MAGIC:
-            raise DatasetError(f"{path}: bad magic {magic}, expected {LABELS_MAGIC}")
-        body = fh.read(count)
-        if len(body) != count:
-            raise DatasetError(f"{path}: truncated label data")
-        return np.frombuffer(body, dtype=np.uint8)
+        got, count, *dims = struct.unpack(f">{1 + ndim}I", header)
+        if got != magic:
+            raise DatasetError(f"{path}: bad magic {got}, expected {magic}")
+        width = math.prod(dims)
+        kept = count if n is None else min(n, count)
+        body = fh.read(kept * width)
+        rest = (count - kept) * width
+        while rest and (piece := fh.read(min(rest, IDX_SKIP_BYTES))):
+            rest -= len(piece)
+        if len(body) != kept * width or rest:
+            raise DatasetError(f"{path}: truncated {'image' if dims else 'label'} data")
+    rows = np.frombuffer(body, dtype=np.uint8)
+    return count, rows.reshape(kept, width) if dims else rows
 
 
 def one_hot(labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:
@@ -131,31 +121,32 @@ def one_hot(labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:
     return out
 
 
-def _load_split(dir_path: Path, images_stem: str, labels_stem: str) -> tuple[np.ndarray, np.ndarray]:
-    images_path = _find(dir_path, images_stem)
-    images = read_idx_images(images_path)
-    if images.shape[0] == 0:
+def _load_split(dir_path: Path, split: str, n: int | None) -> tuple[np.ndarray, np.ndarray]:
+    images_path = _find(dir_path, f"{split}-images-idx3-ubyte")
+    count, images = read_idx(images_path, IMAGES_MAGIC, n)
+    if count == 0:
         raise DatasetError(f"{images_path}: holds no images")
-    labels_path = _find(dir_path, labels_stem)
-    labels = read_idx_labels(labels_path)
-    if images.shape[0] != labels.shape[0]:
-        raise DatasetError(
-            f"{dir_path}: {images.shape[0]} images but {labels.shape[0]} labels"
-        )
+    labels_path = _find(dir_path, f"{split}-labels-idx1-ubyte")
+    _, labels = read_idx(labels_path, LABELS_MAGIC)
+    if count != labels.shape[0]:
+        raise DatasetError(f"{dir_path}: {count} images but {labels.shape[0]} labels")
     if labels.max() >= NUM_CLASSES:
         raise DatasetError(
             f"{labels_path}: label {labels.max()} is outside 0..{NUM_CLASSES - 1}"
         )
-    return images, one_hot(labels)
+    return images, one_hot(labels[:images.shape[0]])
 
 
-def load_mnist(dir_path: str | Path, train: bool = True) -> Dataset:
-    """Load the four standard MNIST IDX files (optionally gzipped) from a directory;
-    without ``train`` only the t10k files are read and the train split is empty."""
+def load_mnist(dir_path: str | Path, n_train: int | None = None,
+               n_test: int | None = None) -> Dataset:
+    """The first n_train training and n_test test rows (all of a split when
+    None) of the four standard MNIST IDX files, optionally gzipped, in a
+    directory. With n_train 0 the train files are not read and the train
+    split is empty. Every check covers the whole of each file read."""
     d = Path(dir_path)
-    train_split = _load_split(d, _TRAIN_IMAGES, _TRAIN_LABELS) if train else None
-    test_x, test_y = _load_split(d, _TEST_IMAGES, _TEST_LABELS)
-    train_x, train_y = train_split if train else (test_x[:0], test_y[:0])
+    train_split = _load_split(d, "train", n_train) if n_train != 0 else None
+    test_x, test_y = _load_split(d, "t10k", n_test)
+    train_x, train_y = train_split or (test_x[:0], test_y[:0])
     return Dataset(train_x, train_y, test_x, test_y)
 
 

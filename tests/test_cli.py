@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecad import cli, store
+from ecad import cli, nnsim, store
 from ecad.config import parse_config
 from ecad.dataset import synthetic_mnist, write_idx_images, write_idx_labels
 from ecad.dispatch import EvalJob
@@ -898,6 +898,85 @@ def test_simulate_network_builds_only_its_limit_of_stand_in_rows(
     assert json.loads(outputs[0])["images"] == limit
     assert built == [{"seed": 0, "n_train": 0, "n_test": limit}]
 
+
+
+@pytest.fixture
+def random_mnist(tmp_path):
+    """40 training and 20 test images of random pixels, labels in 0..9."""
+    rng = np.random.default_rng(3)
+    mnist = tmp_path / "random-mnist"
+    mnist.mkdir()
+    for stem, n in (("train", 40), ("t10k", 20)):
+        write_idx_images(mnist / f"{stem}-images-idx3-ubyte", rng.integers(0, 256, (n, 784), dtype=np.uint8))
+        write_idx_labels(mnist / f"{stem}-labels-idx1-ubyte", rng.integers(0, 10, n))
+    return mnist
+
+
+def copy_with_prefix(src: Path, dest: Path, stem: str, n: int) -> Path:
+    """A copy of the IDX directory src whose stem split holds only its first n rows."""
+    shutil.copytree(src, dest)
+    images = np.frombuffer((src / f"{stem}-images-idx3-ubyte").read_bytes()[16:], dtype=np.uint8)
+    labels = np.frombuffer((src / f"{stem}-labels-idx1-ubyte").read_bytes()[8:], dtype=np.uint8)
+    write_idx_images(dest / f"{stem}-images-idx3-ubyte", images.reshape(-1, 784)[:n])
+    write_idx_labels(dest / f"{stem}-labels-idx1-ubyte", labels[:n])
+    return dest
+
+
+@pytest.mark.parametrize("n", [1, 13, 40, 45])
+def test_train_subset_reads_a_prefix_of_the_idx_files(tmp_path, random_mnist, network_file, capsys, n):
+    # training on the first N rows of an IDX directory writes the same bytes
+    # as training on a directory that holds only those rows
+    prefix = copy_with_prefix(random_mnist, tmp_path / "prefix", "train", n)
+    outputs = []
+    for mnist in (random_mnist, prefix):
+        dest = tmp_path / f"params-{mnist.name}"
+        assert cli.main(["train", str(network_file), str(dest), "--epochs", "2", "--batch-size", "4",
+                         "--save-wb", "--train-subset", str(n), "--mnist-dir", str(mnist)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(dest.iterdir())})
+    assert capsys.readouterr().err == ""
+    assert sorted(outputs[0]) == ["Y_biases.bin", "Y_weights.bin", "dense00_biases.bin",
+                                  "dense00_weights.bin", "report.json"]
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("limit", [1, 7, 20, 25])
+def test_simulate_network_reads_only_its_limit_of_idx_rows(
+        tmp_path, random_mnist, network_file, capsys, limit):
+    # the output equals that of an IDX directory holding only the first
+    # --limit test rows, as for the stand-in
+    params = tmp_path / "params"
+    assert cli.main(["train", str(network_file), str(params), "--epochs", "1", "--batch-size", "4",
+                     "--save-wb", "--mnist-dir", str(random_mnist)]) == 0
+    prefix = copy_with_prefix(random_mnist, tmp_path / "prefix", "t10k", limit)
+    capsys.readouterr()
+    outputs = []
+    for mnist in (random_mnist, prefix):
+        argv = ["simulate-array", "--cfg", "2,2,2,4,2", "--network", str(network_file),
+                "--params-dir", str(params), "--mnist-dir", str(mnist), "--limit", str(limit)]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["images"] == min(limit, 20)
+
+
+def test_simulate_network_rejects_widths_that_do_not_fit(tmp_path, tiny_mnist, capsys):
+    # a 784 -> 5 network with saved parameters is refused as train refuses it
+    net = tmp_path / "net.json"
+    desc = mlp_desc([784, 4, 5], batch=4)
+    net.write_text(json.dumps(desc.to_json()), encoding="utf-8")
+    params = tmp_path / "params"
+    nnsim.save_params(nnsim.init_mlp(desc, seed=0), params, [l.name for l in desc.layers])
+    message = (f"error: network {net} maps 784 inputs to 5 outputs, but the dataset "
+               f"has 784 features and 10 classes\n")
+    argvs = (["train", str(net), str(tmp_path / "dest"), "--mnist-dir", str(tiny_mnist)],
+             ["simulate-array", "--cfg", "2,2,2,4,2", "--network", str(net),
+              "--params-dir", str(params), "--mnist-dir", str(tiny_mnist), "--limit", "3"])
+    for argv in argvs:
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "dest").exists()
 
 def test_clock_comes_from_the_device_config(tmp_path, capsys):
     # the (4, 4, 8, 8, 8) array is compute-bound on every Table 2 layer, so

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from ecad.dataset import (
+    IMAGES_MAGIC,
+    LABELS_MAGIC,
     SYNTHETIC_CHUNK_ROWS,
     Dataset,
     DatasetError,
     load_mnist,
     one_hot,
-    read_idx_images,
-    read_idx_labels,
+    read_idx,
     synthetic_mnist,
     to_float,
     write_idx_images,
@@ -42,6 +43,14 @@ def traced_peak(build):
 
 def nbytes(data):
     return sum(a.nbytes for a in (data.train_x, data.train_y, data.test_x, data.test_y))
+
+
+def gzip_files(dir_path):
+    """Replace each file in the directory by its gzipped copy, named *.gz."""
+    for path in list(dir_path.iterdir()):
+        with gzip.open(path.with_name(path.name + ".gz"), "wb") as fh:
+            fh.write(path.read_bytes())
+        path.unlink()
 
 
 def write_split(dir_path, n_train=12, n_test=5, value=0):
@@ -77,19 +86,19 @@ class TestIdxFiles:
         path = tmp_path / "bad"
         path.write_bytes(struct.pack(">IIII", 1234, 1, 28, 28) + b"\x00" * 784)
         with pytest.raises(DatasetError, match="magic"):
-            read_idx_images(path)
+            read_idx(path, IMAGES_MAGIC)
 
     def test_bad_labels_magic(self, tmp_path):
         path = tmp_path / "bad"
         path.write_bytes(struct.pack(">II", 2051, 1) + b"\x00")
         with pytest.raises(DatasetError, match="magic"):
-            read_idx_labels(path)
+            read_idx(path, LABELS_MAGIC)
 
     def test_truncated_images(self, tmp_path):
         path = tmp_path / "trunc"
         path.write_bytes(struct.pack(">IIII", 2051, 10, 28, 28) + b"\x00" * 100)
         with pytest.raises(DatasetError, match="truncated"):
-            read_idx_images(path)
+            read_idx(path, IMAGES_MAGIC)
 
     def test_count_mismatch(self, tmp_path):
         write_split(tmp_path, n_train=100)
@@ -129,7 +138,7 @@ class TestIdxFiles:
         full = load_mnist(tmp_path)
         for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"):
             (tmp_path / name).unlink()
-        test_only = load_mnist(tmp_path, train=False)
+        test_only = load_mnist(tmp_path, n_train=0)
         assert test_only.test_x.tobytes() == full.test_x.tobytes()
         assert test_only.test_y.tobytes() == full.test_y.tobytes()
         stand_in = synthetic_mnist(n_train=0)
@@ -140,15 +149,75 @@ class TestIdxFiles:
 
     def test_gzip_variant(self, tmp_path):
         write_split(tmp_path, value=128)
-        for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
-                     "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"):
-            raw = (tmp_path / name).read_bytes()
-            (tmp_path / name).unlink()
-            with gzip.open(tmp_path / (name + ".gz"), "wb") as fh:
-                fh.write(raw)
+        gzip_files(tmp_path)
         data = load_mnist(tmp_path)
         assert data.train_x.shape == (12, 784)
         assert data.train_x.dtype == np.uint8 and np.all(data.train_x == 128)
+
+
+class TestIdxPrefix:
+    """load_mnist(dir, n_train, n_test) keeps the first rows of each split and
+    still checks the whole of every file it reads."""
+
+    @staticmethod
+    def write_random_split(dir_path, n_train, n_test, gz):
+        rng = np.random.default_rng(7)
+        for stem, n in (("train", n_train), ("t10k", n_test)):
+            write_idx_images(dir_path / f"{stem}-images-idx3-ubyte",
+                             rng.integers(0, 256, (n, 784), dtype=np.uint8))
+            write_idx_labels(dir_path / f"{stem}-labels-idx1-ubyte", rng.integers(0, 10, n))
+        if gz:
+            gzip_files(dir_path)
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
+    @pytest.mark.parametrize("n", [1, 20, 21, 26])   # 1, count - 1, count, count + 5
+    def test_prefix_equals_the_full_read_prefix(self, tmp_path, gz, n):
+        count = 21
+        self.write_random_split(tmp_path, n_train=count, n_test=count, gz=gz)
+        full = load_mnist(tmp_path)
+        part = load_mnist(tmp_path, n_train=n, n_test=n)
+        kept = min(n, count)
+        assert part.train_x.shape == part.test_x.shape == (kept, 784)
+        for got, whole in ((part.train_x, full.train_x), (part.train_y, full.train_y),
+                           (part.test_x, full.test_x), (part.test_y, full.test_y)):
+            assert got.dtype == whole.dtype
+            assert got.tobytes() == whole[:kept].tobytes()
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
+    def test_truncated_past_the_prefix_is_refused(self, tmp_path, gz):
+        write_split(tmp_path, n_train=10)
+        images_path = tmp_path / "train-images-idx3-ubyte"
+        images_path.write_bytes(images_path.read_bytes()[:-100])
+        if gz:
+            gzip_files(tmp_path)
+            images_path = images_path.with_name(images_path.name + ".gz")
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(images_path))}: truncated image data$"):
+            load_mnist(tmp_path, n_train=2)
+
+    def test_label_out_of_range_past_the_prefix_is_refused(self, tmp_path):
+        write_split(tmp_path, n_train=10)
+        labels_path = tmp_path / "train-labels-idx1-ubyte"
+        write_idx_labels(labels_path, np.array([1] * 9 + [10], dtype=np.uint8))
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(labels_path))}: label 10 is outside 0..9$"):
+            load_mnist(tmp_path, n_train=2)
+
+    def test_count_mismatch_past_the_prefix_is_refused(self, tmp_path):
+        write_split(tmp_path, n_train=100)
+        write_idx_labels(tmp_path / "train-labels-idx1-ubyte", np.zeros(99, dtype=np.uint8))
+        with pytest.raises(DatasetError, match="100 images but 99 labels"):
+            load_mnist(tmp_path, n_train=5)
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
+    @pytest.mark.parametrize("rows", [2000, 6000])
+    def test_peak_memory_is_the_prefix_plus_2_mib(self, tmp_path, gz, rows):
+        # the rows past the prefix are read in pieces and dropped, for gzip
+        # too; at 6,000 rows (4.5 MiB) a whole read would break the bound
+        write_split(tmp_path, n_train=rows, n_test=5, value=3)
+        if gz:
+            gzip_files(tmp_path)
+        data, peak = traced_peak(lambda: load_mnist(tmp_path, n_train=100))
+        assert data.train_x.shape == (100, 784)
+        assert peak <= nbytes(data) + 2 * MiB
 
 
 class TestSynthetic:
@@ -166,16 +235,6 @@ class TestSynthetic:
         b = synthetic_mnist(seed=3, n_train=50, n_test=10)
         assert np.array_equal(a.train_x, b.train_x)
         assert np.array_equal(a.test_y, b.test_y)
-
-    def test_subset(self):
-        full = synthetic_mnist(seed=0, n_train=100, n_test=40)
-        data = full.subset(30)
-        assert data.train_x.shape == (30, 784)
-        assert data.test_x is full.test_x and data.test_y is full.test_y
-        for got, whole in ((data.train_x, full.train_x), (data.train_y, full.train_y)):
-            # a copy, so the subset does not keep the full training split alive
-            assert got.base is None and got.flags.owndata
-            assert np.array_equal(got, whole[:30])
 
     def test_scratch_stays_under_4_mib(self):
         data, peak = traced_peak(lambda: synthetic_mnist(n_train=20000, n_test=2000))
