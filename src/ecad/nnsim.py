@@ -42,7 +42,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 FLUSH_EVERY = 256     # steps between first-moment flushes
 FLUSH_BELOW = 1e-20   # first-moment magnitude flushed to 0
-ACCURACY_CHUNK = 2048  # test rows made float32 inputs at a time
+ACCURACY_CHUNK = 256   # test rows per float32 forward pass; 2048 raised peak RSS 12 MiB, no faster
 
 
 class TrainingDiverged(RuntimeError):

@@ -13,9 +13,10 @@ with ROADMAP item 13 after item 2.
 Numerics are float32 in a fixed order: each step's vec-wide products are
 rounded once, reduced level-wise over adjacent pairs (an odd trailing element
 passes through), then the steps accumulate sequentially in K order, as in the
-pipelined reduction-tree hardware. Output elements are independent, so the
-block grouping of rows and columns moves no bit: the simulator computes only
-the real M x N output, in row tiles, over K padded to a multiple of vec.
+pipelined reduction-tree hardware; which NaN a sum of two keeps is not fixed.
+Output elements are independent, so the block grouping of rows and columns
+moves no bit: the simulator computes only the real M x N output, in row
+tiles, over K padded to a multiple of vec, in bit-reversed lanes.
 """
 
 from __future__ import annotations
@@ -84,24 +85,9 @@ def block_unpack(bm: BlockedMatrix) -> np.ndarray:
     return trimmed.T.copy() if bm.transposed else trimmed.copy()
 
 
-# --- fixed-order arithmetic ---------------------------------------------------
-
-def tree_reduce(products: np.ndarray) -> np.ndarray:
-    """Reduce the leading axis over adjacent pairs, level by level, in float32."""
-    p = np.asarray(products, dtype=np.float32)
-    while p.shape[0] > 1:
-        n = p.shape[0]
-        even = n - (n % 2)
-        s = p[0:even:2] + p[1:even:2]
-        if n % 2:
-            s = np.concatenate([s, p[-1:]])
-        p = s
-    return p[0]
-
-
 # --- layer simulation -----------------------------------------------------------
 
-TILE_BYTES = 512 * 1024   # one step's product array per row tile; fits a 2 MiB L2
+TILE_BYTES = 1024 * 1024   # one step's product buffer per row tile; fastest of 0.25-1.5 MiB (2 MiB L2)
 
 
 def simulate_layer(
@@ -113,15 +99,17 @@ def simulate_layer(
 ) -> tuple[np.ndarray, GemmCost]:
     """Run one M x K by K x N GEMM through the array dataflow.
 
-    Returns the M x N result, with the optional bias and ReLU applied at the
-    drain, and the model's cost of the GEMM. Each output element gets
-    ``acc += tree_reduce(products)`` for consecutive vec-wide K slices in K
-    order, over row tiles sized so one step's (vec, rows, N) einsum outer
-    product stays near ``TILE_BYTES``; padded M rows and N columns are not
-    computed. einsum adds each rounded product to +0.0, so -0.0 comes out +0.0.
-    That and skipping the zero K slices past k rounded up to vec move no bit, as in
-    round-to-nearest a zero sum is +0.0 unless both terms are -0.0: zero signs reach
-    only zero sums, and acc, which starts at +0.0, is never -0.0, so it absorbs them.
+    Returns the M x N result, with the optional bias and ReLU applied at the drain, and
+    the model's cost of the GEMM. Each output element adds to acc the adjacent-pair tree
+    of each vec-wide K slice's products, in K order. A step's products fill one
+    (lanes, rows, N) buffer per row tile, sized near ``TILE_BYTES``. Its lanes, the slice
+    zero-padded to a power of two, are bit-reversed: the tree's pairs sit at lanes i and
+    i + lanes/2, so each level adds the buffer's second half onto its first. Padded M
+    rows and N columns are not computed. einsum adds each rounded product to +0.0, so no
+    product or sum is -0.0, and an odd tail keeps its value beside a zero lane. That and
+    skipping the zero K slices past k rounded up to vec move no bit, as in
+    round-to-nearest a zero sum is +0.0 unless both terms are -0.0: zero signs reach only
+    zero sums, and acc, which starts at +0.0, is never -0.0, so it absorbs them.
     """
     a = np.asarray(a, dtype=np.float32)
     b = np.asarray(b, dtype=np.float32)
@@ -133,18 +121,30 @@ def simulate_layer(
         raise SimulationError(f"empty GEMM: m={m}, k={k}, n={n}")
     if bias is not None and np.shape(bias) != (n,):
         raise SimulationError(f"bias shape {np.shape(bias)} does not match ({n},)")
-    vec = cfg.vec
-    steps = -(-k // vec)
-    a = np.pad(a, ((0, 0), (0, steps * vec - k)))
-    b_steps = np.pad(b, ((0, steps * vec - k), (0, 0))).reshape(steps, vec, n)
-    tile_rows = max(1, TILE_BYTES // (vec * n * 4))
+    rev = np.zeros(1, dtype=np.intp)   # bit-reversed lane order: 0,4,2,6,1,5,3,7 for 8
+    while rev.size < cfg.vec:
+        rev = np.concatenate([2 * rev, 2 * rev + 1])
+    lanes = rev.size
+    halves = [lanes >> i for i in range(1, lanes.bit_length())]
+    k_index = np.arange(-(-k // cfg.vec))[:, None] * cfg.vec + rev   # (steps, lanes)
+    zero = (rev >= cfg.vec) | (k_index >= k)
+    k_index[zero] = 0   # any valid row: these slots are zeroed after the gather
+    b_lanes = b[k_index]
+    b_lanes[zero] = 0.0
+    tile_rows = max(1, TILE_BYTES // (lanes * n * 4))
+    buf = np.empty(lanes * min(m, tile_rows) * n, dtype=np.float32)
 
     out = np.zeros((m, n), dtype=np.float32)
     for r0 in range(0, m, tile_rows):
         acc = out[r0:r0 + tile_rows]
-        a_steps = np.ascontiguousarray(a[r0:r0 + tile_rows].T).reshape(steps, vec, -1)
-        for s in range(steps):
-            acc += tree_reduce(np.einsum("jr,jn->jrn", a_steps[s], b_steps[s]))
+        a_lanes = a[r0:r0 + tile_rows].T[k_index]
+        a_lanes[zero] = 0.0
+        p = buf[:lanes * acc.size].reshape(lanes, *acc.shape)
+        for a_step, b_step in zip(a_lanes, b_lanes):
+            np.einsum("jr,jn->jrn", a_step, b_step, out=p)
+            for h in halves:
+                np.add(p[:h], p[h:2 * h], out=p[:h])
+            acc += p[0]
     # drain: one element per cycle through the bias/ReLU stage
     if bias is not None:
         out += np.asarray(bias, dtype=np.float32)

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from ecad import sysarray
 from ecad.dataset import to_float
 from ecad.genome import SystolicConfig
 from ecad.hwmodel import compute_cycles, gemm_cost
@@ -14,11 +15,16 @@ from ecad.sysarray import (
     block_unpack,
     run_network,
     simulate_layer,
-    tree_reduce,
 )
 
 from helpers import mlp_desc, padded
-from oracles import dense_oracle, max_rel_error, ordered_oracle, scalar_ordered_oracle
+from oracles import (
+    _pairwise_tree,
+    dense_oracle,
+    max_rel_error,
+    ordered_oracle,
+    scalar_ordered_oracle,
+)
 
 
 def random_case(rng):
@@ -67,10 +73,11 @@ class TestBlocking:
 
 class TestTreeReduce:
     def test_matches_scalar_tree(self):
+        # the bit-exact simulator tests trust ordered_oracle's vectorized tree
         rng = np.random.default_rng(0)
         for n in [1, 2, 3, 4, 5, 7, 8, 11, 16, 30]:
             x = rng.uniform(-1, 1, (4, n)).astype(np.float32)
-            got = tree_reduce(x.T)
+            got = _pairwise_tree(x)
             for i in range(4):
                 vals = [np.float32(v) for v in x[i]]
                 while len(vals) > 1:
@@ -130,6 +137,39 @@ class TestSimulateLayer:
         expected = ordered_oracle(a, b, cfg.vec, cfg.scale,
                                   cfg.rows * cfg.interleave, cfg.cols * cfg.interleave,
                                   bias=bias, relu=with_bias)
+        assert c.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("vec", list(range(1, 18)) + [24, 31, 32, 64])
+    def test_bit_exact_lane_order_every_vec(self, vec, with_bias, monkeypatch):
+        # The simulator pads each step's lanes to a power of two and reduces
+        # bit-reversed halves; the oracle pairs adjacent lanes and passes an odd
+        # tail through. Two NaNs summed keep whichever operand numpy's loop puts
+        # first, which neither side fixes, so every NaN here is the default NaN.
+        with np.errstate(invalid="ignore"):
+            nan = np.float32(np.inf) * np.float32(0.0)
+        n, tile_rows = 13, 3
+        lanes = 1 << (vec - 1).bit_length()
+        monkeypatch.setattr(sysarray, "TILE_BYTES", tile_rows * lanes * n * 4)
+        m, k = 2 * tile_rows + 2, 2 * vec + (vec + 1) // 2
+        data = np.random.default_rng(vec)
+        a = data.uniform(-1, 1, (m, k)).astype(np.float32)
+        b = data.uniform(-1, 1, (k, n)).astype(np.float32)
+        a[1, vec - 1::vec] = -0.0                   # the last lane of every step
+        a[tile_rows] = np.where(np.arange(k) % 2, -0.0, 0.0)
+        b[:, 2] = np.where(np.arange(k) % 3, 0.0, -0.0)
+        b[:, 3] = -0.0
+        a[2, k // 2] = nan
+        a[tile_rows + 1, 0] = np.inf
+        a[m - 1, k - 1] = -np.inf
+        b[0, 5] = np.inf
+        b[k - 1, 6] = -np.inf
+        bias = data.uniform(-1, 1, n).astype(np.float32) if with_bias else None
+        cfg = SystolicConfig(2, 2, vec, 8, 2)
+        with np.errstate(invalid="ignore"):
+            c, _ = simulate_layer(a, b, cfg, bias=bias, relu=with_bias)
+            expected = ordered_oracle(a, b, vec, cfg.scale, 16, 16, bias=bias, relu=with_bias)
+        assert np.isnan(c).any() and np.isinf(c).any()
         assert c.tobytes() == expected.tobytes()
 
     def test_hand_computed_cycles(self):
