@@ -1,8 +1,10 @@
 """Command-line surface: search, train, eval, simulate-array, export, actualize.
 
-Every command exits 0 only on success and writes diagnostics to stderr. A
-command that needs images reads real MNIST only from the --mnist-dir
-directory; without the flag it uses the synthetic stand-in.
+`ecad search` folds the records it streams into the database into
+report.json and generations.csv. Every command exits 0 only on success and
+writes diagnostics to stderr. A command that needs images reads real MNIST
+only from the --mnist-dir directory; without the flag it uses the synthetic
+stand-in.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -90,6 +93,32 @@ def _build_dispatcher(cfg: EcadConfig, mnist_dir: str | None,
     return Dispatcher(workers)
 
 
+def write_report(out_dir: Path, report: dict[str, Any]) -> None:
+    """report.json and generations.csv, one row per generation, of an `engine.report`."""
+    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    with open(out_dir / "generations.csv", "w", newline="", encoding="utf-8") as fh:
+        rows = csv.writer(fh)
+        rows.writerow([
+            "generation", "best_score", "mean_score", "best_neurons",
+            "best_batch", "best_cfg", "best_img_per_s", "best_accuracy",
+        ])
+        for h in report["history"]:
+            bg = h["best_genome"]
+            neurons = bg["traits"]["neurons"]
+            rows.writerow([
+                h["generation"],
+                repr(h["best"]),
+                repr(h["mean"]),
+                ";".join(str(v) for v in neurons),
+                bg["traits"]["batch"],
+                bg["traits"]["cfg"],
+                "" if bg["img_per_s"] is None else repr(bg["img_per_s"]),
+                "" if bg["accuracy"] is None else repr(bg["accuracy"]),
+            ])
+
+
 # --- commands --------------------------------------------------------------------
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -99,16 +128,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     # each search writes a fresh database, headed by the config's cell array
     with EcadDb.create(out_dir / DB_FILENAME, cfg.cell_array) as store:
-        report, _ = engine.run(cfg, dispatcher, store=store, seed=args.seed)
-
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        # each dataclass of the report is written as its fields, in field order
-        json.dump(report, fh, indent=2, default=vars)
-        fh.write("\n")
-    with open(out_dir / "generations.csv", "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(engine.report_csv_rows(report))
-    best = report.best
-    print(f"search finished after {report.generations_run} generations ({report.stop_reason})")
+        report = engine.run(cfg, dispatcher, store=store, seed=args.seed)
+    write_report(out_dir, report)
+    best = report["best"]
+    print(f"search finished after {report['generations_run']} generations ({report['stop_reason']})")
     print(f"best: genome {best.get('id')} combined {best.get('combined'):.4f} "
           f"traits {best.get('traits')}")
     print(f"artifacts written to {out_dir}")

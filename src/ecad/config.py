@@ -269,13 +269,17 @@ class PopConfig:
                 raise ConfigError(f"popConfigValues: evalType '{t}' is listed twice")
         if not self.active_eval_types():
             raise ConfigError("popConfigValues: no active evalType")
-        children = math.ceil(self.change_rate * self.max_pop_size)
-        if self.max_generations > 1 and children >= self.max_pop_size:
+        if self.max_generations > 1 and self.children >= self.max_pop_size:
             # the children alone would fill the population, evicting the best member
             raise ConfigError(
                 f"popConfigValues: changeRate {self.change_rate} with maxPopSize "
-                f"{self.max_pop_size} makes {children} children per generation; "
+                f"{self.max_pop_size} makes {self.children} children per generation; "
                 "need ceil(changeRate * maxPopSize) < maxPopSize")
+
+    @property
+    def children(self) -> int:
+        """Children mutated per generation: ceil(changeRate * maxPopSize)."""
+        return math.ceil(self.change_rate * self.max_pop_size)
 
     def active_eval_types(self) -> tuple[EvalTypeConfig, ...]:
         """The active objectives, in declaration order."""

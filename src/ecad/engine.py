@@ -1,16 +1,17 @@
-"""Steady-state evolutionary search loop.
+"""Steady-state evolutionary search: a stream of records and a fold over it.
 
-Each generation scores the genomes created since the last one (the initial
-spawn, then the previous generation's children), ranks the whole population
-by combined score, mutates the top performers into children (round-robin over
-the top slice) and keeps only the best members that leave room for them. The
-loop stops at the generation cap or when the best combined score reaches the
-configured goal. All randomness flows from one seeded generator, so
-trajectories are bit-reproducible.
+The search (`_records`) stores and yields each genome's record. A generation
+scores the genomes created since the last one (the initial spawn, then the
+previous generation's children), ranks them with the survivors by combined
+score, mutates the top slice into children (round-robin) and keeps the best
+members that leave room for them, until the generation cap or the goal. One
+seeded generator drives all randomness, so trajectories are bit-reproducible.
 
-`run` expects a config from `parse_config` and does not check it again: it
-relies on at least one active eval type and on fewer children per generation
-than maxPopSize, so the best member is never evicted.
+`report` folds records generation by generation through `store.replay`.
+`run` folds the search's records as they come, and the same fold over
+`EcadDb(path).scan()` rebuilds the report from the database. `run` trusts
+`parse_config`: an active eval type, and fewer children than maxPopSize, so
+the best member is never evicted.
 """
 
 from __future__ import annotations
@@ -18,33 +19,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .config import CellInstance, EcadConfig
 from .dispatch import Dispatcher, EvalJob
 from .fitness import ScoreCard
 from .genome import mutate, spawn, to_description
-from .store import DbRecord, EcadDb, rank_key
-
-
-@dataclass
-class GenerationStats:
-    generation: int
-    population: int
-    best: float
-    mean: float
-    best_genome: dict[str, Any]
-
-
-@dataclass
-class SearchReport:
-    config_name: str
-    seed: int
-    generations_run: int
-    stop_reason: str
-    best: dict[str, Any]
-    history: list[GenerationStats] = field(default_factory=list)
+from .store import DbRecord, EcadDb, rank_key, replay
 
 
 def _genome_summary(member: DbRecord, cells: tuple[CellInstance, ...]) -> dict[str, Any]:
@@ -64,24 +45,17 @@ def _genome_summary(member: DbRecord, cells: tuple[CellInstance, ...]) -> dict[s
     }
 
 
-def run(
-    cfg: EcadConfig,
-    dispatcher: Dispatcher,
-    store: EcadDb | None = None,
-    seed: int = 0,
-) -> tuple[SearchReport, dict[int, DbRecord]]:
-    """Run the full search; returns the report and the final population by genome id."""
+def _records(cfg: EcadConfig, dispatcher: Dispatcher, store: EcadDb,
+             seed: int) -> Iterator[DbRecord]:
+    """The search: each genome's record, in id order, once it is stored."""
     active = cfg.pop.active_eval_types()
     active_by_type = {et.type: et for et in active}
-    n_children = math.ceil(cfg.pop.change_rate * cfg.pop.max_pop_size)
+    n_children = cfg.pop.children
 
     rng = random.Random(seed)
     ids = itertools.count()
-    members: dict[int, DbRecord] = {}
+    survivors: list[DbRecord] = []
     fresh = [spawn(cfg, rng, next(ids)) for _ in range(cfg.pop.initial_pop_size)]
-
-    history: list[GenerationStats] = []
-    stop_reason = "max generations reached"
 
     for generation in range(1, cfg.pop.max_generations + 1):
         # 1. score the genomes created since the last generation; the dispatcher
@@ -100,71 +74,48 @@ def run(
                                     network=desc, params=params))
         for result in dispatcher.dispatch_all(jobs):
             cards[result.genome_id].record(active_by_type[result.eval_type], result)
-        for genome in fresh:
-            card = cards[genome.id]
-            rec = DbRecord(genome, card, generation, card.combined(cfg.pop))
-            members[genome.id] = rec
-            if store is not None:
-                store.append(rec)
+        scored = [DbRecord(g, cards[g.id], generation, cards[g.id].combined(cfg.pop)) for g in fresh]
+        for rec in scored:
+            store.append(rec)
+            yield rec
 
-        # 2. rank (best combined first, older id winning ties) and snapshot statistics
-        ranked = sorted(members.values(), key=rank_key)
-        best = ranked[0]
-        history.append(GenerationStats(
-            generation=generation,
-            population=len(members),
-            best=best.combined,
-            mean=math.fsum(m.combined for m in members.values()) / len(members),
-            best_genome=_genome_summary(best, cfg.cell_array),
-        ))
+        # 2. rank (best combined first, older id winning ties) and stop
+        ranked = sorted(survivors + scored, key=rank_key)
+        if ranked[0].combined >= cfg.pop.fitness_score_goal or generation == cfg.pop.max_generations:
+            return
 
-        # 3. stop conditions
-        if best.combined >= cfg.pop.fitness_score_goal:
-            stop_reason = "fitness goal reached"
-            break
-        if generation == cfg.pop.max_generations:
-            break
-
-        # 4. mutate the top slice into children, round-robin
+        # 3. mutate the top slice into children, round-robin, and keep the best
+        #    maxPopSize - n_children, which hold the best member, to make room
         parents = [m.genome for m in ranked[:n_children]]
         fresh = [
             mutate(parents[i % len(parents)], cfg, rng, next(ids))
             for i in range(n_children)
         ]
-
-        # 5. make room for the children: keep the top maxPopSize - n_children,
-        #    which holds the best member since n_children < maxPopSize
-        for member in ranked[cfg.pop.max_pop_size - n_children:]:
-            del members[member.genome.id]
-
-    report = SearchReport(
-        config_name=cfg.name,
-        seed=seed,
-        generations_run=len(history),
-        stop_reason=stop_reason,
-        best=history[-1].best_genome,
-        history=history,
-    )
-    return report, members
+        survivors = ranked[:cfg.pop.max_pop_size - n_children]
 
 
-def report_csv_rows(report: SearchReport) -> list[list[Any]]:
-    """Per-generation CSV rows matching the documented column layout."""
-    rows: list[list[Any]] = [[
-        "generation", "best_score", "mean_score", "best_neurons",
-        "best_batch", "best_cfg", "best_img_per_s", "best_accuracy",
-    ]]
-    for h in report.history:
-        bg = h.best_genome
-        neurons = bg["traits"]["neurons"]
-        rows.append([
-            h.generation,
-            repr(h.best),
-            repr(h.mean),
-            ";".join(str(v) for v in neurons),
-            bg["traits"]["batch"],
-            bg["traits"]["cfg"],
-            "" if bg["img_per_s"] is None else repr(bg["img_per_s"]),
-            "" if bg["accuracy"] is None else repr(bg["accuracy"]),
-        ])
-    return rows
+def report(cfg: EcadConfig, seed: int, records: Iterable[DbRecord]) -> dict[str, Any]:
+    """The report of the search that wrote ``records``: per generation, the
+    population size, best and mean combined score and the best genome. The
+    stop reason is the last best against fitnessScoreGoal."""
+    history = [{
+        "generation": generation,
+        "population": len(ranked),
+        "best": ranked[0].combined,
+        "mean": math.fsum(m.combined for m in ranked) / len(ranked),
+        "best_genome": _genome_summary(ranked[0], cfg.cell_array),
+    } for generation, ranked in replay(cfg.pop, records)]
+    goal_reached = history[-1]["best"] >= cfg.pop.fitness_score_goal
+    return {
+        "config_name": cfg.name,
+        "seed": seed,
+        "generations_run": len(history),
+        "stop_reason": "fitness goal reached" if goal_reached else "max generations reached",
+        "best": history[-1]["best_genome"],
+        "history": history,
+    }
+
+
+def run(cfg: EcadConfig, dispatcher: Dispatcher, store: EcadDb, seed: int = 0) -> dict[str, Any]:
+    """Run the full search, appending each record to ``store``; returns its report."""
+    return report(cfg, seed, _records(cfg, dispatcher, store, seed))

@@ -23,16 +23,23 @@ naming line 1; a torn header means no records yet. A missing key, an `id`,
 `combined` that is not a number, a non-string diagnostic, or a `traits` list
 whose length is not the header's cell count makes a record corrupt. Other
 keys are ignored.
+
+The records are the whole run: `replay` re-ranks each generation from them
+as the search did, holding only the survivors and one generation's records,
+so a fold over `scan()` reads a whole database in constant memory. It reads
+a torn, partial last generation as if it were whole, so a report folded from
+a crashed search's database is not to be trusted yet.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
-from typing import Any, BinaryIO, Iterator
+from typing import Any, BinaryIO, Iterable, Iterator
 
-from .config import CellInstance, Fields
+from .config import CellInstance, Fields, PopConfig
 from .fitness import ScoreCard
 from .genome import NetworkDescription, NetworkGenome, to_description
 
@@ -72,6 +79,16 @@ class DbRecord:
 def rank_key(rec: DbRecord) -> tuple[float, int]:
     """Sort key of the search's ranking: best combined first, older genome id on ties."""
     return (-rec.combined, rec.genome.id)
+
+
+def replay(pop: PopConfig, records: Iterable[DbRecord]) -> Iterator[tuple[int, list[DbRecord]]]:
+    """(generation, population by `rank_key`) per generation of ``records``, in
+    file order: the previous top maxPopSize - children plus its own records."""
+    survivors: list[DbRecord] = []
+    for generation, scored in groupby(records, key=lambda rec: rec.generation):
+        ranked = sorted([*survivors, *scored], key=rank_key)
+        yield generation, ranked
+        survivors = ranked[:pop.max_pop_size - pop.children]
 
 
 class EcadDb:

@@ -8,7 +8,8 @@ blocks) without any of the package's blocking or state machinery, and the
 genome oracles re-derive every trait's legal values and change rate from its
 spec on every draw, the way spawn and mutate did before they read per-config
 tables, and the stand-in oracle builds each chunk of the synthetic dataset on
-its own from the documented streams and quantile table.
+its own from the documented streams and quantile table. The stand-in
+trainer replaces training altogether with a fixed accuracy per hidden width.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import random
 import statistics
 
 import numpy as np
+
+from ecad.dispatch import EvalJob, EvalResult
 
 
 def dense_oracle(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None,
@@ -327,3 +330,20 @@ def reference_mutate(cfg, parent: list[tuple[str, str, dict]],
         if child != [traits for _, _, traits in parent]:
             return child
     return _reference_force_single_change(cfg, parent, rng)
+
+
+# --- stand-in trainer -----------------------------------------------------------
+
+def stand_in_sim_worker(job: EvalJob) -> EvalResult:
+    """simJob worker that reads accuracy off the hidden width w: 1 - 8 / (w + 64).
+
+    One addition and one division per job, both exactly rounded, so a search
+    scored with it gives the same bytes on every host. It stands in for
+    training only where a test pins a whole search. Its accuracy is optimistic:
+    0.9 at w=16, where a real 4-epoch training on 5,000 stand-in dataset rows
+    reached 0.446. It ignores the training seed, the epochs and the batch
+    size, so it cannot show how they move a score.
+    """
+    w = job.network.layers[0].out_features
+    return EvalResult(genome_id=job.genome_id, eval_type=job.eval_type,
+                      metrics={"accuracy": 1.0 - 8.0 / (w + 64)})

@@ -10,16 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecad import cli, nnsim, store
+from ecad import cli, engine, nnsim, store
 from ecad.config import parse_config
 from ecad.dataset import synthetic_mnist, write_idx_images, write_idx_labels
-from ecad.dispatch import EvalJob
+from ecad.dispatch import Dispatcher, EvalJob
 from ecad.genome import to_description
 from ecad.hwmodel import resource_estimate
 from ecad.store import EcadDb
 from ecad.workers import make_hwdb_worker
 
 from helpers import LISTING_CONFIG, listing_doc, mlp_desc, time_limit
+from oracles import stand_in_sim_worker
 
 GENERATIONS = 30
 NOT_A_FILE_NAME = "cannot name a file: it must not be empty, '.' or '..', or hold '/' or '\\'"
@@ -84,16 +85,42 @@ def test_search_matches_golden_digests(tmp_path, hw_only_config):
 
 
 def test_long_search_matches_golden_digests(tmp_path):
-    # a ten times longer run at another seed, pinned like the digests above
+    # a ten times longer run at another seed, pinned like the digests above;
+    # report.json and generations.csv are a fold over the database's records,
+    # given the config and the seed, so they come back from it byte for byte
     config = write_hw_only_config(tmp_path, 300)
-    out = tmp_path / "out"
+    out, rebuilt = tmp_path / "out", tmp_path / "rebuilt"
     assert cli.main(["search", str(config), "--seed", "0", "--out-dir", str(out)]) == 0
+    rebuilt.mkdir()
+    cli.write_report(rebuilt, engine.report(parse_config(config), 0,
+                                            EcadDb(out / "ecad.db.jsonl").scan()))
+    for name in ("report.json", "generations.csv"):
+        assert (rebuilt / name).read_bytes() == (out / name).read_bytes()
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("ecad.db.jsonl", "report.json", "generations.csv")}
     assert digests == {
         "ecad.db.jsonl": "d8882cf7e0f8d9b5f0a11206e4b1b2d9c0e8b3b4d6265248bdfbde81ca32fc81",
         "report.json": "ed974b59de0e9703e3439af18ee6e6ed401926392d8effe34f519b7335d586bd",
         "generations.csv": "58dd751718bffe962f5d7c14cfeba25daf716806146e44b3ac6f08481667d224",
+    }
+
+
+def test_joint_search_matches_golden_digests(tmp_path, monkeypatch):
+    # the shipped config, both objectives, all of its generations: the real
+    # hwDBJob worker and the stand-in trainer, whose exact float arithmetic
+    # keeps these digests host-independent (see its docstring for what it
+    # cannot show)
+    monkeypatch.setattr(cli, "_build_dispatcher", lambda cfg, mnist_dir, train_subset: Dispatcher(
+        {"hwDBJob": make_hwdb_worker(cfg.hw), "simJob": stand_in_sim_worker}))
+    out = tmp_path / "out"
+    assert cli.main(["search", str(LISTING_CONFIG), "--seed", "0", "--out-dir", str(out)]) == 0
+    assert parse_config(LISTING_CONFIG).pop.max_generations == 2000
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("ecad.db.jsonl", "report.json", "generations.csv")}
+    assert digests == {
+        "ecad.db.jsonl": "12c9ed2323cb4bcad827b947adaa302535a2e0d47cfb1b2cf722bbbf29be117e",
+        "report.json": "989afee4e07a347d1d19fb0b1166248388b2cd1a06474ea3e3f34c11c08ef33e",
+        "generations.csv": "bf66c597990608a9c00de1edc647a0ae0c05cd3cc81ac151d015876adf8b2cc2",
     }
 
 

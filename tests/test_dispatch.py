@@ -5,6 +5,7 @@ import pytest
 
 from ecad import engine
 from ecad.dispatch import Dispatcher, EvalJob, EvalResult
+from ecad.store import EcadDb
 
 from helpers import TimeLimitExceeded, mlp_desc, time_limit
 
@@ -60,7 +61,7 @@ def test_time_limit_escapes_a_worker():
         Dispatcher({"simJob": sleeper}).dispatch_all([job(0, "simJob")])
 
 
-def test_engine_scores_a_worker_exception_as_zero(listing_cfg):
+def test_engine_scores_a_worker_exception_as_zero(listing_cfg, tmp_path):
     pop_cfg = replace(
         listing_cfg.pop, max_generations=1,
         eval_types=tuple(replace(et, active=et.type == "hwDBJob")
@@ -74,7 +75,10 @@ def test_engine_scores_a_worker_exception_as_zero(listing_cfg):
         return EvalResult(genome_id=j.genome_id, eval_type=j.eval_type,
                           metrics={"effective_gops": 500.0})
 
-    _, members = engine.run(cfg, Dispatcher({"hwDBJob": worker}), seed=0)
+    with EcadDb.create(tmp_path / "ecad.db.jsonl", cfg.cell_array) as store:
+        engine.run(cfg, Dispatcher({"hwDBJob": worker}), store=store, seed=0)
+    members = {rec.genome.id: rec for rec in store.scan()}
+    assert len(members) == cfg.pop.initial_pop_size
     member = members[broken]
     assert member.card.scores["hwDBJob"] == 0.0
     assert member.combined == 0.0

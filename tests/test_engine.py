@@ -6,7 +6,7 @@ import pytest
 from ecad import engine
 from ecad.dispatch import Dispatcher, EvalJob, EvalResult
 from ecad.genome import to_description
-from ecad.store import EcadDb
+from ecad.store import EcadDb, replay
 
 GENERATIONS = 12
 MAX_GOPS = 2048.0
@@ -36,7 +36,7 @@ def small_cfg(listing_cfg):
 def search(cfg, tmp_path, seed=5):
     path = tmp_path / f"seed{seed}-goal{cfg.pop.fitness_score_goal}.jsonl"
     with EcadDb.create(path, cfg.cell_array) as store:
-        report, _ = engine.run(cfg, Dispatcher({"hwDBJob": width_worker}), store=store, seed=seed)
+        report = engine.run(cfg, Dispatcher({"hwDBJob": width_worker}), store=store, seed=seed)
     return report, list(store.scan())
 
 
@@ -50,7 +50,7 @@ def width(rec, cfg) -> int:
 
 def test_records_per_generation(small_cfg, tmp_path):
     report, records = search(small_cfg, tmp_path)
-    assert report.generations_run == GENERATIONS
+    assert report["generations_run"] == GENERATIONS
     assert [r.genome.id for r in records] == list(range(len(records)))
     for g in range(1, GENERATIONS + 1):
         upto = [r for r in records if r.generation <= g]
@@ -61,7 +61,7 @@ def test_records_per_generation(small_cfg, tmp_path):
 def test_population_never_exceeds_max(small_cfg, tmp_path):
     report, _ = search(small_cfg, tmp_path)
     pop = small_cfg.pop
-    sizes = [h.population for h in report.history]
+    sizes = [h["population"] for h in report["history"]]
     assert sizes == [min(pop.initial_pop_size + n_children(small_cfg) * (g - 1), pop.max_pop_size)
                      for g in range(1, GENERATIONS + 1)]
     assert max(sizes) == pop.max_pop_size
@@ -69,15 +69,17 @@ def test_population_never_exceeds_max(small_cfg, tmp_path):
 
 def test_best_never_decreases(small_cfg, tmp_path):
     report, _ = search(small_cfg, tmp_path)
-    bests = [h.best for h in report.history]
+    bests = [h["best"] for h in report["history"]]
     assert bests == sorted(bests)
-    assert report.best["combined"] == bests[-1]
+    assert report["best"]["combined"] == bests[-1]
 
 
 def test_children_come_round_robin_from_previous_top(small_cfg, tmp_path):
     """Replays ranking and eviction from the records: each generation's children
-    descend, in id order, from the previous generation's top slice in rank order."""
+    descend, in id order, from the previous generation's top slice in rank order,
+    and each generation's population is the one `store.replay` rebuilds."""
     report, records = search(small_cfg, tmp_path)
+    replayed = list(replay(small_cfg.pop, records))
     c, max_pop = n_children(small_cfg), small_cfg.pop.max_pop_size
     alive: dict[int, float] = {}
     top: list[int] = []
@@ -87,8 +89,10 @@ def test_children_come_round_robin_from_previous_top(small_cfg, tmp_path):
             assert [r.genome.parent_id for r in fresh] == [top[i % len(top)] for i in range(c)]
         alive.update((r.genome.id, r.combined) for r in fresh)
         ranked = sorted(alive, key=lambda gid: (-alive[gid], gid))
-        assert report.history[g - 1].best_genome["id"] == ranked[0]
-        assert report.history[g - 1].population == len(alive)
+        assert report["history"][g - 1]["best_genome"]["id"] == ranked[0]
+        assert report["history"][g - 1]["population"] == len(alive)
+        generation, population = replayed[g - 1]
+        assert (generation, [r.genome.id for r in population]) == (g, ranked)
         top = ranked[:min(c, len(ranked))]
         overflow = len(alive) + c - max_pop
         for gid in [gid for gid in reversed(ranked) if gid != ranked[0]][:max(overflow, 0)]:
@@ -98,20 +102,20 @@ def test_children_come_round_robin_from_previous_top(small_cfg, tmp_path):
 
 def test_stops_when_goal_reached(small_cfg, tmp_path):
     full, _ = search(small_cfg, tmp_path)
-    bests = [h.best for h in full.history]
+    bests = [h["best"] for h in full["history"]]
     # the first generation whose best beats the generation before it
     g = next(i for i in range(1, len(bests)) if bests[i] > bests[i - 1]) + 1
     goal_cfg = replace(small_cfg, pop=replace(small_cfg.pop, fitness_score_goal=bests[g - 1]))
     report, records = search(goal_cfg, tmp_path)
-    assert report.stop_reason == "fitness goal reached"
-    assert report.generations_run == g < GENERATIONS
-    assert [h.best for h in report.history] == bests[:g]
+    assert report["stop_reason"] == "fitness goal reached"
+    assert report["generations_run"] == g < GENERATIONS
+    assert [h["best"] for h in report["history"]] == bests[:g]
     assert max(r.generation for r in records) == g
-    assert full.stop_reason == "max generations reached"
+    assert full["stop_reason"] == "max generations reached"
 
 
 def test_database_round_trips_the_run(small_cfg, tmp_path):
-    # what the store reads back is what the engine held: each member's record,
+    # what the store reads back is what the engine held: each record it yielded,
     # and from the header cells the description each genome was scored on
     scored = {}
 
@@ -121,12 +125,12 @@ def test_database_round_trips_the_run(small_cfg, tmp_path):
 
     path = tmp_path / "ecad.db.jsonl"
     with EcadDb.create(path, small_cfg.cell_array) as store:
-        _, members = engine.run(small_cfg, Dispatcher({"hwDBJob": recording_worker}),
-                                store=store, seed=5)
+        yielded = list(engine._records(small_cfg, Dispatcher({"hwDBJob": recording_worker}),
+                                       store, seed=5))
     db = EcadDb(path)
     cells = db.cells()
     assert cells == small_cfg.cell_array
     records = {rec.genome.id: rec for rec in db.scan()}
     assert sorted(records) == sorted(scored)
-    assert all(records[gid] == member for gid, member in members.items())
+    assert list(records.values()) == yielded
     assert all(to_description(rec.genome, cells) == scored[gid] for gid, rec in records.items())

@@ -1,13 +1,14 @@
 import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
 from ecad import cli
 from ecad.fitness import ScoreCard
 from ecad.genome import mutate, spawn
-from ecad.store import DbRecord, EcadDb, StoreError
+from ecad.store import DbRecord, EcadDb, StoreError, replay
 
 
 def fill(path, cfg, n: int) -> None:
@@ -51,6 +52,28 @@ def test_lines_are_canonical_json(tmp_path, listing_cfg):
     db = EcadDb(path)
     assert db.cells() == listing_cfg.cell_array
     assert [r.genome for r in db.scan()] == genomes
+
+
+def test_replay_ranks_ties_by_older_id_and_keeps_room_for_the_children(listing_cfg):
+    # maxPopSize 4 and changeRate 0.5: two children a generation, so two members survive
+    pop = replace(listing_cfg.pop, max_pop_size=4, change_rate=0.5)
+    rng = random.Random(0)
+    records = [DbRecord(spawn(listing_cfg, rng, gid), ScoreCard(), generation, combined)
+               for gid, generation, combined in [(1, 1, 0.5), (0, 1, 0.5), (2, 1, 0.9),
+                                                 (3, 2, 0.5), (4, 2, 0.7), (5, 3, 0.1)]]
+    read = []
+
+    def stream():
+        for rec in records:
+            read.append(rec.genome.id)
+            yield rec
+
+    replayed = replay(pop, stream())
+    generation, ranked = next(replayed)
+    # one generation is ranked once the next one's first record is read, not later
+    assert (generation, [r.genome.id for r in ranked], read) == (1, [2, 0, 1], [1, 0, 2, 3])
+    assert [(g, [r.genome.id for r in ranked]) for g, ranked in replayed] == [
+        (2, [2, 4, 0, 3]), (3, [2, 4, 5])]
 
 
 def test_torn_last_line_is_skipped_by_readers(tmp_path, listing_cfg):
