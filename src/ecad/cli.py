@@ -73,10 +73,10 @@ def _resolve_dataset(mnist_dir: str | None, train_subset: int | None,
 
 def _check_widths(what: str, n_in: int | None, n_out: int | None, data: ds.Dataset) -> None:
     """Raise CliError unless the network maps the dataset's features to its classes."""
-    features, classes = data.train_x.shape[1], data.train_y.shape[1]
-    if (n_in, n_out) != (features, classes):
+    features = data.train_x.shape[1]
+    if (n_in, n_out) != (features, ds.NUM_CLASSES):
         raise CliError(f"{what} maps {n_in} inputs to {n_out} outputs, but the dataset "
-                       f"has {features} features and {classes} classes")
+                       f"has {features} features and {ds.NUM_CLASSES} classes")
 
 
 def _build_dispatcher(cfg: EcadConfig, mnist_dir: str | None,
@@ -192,9 +192,9 @@ def cmd_simulate_array(args: argparse.Namespace) -> int:
         data = _resolve_dataset(args.mnist_dir, 0, args.limit)
         _check_widths(f"network {args.network}", desc.layers[0].in_features,
                       desc.layers[-1].out_features, data)
-        x, y = ds.to_float(data.test_x), data.test_y
+        x = ds.to_float(data.test_x)
         outputs, costs = sysarray.run_network(desc, params, x, cfg)
-        acc = float(np.mean(np.argmax(outputs, axis=1) == np.argmax(y, axis=1)))
+        acc = float(np.mean(np.argmax(outputs, axis=1) == data.test_y))
         print(json.dumps({
             "cfg": list(cfg.as_tuple()),
             "images": int(x.shape[0]),

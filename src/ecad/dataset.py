@@ -1,9 +1,11 @@
-"""MNIST-style datasets: IDX files, the synthetic stand-in, one-hot labels.
+"""MNIST-style datasets: IDX files and the synthetic stand-in.
 
-Pixels are kept as the IDX files store them, one ``uint8`` per pixel in
-``(count, features)`` arrays, for the real set and the stand-in alike.
-``to_float`` is the one place where pixels become network inputs: it turns
-the rows a batch uses into float32 in [0, 1].
+Pixels and labels are kept as the IDX files store them, for the real set and
+the stand-in alike: one ``uint8`` per pixel in ``(count, features)`` arrays
+and one ``uint8`` class index per row. ``to_float`` is the one place where
+pixels become network inputs: it turns the rows a batch uses into float32 in
+[0, 1]. The trainer and the simulator read the class indices directly, so no
+one-hot copy of the labels is built.
 
 Both sources take the same row arguments and hold only the rows asked for.
 ``load_mnist`` reads the first rows of an IDX image file and skips the rest
@@ -29,6 +31,7 @@ import numpy as np
 IMAGES_MAGIC = 2051
 LABELS_MAGIC = 2049
 NUM_CLASSES = 10
+NUM_FEATURES = 28 * 28
 
 MNIST_TRAIN_ROWS = 60000
 MNIST_TEST_ROWS = 10000
@@ -61,8 +64,9 @@ def to_float(pixels: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Flattened 8-bit pixels (uint8, 0..255) with one-hot float32 labels,
-    train and test splits. ``to_float`` gives a batch's [0, 1] float32 inputs."""
+    """Flattened 8-bit pixels (uint8, 0..255) with 1-D uint8 class labels
+    (0..NUM_CLASSES - 1), train and test splits. ``to_float`` gives a batch's
+    [0, 1] float32 inputs."""
 
     train_x: np.ndarray
     train_y: np.ndarray
@@ -70,10 +74,11 @@ class Dataset:
     test_y: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("train_x", "test_x"):
-            dtype = getattr(self, name).dtype
-            if dtype != np.uint8:
-                raise DatasetError(f"{name} must hold uint8 pixels, got {dtype}")
+        for name, ndim, what in (("train_x", 2, "pixels"), ("train_y", 1, "class labels"),
+                                 ("test_x", 2, "pixels"), ("test_y", 1, "class labels")):
+            a = getattr(self, name)
+            if a.dtype != np.uint8 or a.ndim != ndim:
+                raise DatasetError(f"{name} must hold {ndim}-D uint8 {what}, got {a.ndim}-D {a.dtype}")
 
 
 def _open_maybe_gzip(path: Path):
@@ -115,12 +120,6 @@ def read_idx(path: Path, magic: int, n: int | None = None) -> tuple[int, np.ndar
     return count, rows.reshape(kept, width) if dims else rows
 
 
-def one_hot(labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:
-    out = np.zeros((labels.shape[0], num_classes), dtype=np.float32)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
 def _load_split(dir_path: Path, split: str, n: int | None) -> tuple[np.ndarray, np.ndarray]:
     images_path = _find(dir_path, f"{split}-images-idx3-ubyte")
     count, images = read_idx(images_path, IMAGES_MAGIC, n)
@@ -134,7 +133,7 @@ def _load_split(dir_path: Path, split: str, n: int | None) -> tuple[np.ndarray, 
         raise DatasetError(
             f"{labels_path}: label {labels.max()} is outside 0..{NUM_CLASSES - 1}"
         )
-    return images, one_hot(labels[:images.shape[0]])
+    return images, labels[:images.shape[0]]
 
 
 def load_mnist(dir_path: str | Path, n_train: int | None = None,
@@ -154,13 +153,11 @@ def synthetic_mnist(
     seed: int = 0,
     n_train: int = MNIST_TRAIN_ROWS,
     n_test: int = MNIST_TEST_ROWS,
-    num_features: int = 784,
-    num_classes: int = 10,
 ) -> Dataset:
     """Deterministic MNIST-shaped stand-in: noisy class prototypes, 8-bit.
 
     Used when the real IDX files are not available; same shapes, pixel type
-    and label encoding as the real dataset. Each row is a class prototype
+    and label type as the real dataset. Each row is a class prototype
     plus N(0, SYNTHETIC_NOISE) noise, clipped to [0, 1] in float32 and stored
     as the uint8 ``rint(v * 255)``. SYNTHETIC_SPREAD and SYNTHETIC_NOISE put
     a small MLP in the mid-to-high nineties after a few epochs, so accuracy
@@ -179,13 +176,13 @@ def synthetic_mnist(
     bytes for every size that holds them, and ``n_train`` does not change the
     test split nor ``n_test`` the training split.
 
-    Beyond the arrays it returns, the build holds under 4 MiB of scratch at
-    784 features: the 256 KiB table and, for one chunk, the draw, its lookup
-    indices and float32 rows, the prototype rows and the labels.
+    Beyond the arrays it returns, the build holds under 4 MiB of scratch: the
+    256 KiB table and, for one chunk, the draw, its lookup indices and
+    float32 rows, the prototype rows and the labels.
     """
     rng = np.random.default_rng(seed)
     prototypes = (
-        0.5 + SYNTHETIC_SPREAD * (rng.uniform(0.0, 1.0, size=(num_classes, num_features)) - 0.5)
+        0.5 + SYNTHETIC_SPREAD * (rng.uniform(0.0, 1.0, size=(NUM_CLASSES, NUM_FEATURES)) - 0.5)
     ).astype(np.float32)
     # imported here, so that commands which build no dataset do not load
     # statistics and the decimal and fractions modules it pulls in
@@ -197,14 +194,14 @@ def synthetic_mnist(
                         dtype=np.float32, count=65536)
 
     def make(split: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        x = np.empty((n, num_features), dtype=np.uint8)
-        labels = np.empty(n, dtype=np.intp)
+        x = np.empty((n, NUM_FEATURES), dtype=np.uint8)
+        labels = np.empty(n, dtype=np.uint8)
         for chunk, lo in enumerate(range(0, n, SYNTHETIC_CHUNK_ROWS)):
             rows = x[lo:lo + SYNTHETIC_CHUNK_ROWS]
             keep = rows.shape[0]
             chunk_rng = np.random.default_rng([seed, split, chunk])
-            chunk_labels = chunk_rng.integers(0, num_classes, size=SYNTHETIC_CHUNK_ROWS)[:keep]
-            draw = chunk_rng.integers(0, 1 << 16, size=(SYNTHETIC_CHUNK_ROWS, num_features),
+            chunk_labels = chunk_rng.integers(0, NUM_CLASSES, size=SYNTHETIC_CHUNK_ROWS)[:keep]
+            draw = chunk_rng.integers(0, 1 << 16, size=(SYNTHETIC_CHUNK_ROWS, NUM_FEATURES),
                                       dtype=np.uint16)[:keep]
             labels[lo:lo + keep] = chunk_labels
             # np.take casts the uint16 draw to intp indices in one pass, faster
@@ -214,7 +211,7 @@ def synthetic_mnist(
             np.clip(v, 0.0, 1.0, out=v)
             v *= 255
             rows[...] = np.rint(v, out=v)
-        return x, one_hot(labels, num_classes)
+        return x, labels
 
     test_x, test_y = make(SYNTHETIC_TEST_STREAM, n_test)
     train_x, train_y = make(SYNTHETIC_TRAIN_STREAM, n_train)

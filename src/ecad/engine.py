@@ -97,21 +97,30 @@ def _records(cfg: EcadConfig, dispatcher: Dispatcher, store: EcadDb,
 def report(cfg: EcadConfig, seed: int, records: Iterable[DbRecord]) -> dict[str, Any]:
     """The report of the search that wrote ``records``: per generation, the
     population size, best and mean combined score and the best genome. The
-    stop reason is the last best against fitnessScoreGoal."""
-    history = [{
-        "generation": generation,
-        "population": len(ranked),
-        "best": ranked[0].combined,
-        "mean": math.fsum(m.combined for m in ranked) / len(ranked),
-        "best_genome": _genome_summary(ranked[0], cfg.cell_array),
-    } for generation, ranked in replay(cfg.pop, records)]
-    goal_reached = history[-1]["best"] >= cfg.pop.fitness_score_goal
+    stop reason is the last best against fitnessScoreGoal. An empty stream,
+    such as the scan of a database that holds only its header, folds to no
+    generations, a null best and a null stop reason."""
+    history: list[dict[str, Any]] = []
+    best: dict[str, Any] | None = None
+    for generation, ranked in replay(cfg.pop, records):
+        if best is None or best["id"] != ranked[0].genome.id:
+            best = _genome_summary(ranked[0], cfg.cell_array)   # once per distinct best
+        history.append({
+            "generation": generation,
+            "population": len(ranked),
+            "best": ranked[0].combined,
+            "mean": math.fsum(m.combined for m in ranked) / len(ranked),
+            "best_genome": best,
+        })
+    stop_reason = None if not history else (
+        "fitness goal reached" if history[-1]["best"] >= cfg.pop.fitness_score_goal
+        else "max generations reached")
     return {
         "config_name": cfg.name,
         "seed": seed,
         "generations_run": len(history),
-        "stop_reason": "fitness goal reached" if goal_reached else "max generations reached",
-        "best": history[-1]["best_genome"],
+        "stop_reason": stop_reason,
+        "best": best,
         "history": history,
     }
 

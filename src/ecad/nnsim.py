@@ -3,6 +3,10 @@ mini-batch Adam on softmax cross-entropy, reports test accuracy and exports
 the weights and biases in the binary interchange format (16-byte header of
 four little-endian int32 dimensions, then row-major float32 data).
 
+The loss reads the dataset's uint8 class labels directly: the gradient at
+the logits is softmax minus 1 at each row's label, divided by the batch size,
+so no one-hot array is built.
+
 All parameters of a network live in one flat buffer: each layer's weights
 (in x out, row-major) then its bias, layer after layer, and every
 ``LayerParams`` array is a view into it. Training keeps a gradient buffer
@@ -98,11 +102,6 @@ def _init_params(desc: NetworkDescription, seed: int, dtype) -> tuple[np.ndarray
     return flat, Mlp(layers=layers, activations=[l.activation for l in desc.layers])
 
 
-def init_mlp(desc: NetworkDescription, seed: int, dtype=np.float32) -> Mlp:
-    """Seeded uniform +-sqrt(6 / (in + out)) weight init, zero biases."""
-    return _init_params(desc, seed, dtype)[1]
-
-
 def forward(m: Mlp, batch: np.ndarray) -> np.ndarray:
     """Logits for a batch; ReLU on hidden layers, no softmax."""
     x = np.asarray(batch)
@@ -121,13 +120,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy of one-hot labels."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return float(np.mean(np.sum(labels * (log_z - shifted), axis=1)))
-
-
 def _trace(m: Mlp, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     pre: list[np.ndarray] = []
     post: list[np.ndarray] = [x]
@@ -140,9 +132,13 @@ def _trace(m: Mlp, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 def _backprop(m: Mlp, pre: list[np.ndarray], post: list[np.ndarray],
               labels: np.ndarray, grads: list[LayerParams]) -> None:
-    """Write the gradients of mean softmax cross-entropy into ``grads``."""
+    """Write the gradients of mean softmax cross-entropy of the class
+    ``labels`` into ``grads``. At the logits that is (softmax - one-hot) / n,
+    formed by subtracting 1 at each row's label."""
     n = post[0].shape[0]
-    delta = (softmax(post[-1]) - labels) / n
+    delta = softmax(post[-1])
+    delta[np.arange(n), labels] -= 1
+    delta /= n
     for i in range(len(m.layers) - 1, -1, -1):
         np.matmul(post[i].T, delta, out=grads[i].weights)
         np.sum(delta, axis=0, out=grads[i].bias)
@@ -152,22 +148,13 @@ def _backprop(m: Mlp, pre: list[np.ndarray], post: list[np.ndarray],
                 delta *= pre[i - 1] > 0
 
 
-def grad(m: Mlp, batch: np.ndarray, labels: np.ndarray) -> list[LayerParams]:
-    """Exact gradients of mean softmax cross-entropy, same shapes as the parameters."""
-    pre, post = _trace(m, np.asarray(batch))
-    _, grads = _flat_layers([p.weights.shape for p in m.layers], post[-1].dtype)
-    _backprop(m, pre, post, labels, grads)
-    return grads
-
-
 def accuracy(m: Mlp, x: np.ndarray, y: np.ndarray) -> float:
-    """Share of rows of 8-bit pixels ``x`` whose argmax logit is the one-hot
-    label's class; ``ACCURACY_CHUNK`` rows at a time become float32 inputs."""
+    """Share of rows of 8-bit pixels ``x`` whose argmax logit is the class
+    label in ``y``; ``ACCURACY_CHUNK`` rows at a time become float32 inputs."""
     hits = 0
     for lo in range(0, x.shape[0], ACCURACY_CHUNK):
         logits = forward(m, to_float(x[lo:lo + ACCURACY_CHUNK]))
-        labels = y[lo:lo + ACCURACY_CHUNK]
-        hits += int(np.sum(np.argmax(logits, axis=1) == np.argmax(labels, axis=1)))
+        hits += int(np.sum(np.argmax(logits, axis=1) == y[lo:lo + ACCURACY_CHUNK]))
     return hits / x.shape[0]
 
 
@@ -233,6 +220,7 @@ def train(
             _backprop(m, pre, post, yb, grads)
             opt.step(flat, grad_flat)
 
+    del grad_flat, grads, opt   # free the training buffers before the test pass
     report = TrainReport(
         name=str(desc.id),
         accuracy=accuracy(m, data.test_x, data.test_y),

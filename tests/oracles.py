@@ -10,6 +10,13 @@ spec on every draw, the way spawn and mutate did before they read per-config
 tables, and the stand-in oracle builds each chunk of the synthetic dataset on
 its own from the documented streams and quantile table. The stand-in
 trainer replaces training altogether with a fixed accuracy per hidden width.
+The loss oracle computes softmax cross-entropy of class labels on its own,
+and the one-hot oracle is the gradient formula (softmax - one_hot) / n that
+the trainer's subtract-at-the-label backprop must match bit for bit.
+
+`init_mlp` and `grad` are not oracles: they are handles on the trainer's own
+initialisation and backprop, which only tests call, kept here so that the
+package holds only what a command reaches.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ import statistics
 
 import numpy as np
 
+from ecad import nnsim
 from ecad.dispatch import EvalJob, EvalResult
+from ecad.genome import NetworkDescription
 
 
 def dense_oracle(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None,
@@ -151,6 +160,56 @@ def finite_difference_grads(loss_fn, params: list[np.ndarray], eps: float = 1e-5
     return grads
 
 
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean softmax cross-entropy of class labels: log-sum-exp minus the
+    label's logit, both shifted by the row maximum."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    return float(np.mean(log_z - shifted[np.arange(shifted.shape[0]), labels]))
+
+
+def one_hot_grads(m: nnsim.Mlp, batch: np.ndarray,
+                  labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weights, bias) gradients of mean softmax cross-entropy per layer, with
+    the gradient at the logits formed from a one-hot copy of the labels,
+    delta = (softmax - one_hot) / n. Every other operation is the trainer's,
+    in its order and dtype, so the result must equal its bits."""
+    pre, post = [], [batch]
+    for layer, act in zip(m.layers, m.activations):
+        z = post[-1] @ layer.weights + layer.bias
+        pre.append(z)
+        post.append(np.maximum(z, 0) if act == "relu" else z)
+    logits = post[-1]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    n = batch.shape[0]
+    one_hot = np.zeros_like(logits)
+    one_hot[np.arange(n), labels] = 1
+    delta = (e / e.sum(axis=1, keepdims=True) - one_hot) / n
+    grads = []
+    for i in range(len(m.layers) - 1, -1, -1):
+        grads.insert(0, (post[i].T @ delta, delta.sum(axis=0)))
+        if i > 0:
+            delta = delta @ m.layers[i].weights.T
+            if m.activations[i - 1] == "relu":
+                delta *= pre[i - 1] > 0
+    return grads
+
+
+def init_mlp(desc: NetworkDescription, seed: int, dtype=np.float32) -> nnsim.Mlp:
+    """The network `nnsim.train` starts from at this seed: uniform
+    +-sqrt(6 / (in + out)) weights, zero biases."""
+    return nnsim._init_params(desc, seed, dtype)[1]
+
+
+def grad(m: nnsim.Mlp, batch: np.ndarray, labels: np.ndarray) -> list[nnsim.LayerParams]:
+    """The trainer's gradients of mean softmax cross-entropy of the class
+    ``labels`` for one batch, as `nnsim._backprop` writes them."""
+    pre, post = nnsim._trace(m, np.asarray(batch))
+    _, grads = nnsim._flat_layers([p.weights.shape for p in m.layers], post[-1].dtype)
+    nnsim._backprop(m, pre, post, labels, grads)
+    return grads
+
+
 def adam_reference(params: np.ndarray, grads: list[np.ndarray], lr: float, beta1: float,
                    beta2: float, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float64 Adam over a gradient sequence; returns (params, m, v).
@@ -190,14 +249,14 @@ def reference_synthetic_mnist(seed: int, n_train: int, n_test: int, features: in
     prototypes = (0.5 + 0.18 * (rng.uniform(0.0, 1.0, size=(classes, features)) - 0.5)).astype(np.float32)
     splits = []
     for stream, n in ((1, n_train), (2, n_test)):
-        xs, ys = [np.zeros((0, features), dtype=np.uint8)], [np.zeros(0, dtype=np.int64)]
+        xs, ys = [np.zeros((0, features), dtype=np.uint8)], [np.zeros(0, dtype=np.uint8)]
         for chunk in range(-(-n // chunk_rows)):
             chunk_rng = np.random.default_rng([seed, stream, chunk])
             labels = chunk_rng.integers(0, classes, size=chunk_rows)
             indices = chunk_rng.integers(0, levels, size=(chunk_rows, features), dtype=np.uint16)
             v = prototypes[labels] + quantiles[indices]
             xs.append(np.rint(np.clip(v, 0.0, 1.0) * np.float32(255)).astype(np.uint8))
-            ys.append(labels)
+            ys.append(labels.astype(np.uint8))
         splits += [np.concatenate(xs)[:n], np.concatenate(ys)[:n]]
     return tuple(splits)
 

@@ -16,6 +16,7 @@ import pytest
 from ecad import cli, hwmodel, nnsim, sysarray
 
 from helpers import LISTING_CONFIG, REPO_ROOT, mlp_desc
+from oracles import init_mlp
 
 # the hardware model's largest relative error against the paper's Table 2; it
 # moves only together with test_hwmodel.py::TestEstimate::test_table2_within_tolerance
@@ -73,7 +74,7 @@ def test_simulator_results_carry_what_the_benchmark_reads(bench, tmp_path, capsy
     desc = mlp_desc([784, 12, 10], batch=4, cfg=cfg.as_tuple())
     net, params = tmp_path / "net.json", tmp_path / "params"
     net.write_text(json.dumps(desc.to_json()), encoding="utf-8")
-    nnsim.save_params(nnsim.init_mlp(desc, seed=0), params, [l.name for l in desc.layers])
+    nnsim.save_params(init_mlp(desc, seed=0), params, [l.name for l in desc.layers])
     argv = ["simulate-array", "--cfg", "2,2,2,4,2", "--network", str(net),
             "--params-dir", str(params), "--limit", "5"]
     assert cli.main(argv) == 0

@@ -20,7 +20,7 @@ from ecad.store import EcadDb
 from ecad.workers import make_hwdb_worker
 
 from helpers import LISTING_CONFIG, listing_doc, mlp_desc, time_limit
-from oracles import stand_in_sim_worker
+from oracles import init_mlp, stand_in_sim_worker
 
 GENERATIONS = 30
 NOT_A_FILE_NAME = "cannot name a file: it must not be empty, '.' or '..', or hold '/' or '\\'"
@@ -910,7 +910,7 @@ def test_simulate_network_builds_only_its_limit_of_stand_in_rows(
     t10k = tmp_path / "t10k"
     t10k.mkdir()
     write_idx_images(t10k / "t10k-images-idx3-ubyte", stand_in.test_x[:limit])
-    write_idx_labels(t10k / "t10k-labels-idx1-ubyte", stand_in.test_y[:limit].argmax(axis=1))
+    write_idx_labels(t10k / "t10k-labels-idx1-ubyte", stand_in.test_y[:limit])
     built = []
     build = cli.ds.synthetic_mnist
     monkeypatch.setattr(cli.ds, "synthetic_mnist", lambda **kw: built.append(kw) or build(**kw))
@@ -994,7 +994,7 @@ def test_simulate_network_rejects_widths_that_do_not_fit(tmp_path, tiny_mnist, c
     desc = mlp_desc([784, 4, 5], batch=4)
     net.write_text(json.dumps(desc.to_json()), encoding="utf-8")
     params = tmp_path / "params"
-    nnsim.save_params(nnsim.init_mlp(desc, seed=0), params, [l.name for l in desc.layers])
+    nnsim.save_params(init_mlp(desc, seed=0), params, [l.name for l in desc.layers])
     message = (f"error: network {net} maps 784 inputs to 5 outputs, but the dataset "
                f"has 784 features and 10 classes\n")
     argvs = (["train", str(net), str(tmp_path / "dest"), "--mnist-dir", str(tiny_mnist)],

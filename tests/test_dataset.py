@@ -13,7 +13,6 @@ from ecad.dataset import (
     Dataset,
     DatasetError,
     load_mnist,
-    one_hot,
     read_idx,
     synthetic_mnist,
     to_float,
@@ -76,11 +75,12 @@ class TestIdxFiles:
         assert data.train_x.dtype == np.uint8 and np.all(data.train_x == 255)
         assert np.all(to_float(data.train_x) == 1.0)
 
-    def test_one_hot_rows_sum_to_one(self, tmp_path):
+    def test_labels_are_the_label_file_bytes(self, tmp_path):
         write_split(tmp_path)
         data = load_mnist(tmp_path)
-        assert np.array_equal(data.train_y.sum(axis=1), np.ones(12, dtype=np.float32))
-        assert data.train_y.shape == (12, 10)
+        raw = (tmp_path / "train-labels-idx1-ubyte").read_bytes()[8:]
+        assert data.train_y.shape == (12,) and data.train_y.dtype == np.uint8
+        assert data.train_y.tobytes() == raw
 
     def test_bad_images_magic(self, tmp_path):
         path = tmp_path / "bad"
@@ -224,11 +224,12 @@ class TestSynthetic:
     def test_shapes_and_ranges(self):
         data = synthetic_mnist(seed=0, n_train=100, n_test=40)
         assert data.train_x.shape == (100, 784)
-        assert data.test_y.shape == (40, 10)
+        assert data.test_y.shape == (40,)
         assert data.train_x.dtype == data.test_x.dtype == np.uint8
         # the clip to [0, 1] is reached at both ends, so all 8 bits are used
         assert data.train_x.min() == 0 and data.train_x.max() == 255
-        assert np.array_equal(data.train_y.sum(axis=1), np.ones(100, dtype=np.float32))
+        assert data.train_y.dtype == data.test_y.dtype == np.uint8
+        assert data.train_y.max() < 10 and len(np.unique(data.train_y)) == 10
 
     def test_deterministic(self):
         a = synthetic_mnist(seed=3, n_train=50, n_test=10)
@@ -241,12 +242,11 @@ class TestSynthetic:
         assert peak - nbytes(data) <= 4 * MiB
 
     def test_build_equals_chunk_stream_reference(self):
-        n_train, n_test, features, classes = 2 * SYNTHETIC_CHUNK_ROWS + 7, 33, 20, 10
+        n_train, n_test = 2 * SYNTHETIC_CHUNK_ROWS + 7, 33
         train_x, train_labels, test_x, test_labels = reference_synthetic_mnist(
-            5, n_train, n_test, features, classes)
-        data = synthetic_mnist(seed=5, n_train=n_train, n_test=n_test,
-                               num_features=features, num_classes=classes)
-        expected = (test_x, one_hot(test_labels, classes), train_x, one_hot(train_labels, classes))
+            5, n_train, n_test, 784, 10)
+        data = synthetic_mnist(seed=5, n_train=n_train, n_test=n_test)
+        expected = (test_x, test_labels, train_x, train_labels)
         for got, want in zip((data.test_x, data.test_y, data.train_x, data.train_y), expected):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
@@ -268,7 +268,7 @@ class TestSynthetic:
         data = synthetic_mnist(seed=4, n_train=n, n_test=0)
         rng = np.random.default_rng(4)
         prototypes = (0.5 + 0.18 * (rng.uniform(0.0, 1.0, size=(classes, features)) - 0.5)).astype(np.float32)
-        v = (prototypes[data.train_y.argmax(axis=1)]
+        v = (prototypes[data.train_y]
              + np.random.default_rng(99).normal(0.0, 0.30, size=(n, features)).astype(np.float32))
         reference = np.rint(np.clip(v, 0.0, 1.0) * np.float32(255)).astype(np.uint8)
         hists = [np.bincount(x.ravel(), minlength=256) / x.size for x in (data.train_x, reference)]
@@ -288,20 +288,24 @@ class TestPixels:
         assert got.dtype == np.float32
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("field", ["train_x", "test_x"])
-    def test_dataset_refuses_float_pixels(self, field):
-        labels = one_hot(np.zeros(4, dtype=int))
-        arrays = {"train_x": np.zeros((4, 8), dtype=np.uint8), "train_y": labels,
-                  "test_x": np.zeros((4, 8), dtype=np.uint8), "test_y": labels}
-        arrays[field] = arrays[field].astype(np.float32)
-        with pytest.raises(DatasetError, match=f"^{field} must hold uint8 pixels, got float32$"):
+    @pytest.mark.parametrize("field,bad,message", [
+        ("train_x", np.zeros((4, 8), dtype=np.float32), "2-D uint8 pixels, got 2-D float32"),
+        ("test_x", np.zeros((4, 8), dtype=np.float32), "2-D uint8 pixels, got 2-D float32"),
+        ("train_y", np.eye(10, dtype=np.float32)[:4], "1-D uint8 class labels, got 2-D float32"),
+        ("test_y", np.eye(10, dtype=np.float32)[:4], "1-D uint8 class labels, got 2-D float32"),
+        ("train_y", np.zeros(4, dtype=np.int64), "1-D uint8 class labels, got 1-D int64"),
+        ("test_y", np.zeros(4, dtype=np.float32), "1-D uint8 class labels, got 1-D float32"),
+        ("train_y", np.zeros((4, 1), dtype=np.uint8), "1-D uint8 class labels, got 2-D uint8"),
+        ("test_x", np.zeros(32, dtype=np.uint8), "2-D uint8 pixels, got 1-D uint8"),
+    ], ids=["train_x", "test_x", "train_y-one-hot", "test_y-one-hot", "train_y-int64",
+            "test_y-float32", "train_y-column", "test_x-flat"])
+    def test_dataset_refuses_other_dtypes_and_shapes(self, field, bad, message):
+        arrays = {"train_x": np.zeros((4, 8), dtype=np.uint8), "train_y": np.zeros(4, dtype=np.uint8),
+                  "test_x": np.zeros((4, 8), dtype=np.uint8), "test_y": np.zeros(4, dtype=np.uint8)}
+        Dataset(**arrays)
+        arrays[field] = bad
+        with pytest.raises(DatasetError, match=f"^{field} must hold {message}$"):
             Dataset(**arrays)
-
-
-def test_one_hot_basic():
-    out = one_hot(np.array([0, 3, 9], dtype=np.uint8))
-    assert out.shape == (3, 10)
-    assert out[1, 3] == 1.0 and out[1].sum() == 1.0
 
 
 @pytest.mark.skipif(find_mnist_dir() is None, reason="real MNIST IDX files not available")

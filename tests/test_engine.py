@@ -134,3 +134,29 @@ def test_database_round_trips_the_run(small_cfg, tmp_path):
     assert sorted(records) == sorted(scored)
     assert list(records.values()) == yielded
     assert all(to_description(rec.genome, cells) == scored[gid] for gid, rec in records.items())
+
+
+def test_best_summary_is_built_once_per_distinct_best(small_cfg, tmp_path, monkeypatch):
+    _, records = search(small_cfg, tmp_path)
+    summary, built = engine._genome_summary, []
+    monkeypatch.setattr(engine, "_genome_summary",
+                        lambda rec, cells: built.append(rec.genome.id) or summary(rec, cells))
+    report = engine.report(small_cfg, 5, records)
+    best_ids = [h["best_genome"]["id"] for h in report["history"]]
+    assert built == [gid for i, gid in enumerate(best_ids) if i == 0 or gid != best_ids[i - 1]]
+    assert len(built) < len(best_ids)
+    for h, (_, ranked) in zip(report["history"], replay(small_cfg.pop, records)):
+        assert h["best_genome"] == summary(ranked[0], small_cfg.cell_array)
+    assert report["best"] == report["history"][-1]["best_genome"]
+
+
+def test_header_only_database_folds_to_an_empty_report(small_cfg, tmp_path):
+    # a search killed in generation 1 leaves the header and no records
+    path = tmp_path / "ecad.db.jsonl"
+    with EcadDb.create(path, small_cfg.cell_array):
+        pass
+    assert EcadDb(path).cells() == small_cfg.cell_array
+    assert engine.report(small_cfg, 3, EcadDb(path).scan()) == {
+        "config_name": small_cfg.name, "seed": 3, "generations_run": 0,
+        "stop_reason": None, "best": None, "history": [],
+    }

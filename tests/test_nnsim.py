@@ -15,10 +15,7 @@ from ecad.nnsim import (
     TrainingDiverged,
     accuracy,
     build_mlp,
-    cross_entropy,
     forward,
-    grad,
-    init_mlp,
     load_params,
     save_params,
     softmax,
@@ -27,7 +24,14 @@ from ecad.nnsim import (
 )
 
 from helpers import mlp_desc
-from oracles import adam_reference, finite_difference_grads
+from oracles import (
+    adam_reference,
+    cross_entropy,
+    finite_difference_grads,
+    grad,
+    init_mlp,
+    one_hot_grads,
+)
 
 
 def toy_mlp(dims=(6, 5, 4), seed=0, dtype=np.float64):
@@ -80,7 +84,7 @@ class TestLossAndSoftmax:
 
     def test_cross_entropy_uniform(self):
         logits = np.zeros((5, 10))
-        labels = np.eye(10)[:5]
+        labels = np.arange(5, dtype=np.uint8)
         assert cross_entropy(logits, labels) == pytest.approx(np.log(10))
 
 
@@ -89,7 +93,7 @@ class TestGrad:
         m = toy_mlp()
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, (3, 6))
-        y = np.eye(4)[rng.integers(0, 4, 3)]
+        y = rng.integers(0, 4, 3).astype(np.uint8)
         analytic = grad(m, x, y)
 
         flat_params = [p for layer in m.layers for p in (layer.weights, layer.bias)]
@@ -101,16 +105,14 @@ class TestGrad:
             assert np.max(np.abs(a - n)) / denom <= 1e-3
 
     def test_uniform_logits_output_bias_grad(self):
-        # zero net -> uniform softmax; output bias gradient is 1/10 - one_hot
+        # zero net -> uniform softmax; output bias gradient is 1/10 less 1 at the label
         desc = mlp_desc([8, 10], batch=1)
         m = init_mlp(desc, seed=0, dtype=np.float64)
         m.layers[0].weights[...] = 0
         m.layers[0].bias[...] = 0
         x = np.random.default_rng(4).uniform(-1, 1, (1, 8))
         for j in range(10):
-            y = np.zeros((1, 10))
-            y[0, j] = 1.0
-            g = grad(m, x, y)
+            g = grad(m, x, np.array([j], dtype=np.uint8))
             expected = np.full(10, 0.1)
             expected[j] -= 1.0
             assert g[0].bias == pytest.approx(expected, abs=1e-12)
@@ -121,9 +123,28 @@ class TestGrad:
         m.layers[0].weights[...] = 0
         m.layers[0].bias[...] = [50.0, 0.0, 0.0]   # class 0 saturated
         x = np.zeros((1, 4))
-        y = np.array([[1.0, 0.0, 0.0]])
-        g = grad(m, x, y)
+        g = grad(m, x, np.array([0], dtype=np.uint8))
         assert np.max(np.abs(g[0].bias)) < 1e-15
+
+
+    def test_backprop_equals_the_one_hot_formula_bit_for_bit(self):
+        # float32, as in training; the output bias puts class 0 about 200 above
+        # the rest, so softmax underflows to +0 in the other classes, and the
+        # labels cover both the saturated class and underflowed ones
+        m = toy_mlp(dims=(6, 5, 4), seed=2, dtype=np.float32)
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1, 1, (13, 6)).astype(np.float32)   # 1 / 13 is inexact
+        labels = rng.integers(0, 4, 13).astype(np.uint8)
+        labels[:3] = (0, 1, 3)
+        for bias in (np.zeros(4), np.array([200.0, 0.0, -50.0, 0.0])):
+            m.layers[-1].bias[...] = bias
+            assert np.any(softmax(forward(m, x)) == 0) == bool(bias.any())
+            got = grad(m, x, labels)
+            want = one_hot_grads(m, x, labels)
+            for g, (w, b) in zip(got, want):
+                assert g.weights.dtype == g.bias.dtype == np.float32
+                assert g.weights.tobytes() == w.tobytes()
+                assert g.bias.tobytes() == b.tobytes()
 
 
 class TestTrain:
@@ -207,7 +228,7 @@ class TestTrain:
         desc = mlp_desc([784, 16, 10], batch=50)
         mlp, report = train(desc, small_dataset, epochs=1, batch_size=100, seed=2)
         logits = forward(mlp, to_float(small_dataset.test_x))
-        frac = np.mean(np.argmax(logits, axis=1) == np.argmax(small_dataset.test_y, axis=1))
+        frac = np.mean(np.argmax(logits, axis=1) == small_dataset.test_y)
         assert report.accuracy == frac
 
 
@@ -321,9 +342,9 @@ class TestParamsIo:
         desc = mlp_desc([16, 8, 4], batch=2)
         data = Dataset(
             train_x=np.random.default_rng(0).integers(0, 256, (64, 16), dtype=np.uint8),
-            train_y=np.eye(4, dtype=np.float32)[np.random.default_rng(1).integers(0, 4, 64)],
+            train_y=np.random.default_rng(1).integers(0, 4, 64).astype(np.uint8),
             test_x=np.random.default_rng(2).integers(0, 256, (16, 16), dtype=np.uint8),
-            test_y=np.eye(4, dtype=np.float32)[np.random.default_rng(3).integers(0, 4, 16)],
+            test_y=np.random.default_rng(3).integers(0, 4, 16).astype(np.uint8),
         )
         _, report = train(desc, data, epochs=1, batch_size=8, seed=0)
         report.write(tmp_path / "report.json")

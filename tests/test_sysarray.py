@@ -328,7 +328,7 @@ class TestRunNetwork:
         logits_ref = forward(mlp, x)
         pred_sim = np.argmax(logits_sim, axis=1)
         pred_ref = np.argmax(logits_ref, axis=1)
-        labels = np.argmax(small_dataset.test_y[:200], axis=1)
+        labels = small_dataset.test_y[:200]
         assert np.mean(pred_sim == labels) == np.mean(pred_ref == labels)
         assert max_rel_error(logits_sim, logits_ref.astype(np.float64)) <= 1e-4
 
