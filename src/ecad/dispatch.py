@@ -3,8 +3,9 @@
 Each eval type maps to one worker callable in this process. A job runs once,
 in job order, and yields exactly one result (ok or failed); the engine matches
 each result to its job by genome id and eval type. A worker that raises fails
-only its own job. Workers are deterministic, so a failed job is not
-retried: a retry would repeat the same exception.
+only its own job: `_run` is the one place an exception becomes a failed
+result. Workers are deterministic, so a failed job is not retried: a retry
+would repeat the same exception.
 """
 
 from __future__ import annotations
@@ -28,20 +29,11 @@ class EvalResult:
     genome_id: int
     eval_type: str
     metrics: dict[str, float] = field(default_factory=dict)
-    status: str = "ok"               # "ok" | "failed"
+    ok: bool = True
     diagnostics: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
 
 
 Worker = Callable[[EvalJob], EvalResult]
-
-
-def failed_result(job: EvalJob, diagnostics: str) -> EvalResult:
-    return EvalResult(genome_id=job.genome_id, eval_type=job.eval_type,
-                      status="failed", diagnostics=diagnostics)
 
 
 class Dispatcher:
@@ -59,4 +51,5 @@ class Dispatcher:
         try:
             return self.workers[job.eval_type](job)
         except Exception as exc:  # noqa: BLE001 - a worker fault fails only its own job
-            return failed_result(job, f"{type(exc).__name__}: {exc}")
+            return EvalResult(genome_id=job.genome_id, eval_type=job.eval_type,
+                              ok=False, diagnostics=f"{type(exc).__name__}: {exc}")

@@ -2,10 +2,10 @@
 
 The search (`_records`) stores and yields each genome's record. A generation
 scores the genomes created since the last one (the initial spawn, then the
-previous generation's children), ranks them with the survivors by combined
-score, mutates the top slice into children (round-robin) and keeps the best
-members that leave room for them, until the generation cap or the goal. One
-seeded generator drives all randomness, so trajectories are bit-reproducible.
+previous generation's children), ranks and evicts with `store.select`, and,
+until the generation cap or the goal, mutates the top slice into children
+(round-robin). One seeded generator drives all randomness, so trajectories
+are bit-reproducible.
 
 `report` folds records generation by generation through `store.replay`.
 `run` folds the search's records as they come, and the same fold over
@@ -25,7 +25,7 @@ from .config import CellInstance, EcadConfig
 from .dispatch import Dispatcher, EvalJob
 from .fitness import ScoreCard
 from .genome import mutate, spawn, to_description
-from .store import DbRecord, EcadDb, rank_key, replay
+from .store import DbRecord, EcadDb, replay, select
 
 
 def _genome_summary(member: DbRecord, cells: tuple[CellInstance, ...]) -> dict[str, Any]:
@@ -79,27 +79,20 @@ def _records(cfg: EcadConfig, dispatcher: Dispatcher, store: EcadDb,
             store.append(rec)
             yield rec
 
-        # 2. rank (best combined first, older id winning ties) and stop
-        ranked = sorted(survivors + scored, key=rank_key)
+        # 2. rank and evict, then stop or mutate the top slice into children, round-robin
+        ranked, survivors = select(cfg.pop, survivors, scored)
         if ranked[0].combined >= cfg.pop.fitness_score_goal or generation == cfg.pop.max_generations:
             return
-
-        # 3. mutate the top slice into children, round-robin, and keep the best
-        #    maxPopSize - n_children, which hold the best member, to make room
         parents = [m.genome for m in ranked[:n_children]]
-        fresh = [
-            mutate(parents[i % len(parents)], cfg, rng, next(ids))
-            for i in range(n_children)
-        ]
-        survivors = ranked[:cfg.pop.max_pop_size - n_children]
+        fresh = [mutate(parents[i % len(parents)], cfg, rng, next(ids)) for i in range(n_children)]
 
 
 def report(cfg: EcadConfig, seed: int, records: Iterable[DbRecord]) -> dict[str, Any]:
-    """The report of the search that wrote ``records``: per generation, the
-    population size, best and mean combined score and the best genome. The
-    stop reason is the last best against fitnessScoreGoal. An empty stream,
-    such as the scan of a database that holds only its header, folds to no
-    generations, a null best and a null stop reason."""
+    """The report of the search that wrote ``records``: per whole generation,
+    the population size, best and mean combined score and the best genome.
+    The stop reason is the goal reached, else maxGenerations run, else null,
+    as for a crashed search or an empty stream (such as the scan of a
+    database that holds only its header), which folds to a null best."""
     history: list[dict[str, Any]] = []
     best: dict[str, Any] | None = None
     for generation, ranked in replay(cfg.pop, records):
@@ -112,9 +105,10 @@ def report(cfg: EcadConfig, seed: int, records: Iterable[DbRecord]) -> dict[str,
             "mean": math.fsum(m.combined for m in ranked) / len(ranked),
             "best_genome": best,
         })
-    stop_reason = None if not history else (
-        "fitness goal reached" if history[-1]["best"] >= cfg.pop.fitness_score_goal
-        else "max generations reached")
+    stop_reason = (
+        "fitness goal reached" if history and history[-1]["best"] >= cfg.pop.fitness_score_goal
+        else "max generations reached" if len(history) == cfg.pop.max_generations
+        else None)
     return {
         "config_name": cfg.name,
         "seed": seed,

@@ -5,7 +5,8 @@ four little-endian int32 dimensions, then row-major float32 data).
 
 The loss reads the dataset's uint8 class labels directly: the gradient at
 the logits is softmax minus 1 at each row's label, divided by the batch size,
-so no one-hot array is built.
+so no one-hot array is built. A ``bias: false`` layer's bias stays 0, as in
+the array simulator.
 
 All parameters of a network live in one flat buffer: each layer's weights
 (in x out, row-major) then its bias, layer after layer, and every
@@ -131,17 +132,18 @@ def _trace(m: Mlp, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 
 def _backprop(m: Mlp, pre: list[np.ndarray], post: list[np.ndarray],
-              labels: np.ndarray, grads: list[LayerParams]) -> None:
+              labels: np.ndarray, grads: list[LayerParams], biased: list[bool]) -> None:
     """Write the gradients of mean softmax cross-entropy of the class
     ``labels`` into ``grads``. At the logits that is (softmax - one-hot) / n,
-    formed by subtracting 1 at each row's label."""
+    formed by subtracting 1 at each row's label. Layers not ``biased`` keep a 0 bias gradient."""
     n = post[0].shape[0]
     delta = softmax(post[-1])
     delta[np.arange(n), labels] -= 1
     delta /= n
     for i in range(len(m.layers) - 1, -1, -1):
         np.matmul(post[i].T, delta, out=grads[i].weights)
-        np.sum(delta, axis=0, out=grads[i].bias)
+        if biased[i]:
+            np.sum(delta, axis=0, out=grads[i].bias)
         if i > 0:
             delta = delta @ m.layers[i].weights.T
             if m.activations[i - 1] == "relu":
@@ -161,8 +163,7 @@ def accuracy(m: Mlp, x: np.ndarray, y: np.ndarray) -> float:
 class _Adam:
     """Adam over one flat parameter buffer, updated in place in its own dtype."""
 
-    def __init__(self, params: np.ndarray, lr: float = ADAM_LR) -> None:
-        self.lr = lr
+    def __init__(self, params: np.ndarray) -> None:
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
@@ -170,7 +171,7 @@ class _Adam:
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
-        step_size = self.lr * math.sqrt(1 - ADAM_BETA2 ** self.t) / (1 - ADAM_BETA1 ** self.t)
+        step_size = ADAM_LR * math.sqrt(1 - ADAM_BETA2 ** self.t) / (1 - ADAM_BETA1 ** self.t)
         m, v, s = self.m, self.v, self.scratch
         np.subtract(grads, m, out=s)           # m += (1 - b1) * (g - m)
         np.multiply(s, 1 - ADAM_BETA1, out=s)
@@ -188,27 +189,13 @@ class _Adam:
             m[np.abs(m, out=s) < FLUSH_BELOW] = 0
 
 
-def train(
-    desc: NetworkDescription,
-    data: Dataset,
-    epochs: int,
-    batch_size: int,
-    seed: int = 0,
-    lr: float = ADAM_LR,
-) -> tuple[Mlp, TrainReport]:
-    """Mini-batch Adam training; deterministic for a fixed seed. Each batch's
-    8-bit pixels become float32 inputs when it is gathered. Test accuracy is
-    measured once, after the last epoch. ``epochs`` and ``batch_size`` are at
-    least 1: `parse_config` and the CLI refuse smaller values.
-
-    Raises TrainingDiverged on a non-finite loss.
-    """
-    flat, m = _init_params(desc, seed, np.float32)
+def _fit(m: Mlp, flat: np.ndarray, biased: list[bool], data: Dataset, epochs: int,
+         batch_size: int, rng: np.random.Generator) -> None:
+    """Train ``m``, whose parameters are views of ``flat``, in place; the
+    training buffers and the last batch are freed when it returns."""
     grad_flat, grads = _flat_layers([p.weights.shape for p in m.layers], flat.dtype)
-    opt = _Adam(flat, lr=lr)
-    rng = np.random.default_rng(seed + 1)
+    opt = _Adam(flat)
     n = data.train_x.shape[0]
-
     for epoch in range(epochs):
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
@@ -217,10 +204,22 @@ def train(
             pre, post = _trace(m, xb)
             if not np.isfinite(post[-1]).all():
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, offset {lo}")
-            _backprop(m, pre, post, yb, grads)
+            _backprop(m, pre, post, yb, grads, biased)
             opt.step(flat, grad_flat)
 
-    del grad_flat, grads, opt   # free the training buffers before the test pass
+
+def train(desc: NetworkDescription, data: Dataset, epochs: int, batch_size: int,
+          seed: int = 0) -> tuple[Mlp, TrainReport]:
+    """Mini-batch Adam training; deterministic for a fixed seed. Each batch's
+    8-bit pixels become float32 inputs when it is gathered. Test accuracy is
+    measured once, after the last epoch. ``epochs`` and ``batch_size`` are at
+    least 1: `parse_config` and the CLI refuse smaller values.
+
+    Raises TrainingDiverged on a non-finite loss.
+    """
+    flat, m = _init_params(desc, seed, np.float32)
+    _fit(m, flat, [l.bias for l in desc.layers], data, epochs, batch_size,
+         np.random.default_rng(seed + 1))
     report = TrainReport(
         name=str(desc.id),
         accuracy=accuracy(m, data.test_x, data.test_y),

@@ -24,11 +24,11 @@ naming line 1; a torn header means no records yet. A missing key, an `id`,
 whose length is not the header's cell count makes a record corrupt. Other
 keys are ignored.
 
-The records are the whole run: `replay` re-ranks each generation from them
-as the search did, holding only the survivors and one generation's records,
-so a fold over `scan()` reads a whole database in constant memory. It reads
-a torn, partial last generation as if it were whole, so a report folded from
-a crashed search's database is not to be trusted yet.
+The records are the whole run: `select`, one generation's step, runs in the
+search and again in `replay` over its records, which holds only the survivors
+and one generation's records, so a fold over `scan()` reads a whole database
+in constant memory. Only a crashed search's last generation is shorter than
+the search writes, so `replay` ends at the last whole generation before it.
 """
 
 from __future__ import annotations
@@ -81,14 +81,26 @@ def rank_key(rec: DbRecord) -> tuple[float, int]:
     return (-rec.combined, rec.genome.id)
 
 
+def select(pop: PopConfig, survivors: list[DbRecord],
+           scored: Iterable[DbRecord]) -> tuple[list[DbRecord], list[DbRecord]]:
+    """One generation's step: (its population by `rank_key`, the best
+    maxPopSize - children of it, which survive and leave room for the children)."""
+    ranked = sorted([*survivors, *scored], key=rank_key)
+    return ranked, ranked[:pop.max_pop_size - pop.children]
+
+
 def replay(pop: PopConfig, records: Iterable[DbRecord]) -> Iterator[tuple[int, list[DbRecord]]]:
     """(generation, population by `rank_key`) per generation of ``records``, in
-    file order: the previous top maxPopSize - children plus its own records."""
+    file order, up to the first shorter than initialPopSize, then the children."""
     survivors: list[DbRecord] = []
-    for generation, scored in groupby(records, key=lambda rec: rec.generation):
-        ranked = sorted([*survivors, *scored], key=rank_key)
+    size = pop.initial_pop_size
+    for generation, group in groupby(records, key=lambda rec: rec.generation):
+        scored = list(group)
+        if len(scored) < size:
+            return
+        ranked, survivors = select(pop, survivors, scored)
         yield generation, ranked
-        survivors = ranked[:pop.max_pop_size - pop.children]
+        size = pop.children
 
 
 class EcadDb:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from .config import HwConfig
 from .dataset import Dataset
-from .dispatch import EvalJob, EvalResult, Worker, failed_result
+from .dispatch import EvalJob, EvalResult, Worker
 from .hwmodel import estimate, resource_estimate
-from .nnsim import TrainingDiverged, train
+from .nnsim import train
 
 
 def make_hwdb_worker(hw: HwConfig) -> Worker:
@@ -34,7 +34,7 @@ def make_hwdb_worker(hw: HwConfig) -> Worker:
             return EvalResult(
                 genome_id=job.genome_id, eval_type=job.eval_type,
                 metrics={"dsp_est": dsp_est, "mem_kb_est": mem_kb_est, "feasible": 0.0},
-                status="failed",
+                ok=False,
                 diagnostics=f"resource budget exceeded: dsp {dsp_est:.0f}/{hw.dsp}, "
                             f"mem {mem_kb_est:.0f}/{hw.sram}",
             )
@@ -48,15 +48,13 @@ def make_sim_worker(data: Dataset) -> Worker:
     """Trainer worker: trains the described network and reports test accuracy.
 
     The job's params give the epochs, the training batch size and the seed;
-    the engine sets all three, so a result depends only on the job.
+    the engine sets all three, so a result depends only on the job. A diverged
+    training raises TrainingDiverged, which fails the job in `Dispatcher._run`.
     """
 
     def worker(job: EvalJob) -> EvalResult:
-        try:
-            _, report = train(job.network, data, epochs=job.params["epochs"],
-                              batch_size=job.params["batchSize"], seed=job.params["seed"])
-        except TrainingDiverged as exc:
-            return failed_result(job, str(exc))
+        _, report = train(job.network, data, epochs=job.params["epochs"],
+                          batch_size=job.params["batchSize"], seed=job.params["seed"])
         return EvalResult(
             genome_id=job.genome_id, eval_type=job.eval_type,
             metrics={"accuracy": report.accuracy, "epochs": float(report.epochs),

@@ -206,7 +206,7 @@ def grad(m: nnsim.Mlp, batch: np.ndarray, labels: np.ndarray) -> list[nnsim.Laye
     ``labels`` for one batch, as `nnsim._backprop` writes them."""
     pre, post = nnsim._trace(m, np.asarray(batch))
     _, grads = nnsim._flat_layers([p.weights.shape for p in m.layers], post[-1].dtype)
-    nnsim._backprop(m, pre, post, labels, grads)
+    nnsim._backprop(m, pre, post, labels, grads, [True] * len(m.layers))
     return grads
 
 

@@ -200,6 +200,27 @@ def test_interrupted_search_leaves_completed_generations(tmp_path, hw_only_confi
     assert not (out / "report.json").exists()
 
 
+def test_crashed_database_folds_to_its_last_whole_generation(tmp_path):
+    # a database cut 3 records into its last generation, then a torn line, is
+    # the search up to the generation before, stopped for no known reason
+    config = write_hw_only_config(tmp_path, 5)
+    cfg, out = parse_config(config), tmp_path / "out"
+    assert search(config, 3, out) == 0
+    whole = engine.report(cfg, 3, EcadDb(out / "ecad.db.jsonl").scan())
+    assert whole == json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert whole["stop_reason"] == "max generations reached"
+    lines = (out / "ecad.db.jsonl").read_bytes().splitlines(keepends=True)
+    kept = len(lines) - cfg.pop.children + 3
+    cut = tmp_path / "cut.jsonl"
+    cut.write_bytes(b"".join(lines[:kept]) + lines[kept][:20])
+    crashed = engine.report(cfg, 3, EcadDb(cut).scan())
+    assert crashed["generations_run"] == 4
+    assert crashed["history"] == whole["history"][:4]
+    assert crashed["history"][-1]["population"] == cfg.pop.max_pop_size
+    assert crashed["best"] == crashed["history"][-1]["best_genome"]
+    assert crashed["stop_reason"] is None
+
+
 def test_second_search_into_same_dir_matches_fresh_run(tmp_path, hw_only_config):
     fresh, reused = tmp_path / "fresh", tmp_path / "reused"
     assert search(hw_only_config, 3, fresh) == 0

@@ -140,7 +140,7 @@ class TestScoreCard:
     def test_failure_recorded_as_zero(self):
         card = ScoreCard()
         card.record(GOPS, EvalResult(genome_id=0, eval_type="hwDBJob", metrics={"feasible": 0.0},
-                                     status="failed", diagnostics="worker crashed"))
+                                     ok=False, diagnostics="worker crashed"))
         assert card.scores["hwDBJob"] == 0.0
         assert "crashed" in card.failed["hwDBJob"]
         assert card.metrics["hwDBJob"] == {"feasible": 0.0}   # a failed result keeps its metrics

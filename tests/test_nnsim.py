@@ -148,10 +148,11 @@ class TestGrad:
 
 
 class TestTrain:
-    def test_zero_learning_rate_is_identity(self, small_dataset):
+    def test_zero_learning_rate_is_identity(self, small_dataset, monkeypatch):
+        monkeypatch.setattr(nnsim, "ADAM_LR", 0.0)
         desc = mlp_desc([784, 16, 10], batch=50)
         init = init_mlp(desc, seed=9)
-        mlp, report = train(desc, small_dataset, epochs=1, batch_size=50, seed=9, lr=0.0)
+        mlp, report = train(desc, small_dataset, epochs=1, batch_size=50, seed=9)
         for trained, fresh in zip(mlp.layers, init.layers):
             assert np.array_equal(trained.weights, fresh.weights)
             assert np.array_equal(trained.bias, fresh.bias)
@@ -165,11 +166,12 @@ class TestTrain:
         for a, b in zip(m1.layers, m2.layers):
             assert np.array_equal(a.weights, b.weights)
 
-    def test_divergence_detected(self, small_dataset):
+    def test_divergence_detected(self, small_dataset, monkeypatch):
+        monkeypatch.setattr(nnsim, "ADAM_LR", 1e30)
         desc = mlp_desc([784, 8, 10], batch=50)
         # the overflow is the point: it must surface as TrainingDiverged
         with pytest.raises(TrainingDiverged), np.errstate(over="ignore", invalid="ignore"):
-            train(desc, small_dataset, epochs=2, batch_size=50, seed=0, lr=1e30)
+            train(desc, small_dataset, epochs=2, batch_size=50, seed=0)
 
     def test_loss_nonincreasing_over_epochs(self):
         # statistical property: on a 1000-sample subset, epoch-end loss is
@@ -233,13 +235,14 @@ class TestTrain:
 
 
 class TestAdam:
-    def test_matches_float64_reference(self):
+    def test_matches_float64_reference(self, monkeypatch):
+        monkeypatch.setattr(nnsim, "ADAM_LR", 0.01)
         rng = np.random.default_rng(11)
         scales = 10.0 ** rng.integers(-4, 2, 600)   # gradient magnitudes 1e-4 .. 10
         start = rng.uniform(-1, 1, 600).astype(np.float32)
         grads = [(rng.normal(0, 1, 600) * scales).astype(np.float32) for _ in range(20)]
         params = start.copy()
-        opt = _Adam(params, lr=0.01)
+        opt = _Adam(params)
         for g in grads:
             opt.step(params, g)
         ref_p, ref_m, ref_v = adam_reference(start, grads, 0.01, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)

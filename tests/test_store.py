@@ -55,8 +55,9 @@ def test_lines_are_canonical_json(tmp_path, listing_cfg):
 
 
 def test_replay_ranks_ties_by_older_id_and_keeps_room_for_the_children(listing_cfg):
-    # maxPopSize 4 and changeRate 0.5: two children a generation, so two members survive
-    pop = replace(listing_cfg.pop, max_pop_size=4, change_rate=0.5)
+    # three founders, then maxPopSize 4 and changeRate 0.5: two children a
+    # generation, so two members survive; generation 3's one record is a torn tail
+    pop = replace(listing_cfg.pop, initial_pop_size=3, max_pop_size=4, change_rate=0.5)
     rng = random.Random(0)
     records = [DbRecord(spawn(listing_cfg, rng, gid), ScoreCard(), generation, combined)
                for gid, generation, combined in [(1, 1, 0.5), (0, 1, 0.5), (2, 1, 0.9),
@@ -72,8 +73,7 @@ def test_replay_ranks_ties_by_older_id_and_keeps_room_for_the_children(listing_c
     generation, ranked = next(replayed)
     # one generation is ranked once the next one's first record is read, not later
     assert (generation, [r.genome.id for r in ranked], read) == (1, [2, 0, 1], [1, 0, 2, 3])
-    assert [(g, [r.genome.id for r in ranked]) for g, ranked in replayed] == [
-        (2, [2, 4, 0, 3]), (3, [2, 4, 5])]
+    assert [(g, [r.genome.id for r in ranked]) for g, ranked in replayed] == [(2, [2, 4, 0, 3])]
 
 
 def test_torn_last_line_is_skipped_by_readers(tmp_path, listing_cfg):

@@ -320,17 +320,20 @@ class TestRunNetwork:
         assert stats == chained_stats
 
     def test_matches_forward_small_net(self, small_dataset):
+        # a bias-free layer's bias stays 0 in training, as the simulator assumes
         from ecad.nnsim import forward, train
-        desc = mlp_desc([784, 32, 10], batch=64, cfg=(2, 4, 8, 8, 2))
-        mlp, _ = train(desc, small_dataset, epochs=1, batch_size=100, seed=5)
-        x = to_float(small_dataset.test_x[:200])
-        logits_sim, _ = run_network(desc, mlp.layers, x, desc.systolic)
-        logits_ref = forward(mlp, x)
-        pred_sim = np.argmax(logits_sim, axis=1)
-        pred_ref = np.argmax(logits_ref, axis=1)
-        labels = small_dataset.test_y[:200]
-        assert np.mean(pred_sim == labels) == np.mean(pred_ref == labels)
-        assert max_rel_error(logits_sim, logits_ref.astype(np.float64)) <= 1e-4
+        for bias in (True, False):
+            desc = mlp_desc([784, 32, 10], batch=64, cfg=(2, 4, 8, 8, 2), bias=bias)
+            mlp, _ = train(desc, small_dataset, epochs=1, batch_size=100, seed=5)
+            assert all(p.bias.any() == bias for p in mlp.layers)
+            x = to_float(small_dataset.test_x[:200])
+            logits_sim, _ = run_network(desc, mlp.layers, x, desc.systolic)
+            logits_ref = forward(mlp, x)
+            pred_sim = np.argmax(logits_sim, axis=1)
+            pred_ref = np.argmax(logits_ref, axis=1)
+            labels = small_dataset.test_y[:200]
+            assert np.mean(pred_sim == labels) == np.mean(pred_ref == labels)
+            assert max_rel_error(logits_sim, logits_ref.astype(np.float64)) <= 1e-4
 
     def test_param_shape_mismatch(self):
         desc = mlp_desc([8, 4], batch=2, cfg=(1, 1, 1, 1, 1))

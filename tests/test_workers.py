@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
-from ecad import hwmodel, workers
+from ecad import hwmodel, nnsim, workers
 from ecad.cli import DEFAULT_HW
-from ecad.dispatch import EvalJob
+from ecad.dispatch import Dispatcher, EvalJob
 from ecad.genome import spawn, to_description
 
 from helpers import mlp_desc
@@ -36,7 +37,7 @@ def run(desc, hw=DEFAULT_HW):
 def test_infeasible_design_never_reaches_estimate(estimate_calls, cfg, dsp, mem):
     res = run(mlp_desc([784, 196, 10], batch=64, cfg=cfg))
     assert estimate_calls == []
-    assert (res.genome_id, res.eval_type, res.status) == (7, "hwDBJob", "failed")
+    assert (res.genome_id, res.eval_type, res.ok) == (7, "hwDBJob", False)
     assert res.metrics == {"dsp_est": dsp, "mem_kb_est": mem, "feasible": 0.0}
     assert res.diagnostics == f"resource budget exceeded: dsp {dsp:.0f}/1518, mem {mem:.0f}/54260"
 
@@ -45,7 +46,7 @@ def test_feasible_metrics_are_the_estimate(estimate_calls):
     desc = mlp_desc([784, 196, 10], batch=64, cfg=(4, 4, 8, 8, 8))
     res = run(desc)
     assert estimate_calls == [desc]
-    assert (res.status, res.diagnostics) == ("ok", "")
+    assert (res.ok, res.diagnostics) == (True, "")
     assert res.metrics == hwmodel.estimate(desc, desc.systolic, DEFAULT_HW).metrics()
     assert res.metrics["feasible"] == 1.0
 
@@ -71,3 +72,14 @@ def test_every_searched_design_matches_the_full_model(listing_cfg, estimate_call
                 f"mem {full.mem_kb_est:.0f}/{listing_cfg.hw.sram}")
     assert len(estimate_calls) == feasible
     assert 0 < feasible < 300
+
+
+def test_diverged_training_fails_its_job_in_the_dispatcher(small_dataset, monkeypatch):
+    monkeypatch.setattr(nnsim, "ADAM_LR", 1e30)
+    job = EvalJob(genome_id=3, eval_type="simJob", network=mlp_desc([784, 8, 10], batch=50),
+                  params={"epochs": 2, "batchSize": 50, "seed": 0})
+    dispatcher = Dispatcher({"simJob": workers.make_sim_worker(small_dataset)})
+    with np.errstate(over="ignore", invalid="ignore"):
+        [res] = dispatcher.dispatch_all([job])
+    assert (res.genome_id, res.eval_type, res.ok) == (3, "simJob", False)
+    assert res.diagnostics.startswith("TrainingDiverged: non-finite loss at epoch ")
