@@ -55,15 +55,19 @@ SYS_ARRAY = ("sys_rows", "sys_cols", "sys_vec", "sys_intrlv", "sys_scale")
 SYS_ROWS, SYS_COLS, SYS_INTRLV = SYS_ARRAY[0], SYS_ARRAY[1], SYS_ARRAY[3]
 
 
-def interleave_choices(spec: TraitSpec, rows: int, cols: int) -> list[int]:
-    """Powers of two within the sys_intrlv range that satisfy interleave >= rows + cols."""
-    lo = max(rows + cols, spec.min_value)
+def _powers(base: int, lo: int, hi: int) -> list[int]:
+    """The powers of ``base``, 1 included, within [lo, hi], ascending."""
     vals, v = [], 1
-    while v <= spec.max_value:
+    while v <= hi:
         if v >= lo:
             vals.append(v)
-        v *= 2
+        v *= base
     return vals
+
+
+def interleave_choices(spec: TraitSpec, rows: int, cols: int) -> list[int]:
+    """Powers of two within the sys_intrlv range that satisfy interleave >= rows + cols."""
+    return _powers(2, max(rows + cols, spec.min_value), spec.max_value)
 
 
 def _is_comment_key(key: str) -> bool:
@@ -159,13 +163,7 @@ class TraitSpec:
         """All integers this trait may take, ascending."""
         lo, hi = self.min_value, self.max_value
         if self.func == "PowFunction":
-            p = self.pow_value
-            vals, v = [], 1
-            while v <= hi:
-                if v >= lo:
-                    vals.append(v)
-                v *= p
-            return vals
+            return _powers(self.pow_value, lo, hi)
         if self.mod_value:
             m = self.mod_value
             start = lo + (-lo) % m
@@ -198,7 +196,7 @@ class EvalTypeConfig:
     active: bool
     allow_overflow: bool = False
     minimize: bool = False
-    epochs: int | None = None          # simJob
+    epochs: int = 1                    # simJob
     batch_size: int | None = None      # simJob
     metric: str | None = None          # hwDBJob, defaults to effective_gops
 
@@ -239,7 +237,7 @@ class EvalTypeConfig:
             active=f("active", bool, True),
             allow_overflow=f("allowOverflow", bool, False),
             minimize=f("minimize", bool, False),
-            epochs=f("epochs", int, None),
+            epochs=f("epochs", int, 1),
             batch_size=f("batchSize", int, None),
             metric=f("metric", str, None),
         )
@@ -481,6 +479,10 @@ def _validate(cfg: EcadConfig) -> None:
                           f"the array traits {', '.join(SYS_ARRAY)}")
 
 
+def _not_json(literal: str) -> float:   # json.loads reads NaN, Infinity and -Infinity
+    raise ConfigError(f"config syntax error: {literal} is not a JSON value")
+
+
 def _document(source: str | Path | dict[str, Any], what: str = "config file",
               loading: tuple[Path, ...] = ()) -> dict[str, Any]:
     """The document at path `source`, or `source` itself when it is a dict,
@@ -496,7 +498,7 @@ def _document(source: str | Path | dict[str, Any], what: str = "config file",
         if key in loading:
             raise ConfigError(f"include cycle: {' -> '.join(map(str, (*loading, key)))}")
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=_not_json)
         except FileNotFoundError:
             raise ConfigError(f"{what} not found: {path}") from None
         except OSError as exc:

@@ -3,9 +3,10 @@
 The search (`_records`) stores and yields each genome's record. A generation
 scores the genomes created since the last one (the initial spawn, then the
 previous generation's children), ranks and evicts with `store.select`, and,
-until the generation cap or the goal, mutates the top slice into children
-(round-robin). One seeded generator drives all randomness, so trajectories
-are bit-reproducible.
+until `store.stop_reason`, mutates the top slice into children (round-robin).
+One seeded generator drives all randomness and every training takes the run
+seed, so trajectories are bit-reproducible and a simJob result depends only
+on the layer stack, epochs and batch size.
 
 `report` folds records generation by generation through `store.replay`.
 `run` folds the search's records as they come, and the same fold over
@@ -25,7 +26,7 @@ from .config import CellInstance, EcadConfig
 from .dispatch import Dispatcher, EvalJob
 from .fitness import ScoreCard
 from .genome import mutate, spawn, to_description
-from .store import DbRecord, EcadDb, replay, select
+from .store import DbRecord, EcadDb, replay, select, stop_reason
 
 
 def _genome_summary(member: DbRecord, cells: tuple[CellInstance, ...]) -> dict[str, Any]:
@@ -57,7 +58,7 @@ def _records(cfg: EcadConfig, dispatcher: Dispatcher, store: EcadDb,
     survivors: list[DbRecord] = []
     fresh = [spawn(cfg, rng, next(ids)) for _ in range(cfg.pop.initial_pop_size)]
 
-    for generation in range(1, cfg.pop.max_generations + 1):
+    for generation in itertools.count(1):
         # 1. score the genomes created since the last generation; the dispatcher
         #    returns one result, ok or failed, per job, so every card completes
         cards = {g.id: ScoreCard() for g in fresh}
@@ -65,11 +66,8 @@ def _records(cfg: EcadConfig, dispatcher: Dispatcher, store: EcadDb,
         for genome in fresh:
             desc = to_description(genome, cfg.cell_array)
             for et in active:
-                params: dict[str, Any] = {}
-                if et.type == "simJob":
-                    params = {"epochs": et.epochs or 1,
-                              "batchSize": et.batch_size or desc.batch,
-                              "seed": seed * 1_000_003 + genome.id}
+                params = ({"epochs": et.epochs, "batchSize": et.batch_size or desc.batch, "seed": seed}
+                          if et.type == "simJob" else {})
                 jobs.append(EvalJob(genome_id=genome.id, eval_type=et.type,
                                     network=desc, params=params))
         for result in dispatcher.dispatch_all(jobs):
@@ -81,7 +79,7 @@ def _records(cfg: EcadConfig, dispatcher: Dispatcher, store: EcadDb,
 
         # 2. rank and evict, then stop or mutate the top slice into children, round-robin
         ranked, survivors = select(cfg.pop, survivors, scored)
-        if ranked[0].combined >= cfg.pop.fitness_score_goal or generation == cfg.pop.max_generations:
+        if stop_reason(cfg.pop, generation, ranked) is not None:
             return
         parents = [m.genome for m in ranked[:n_children]]
         fresh = [mutate(parents[i % len(parents)], cfg, rng, next(ids)) for i in range(n_children)]
@@ -90,12 +88,14 @@ def _records(cfg: EcadConfig, dispatcher: Dispatcher, store: EcadDb,
 def report(cfg: EcadConfig, seed: int, records: Iterable[DbRecord]) -> dict[str, Any]:
     """The report of the search that wrote ``records``: per whole generation,
     the population size, best and mean combined score and the best genome.
-    The stop reason is the goal reached, else maxGenerations run, else null,
-    as for a crashed search or an empty stream (such as the scan of a
-    database that holds only its header), which folds to a null best."""
+    The stop reason is the last whole generation's `stop_reason`, null for a
+    crashed search or an empty stream (such as the scan of a database that
+    holds only its header), which folds to a null best."""
     history: list[dict[str, Any]] = []
     best: dict[str, Any] | None = None
+    reason: str | None = None
     for generation, ranked in replay(cfg.pop, records):
+        reason = stop_reason(cfg.pop, generation, ranked)
         if best is None or best["id"] != ranked[0].genome.id:
             best = _genome_summary(ranked[0], cfg.cell_array)   # once per distinct best
         history.append({
@@ -105,15 +105,11 @@ def report(cfg: EcadConfig, seed: int, records: Iterable[DbRecord]) -> dict[str,
             "mean": math.fsum(m.combined for m in ranked) / len(ranked),
             "best_genome": best,
         })
-    stop_reason = (
-        "fitness goal reached" if history and history[-1]["best"] >= cfg.pop.fitness_score_goal
-        else "max generations reached" if len(history) == cfg.pop.max_generations
-        else None)
     return {
         "config_name": cfg.name,
         "seed": seed,
         "generations_run": len(history),
-        "stop_reason": stop_reason,
+        "stop_reason": reason,
         "best": best,
         "history": history,
     }

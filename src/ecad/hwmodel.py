@@ -1,7 +1,8 @@
 """Analytical performance and resource model for the 2D systolic array.
 
 Maps a network description onto an array configuration without touching
-hardware. Two parts:
+hardware. Neither part reads a layer's ``bias``, so the ``enableBias`` trait
+is hardware-neutral. Two parts:
   - the resource screen (`resource_estimate`) reads only the array shape and
     the device budget and says whether the design fits. The hwDBJob worker
     runs it first: a design that does not fit fails its job with only the
@@ -83,7 +84,7 @@ def resource_estimate(cfg: SystolicConfig, hw: HwConfig) -> tuple[float, float, 
 
     DSP cost scales with the lane count (rows * cols * vec); memory cost with
     the double-buffered block caches along both grid edges, plus a constant
-    covering the drain and bias buffers.
+    covering the drain and bias buffers, with or without a layer bias.
     """
     dsp_est = cfg.rows * cfg.cols * cfg.vec + C_DSP
     cb = cfg.vec * cfg.scale

@@ -108,11 +108,7 @@ def forward(m: Mlp, batch: np.ndarray) -> np.ndarray:
     x = np.asarray(batch)
     if x.ndim != 2 or x.shape[1] != m.layers[0].weights.shape[0]:
         raise ValueError(f"batch width {x.shape} does not match input size {m.layers[0].weights.shape[0]}")
-    for params, act in zip(m.layers, m.activations):
-        x = x @ params.weights + params.bias
-        if act == "relu":
-            x = np.maximum(x, 0)
-    return x
+    return _trace(m, x)[-1]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -121,21 +117,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _trace(m: Mlp, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    pre: list[np.ndarray] = []
-    post: list[np.ndarray] = [x]
+def _trace(m: Mlp, x: np.ndarray) -> list[np.ndarray]:
+    post = [x]
     for params, act in zip(m.layers, m.activations):
         z = post[-1] @ params.weights + params.bias
-        pre.append(z)
         post.append(np.maximum(z, 0) if act == "relu" else z)
-    return pre, post
+    return post
 
 
-def _backprop(m: Mlp, pre: list[np.ndarray], post: list[np.ndarray],
-              labels: np.ndarray, grads: list[LayerParams], biased: list[bool]) -> None:
+def _backprop(m: Mlp, post: list[np.ndarray], labels: np.ndarray,
+              grads: list[LayerParams], biased: list[bool]) -> None:
     """Write the gradients of mean softmax cross-entropy of the class
     ``labels`` into ``grads``. At the logits that is (softmax - one-hot) / n,
-    formed by subtracting 1 at each row's label. Layers not ``biased`` keep a 0 bias gradient."""
+    formed by subtracting 1 at each row's label. Layers not ``biased`` keep a
+    0 bias gradient; a ReLU passes gradient where its output, so its input, is > 0."""
     n = post[0].shape[0]
     delta = softmax(post[-1])
     delta[np.arange(n), labels] -= 1
@@ -147,7 +142,7 @@ def _backprop(m: Mlp, pre: list[np.ndarray], post: list[np.ndarray],
         if i > 0:
             delta = delta @ m.layers[i].weights.T
             if m.activations[i - 1] == "relu":
-                delta *= pre[i - 1] > 0
+                delta *= post[i] > 0
 
 
 def accuracy(m: Mlp, x: np.ndarray, y: np.ndarray) -> float:
@@ -201,10 +196,10 @@ def _fit(m: Mlp, flat: np.ndarray, biased: list[bool], data: Dataset, epochs: in
         for lo in range(0, n, batch_size):
             idx = order[lo:lo + batch_size]
             xb, yb = to_float(data.train_x[idx]), data.train_y[idx]
-            pre, post = _trace(m, xb)
+            post = _trace(m, xb)
             if not np.isfinite(post[-1]).all():
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, offset {lo}")
-            _backprop(m, pre, post, yb, grads, biased)
+            _backprop(m, post, yb, grads, biased)
             opt.step(flat, grad_flat)
 
 
@@ -242,9 +237,7 @@ def _read_bin(path: Path) -> tuple[tuple[int, ...], np.ndarray]:
     if len(raw) < 16:
         raise ValueError(f"{path}: missing 16-byte dimension header")
     dims = struct.unpack("<4i", raw[:16])
-    count = 1
-    for d in dims:
-        count *= d
+    count = math.prod(dims)
     data = np.frombuffer(raw[16:], dtype="<f4")
     if data.shape[0] != count:
         raise ValueError(f"{path}: header says {count} values, file holds {data.shape[0]}")

@@ -24,11 +24,12 @@ naming line 1; a torn header means no records yet. A missing key, an `id`,
 whose length is not the header's cell count makes a record corrupt. Other
 keys are ignored.
 
-The records are the whole run: `select`, one generation's step, runs in the
-search and again in `replay` over its records, which holds only the survivors
-and one generation's records, so a fold over `scan()` reads a whole database
-in constant memory. Only a crashed search's last generation is shorter than
-the search writes, so `replay` ends at the last whole generation before it.
+The records are the whole run: `select`, one generation's step, and
+`stop_reason` run in the search and again over its records (`replay`,
+`engine.report`). `replay` holds only the survivors and one generation's
+records, so a fold over `scan()` reads a whole database in constant memory.
+Only a crashed search's last generation is shorter than the search writes,
+so `replay` ends at the last whole generation before it.
 """
 
 from __future__ import annotations
@@ -87,6 +88,12 @@ def select(pop: PopConfig, survivors: list[DbRecord],
     maxPopSize - children of it, which survive and leave room for the children)."""
     ranked = sorted([*survivors, *scored], key=rank_key)
     return ranked, ranked[:pop.max_pop_size - pop.children]
+
+
+def stop_reason(pop: PopConfig, generation: int, ranked: list[DbRecord]) -> str | None:
+    """Why the search ends after ``generation``, whose population is ``ranked``, or None."""
+    return ("fitness goal reached" if ranked[0].combined >= pop.fitness_score_goal
+            else "max generations reached" if generation == pop.max_generations else None)
 
 
 def replay(pop: PopConfig, records: Iterable[DbRecord]) -> Iterator[tuple[int, list[DbRecord]]]:

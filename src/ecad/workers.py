@@ -47,9 +47,9 @@ def make_hwdb_worker(hw: HwConfig) -> Worker:
 def make_sim_worker(data: Dataset) -> Worker:
     """Trainer worker: trains the described network and reports test accuracy.
 
-    The job's params give the epochs, the training batch size and the seed;
-    the engine sets all three, so a result depends only on the job. A diverged
-    training raises TrainingDiverged, which fails the job in `Dispatcher._run`.
+    The job's params give the epochs, the batch size and the seed, which is the
+    run seed: a result depends on the layer stack, epochs and batch size alone.
+    A diverged training raises TrainingDiverged; `Dispatcher._run` fails the job.
     """
 
     def worker(job: EvalJob) -> EvalResult:

@@ -204,9 +204,9 @@ def init_mlp(desc: NetworkDescription, seed: int, dtype=np.float32) -> nnsim.Mlp
 def grad(m: nnsim.Mlp, batch: np.ndarray, labels: np.ndarray) -> list[nnsim.LayerParams]:
     """The trainer's gradients of mean softmax cross-entropy of the class
     ``labels`` for one batch, as `nnsim._backprop` writes them."""
-    pre, post = nnsim._trace(m, np.asarray(batch))
+    post = nnsim._trace(m, np.asarray(batch))
     _, grads = nnsim._flat_layers([p.weights.shape for p in m.layers], post[-1].dtype)
-    nnsim._backprop(m, pre, post, labels, grads, [True] * len(m.layers))
+    nnsim._backprop(m, post, labels, grads, [True] * len(m.layers))
     return grads
 
 

@@ -459,6 +459,15 @@ def _includes_directory(directory):
     return doc
 
 
+def _hw_only_nan_weight(directory):
+    # json.dumps writes the weight as the literal NaN, which JSON does not have
+    doc = listing_doc()
+    for et in doc["popConfigValues"]["evalTypes"]:
+        et["active"] = et["type"] == "hwDBJob"
+    next(et for et in doc["popConfigValues"]["evalTypes"] if et["active"])["weight"] = math.nan
+    return doc
+
+
 @pytest.mark.parametrize("make,message", [
     (None, "config file not found: {dir}/main.ecad.cfg"),
     (_self_include, "include cycle: {dir}/main.ecad.cfg -> {dir}/main.ecad.cfg"),
@@ -466,8 +475,9 @@ def _includes_directory(directory):
     (_includes_string, 'config: includes must be a JSON array, got "GlobalSettings.ecad.cfg"'),
     (_includes_int, "config: includes[0] must be a JSON string, got 5"),
     (_includes_directory, "cannot read include file {dir}: Is a directory"),
+    (_hw_only_nan_weight, "config syntax error: NaN is not a JSON value"),
 ], ids=["missing-file", "self-include", "include-cycle", "includes-string", "includes-int",
-        "includes-directory"])
+        "includes-directory", "nan-weight"])
 def test_search_rejects_unloadable_config(tmp_path, capsys, make, message):
     directory = tmp_path.resolve()
     config = directory / "main.ecad.cfg"

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 from dataclasses import replace
@@ -286,6 +287,26 @@ class TestValidation:
         (tmp_path / "broken.cfg").write_text("{\n  broken json\n}")
         with pytest.raises(ConfigError, match="line 2, column 3"):
             parse_config(tmp_path / "broken.cfg")
+
+    @pytest.mark.parametrize("literal,edit", [
+        ("NaN", lambda d: d["popConfigValues"]["evalTypes"][0].update(weight=math.nan)),
+        ("NaN", lambda d: d["hwConfig"].update(freq=math.nan)),
+        ("NaN", lambda d: d["hwConfig"].update(sram=math.nan)),
+        ("Infinity", lambda d: d["cellTypes"][1]["neurons"].update(maxValue=math.inf)),
+        ("-Infinity", lambda d: d.update(unread=-math.inf)),
+    ], ids=["weight", "freq", "sram", "maxValue", "unread-key"])
+    @pytest.mark.parametrize("where", ["main", "include"])
+    def test_non_json_number_refused(self, tmp_path, literal, edit, where):
+        # json.dumps writes these literals and json.loads reads them, but JSON has none
+        doc = minimal_doc()
+        edit(doc)
+        main = tmp_path / "main.cfg"
+        if where == "include":
+            (tmp_path / "base.cfg").write_text(json.dumps(doc))
+            doc = {"includes": ["base.cfg"]}
+        main.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^config syntax error: {literal} is not a JSON value$"):
+            parse_config(main)
 
     def test_pop_invariants(self):
         doc = minimal_doc()

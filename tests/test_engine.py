@@ -4,9 +4,14 @@ from dataclasses import replace
 import pytest
 
 from ecad import engine
+from ecad.config import parse_config
+from ecad.dataset import synthetic_mnist
 from ecad.dispatch import Dispatcher, EvalJob, EvalResult
 from ecad.genome import to_description
 from ecad.store import EcadDb, replay
+from ecad.workers import make_hwdb_worker, make_sim_worker
+
+from helpers import listing_doc
 
 GENERATIONS = 12
 MAX_GOPS = 2048.0
@@ -160,3 +165,26 @@ def test_header_only_database_folds_to_an_empty_report(small_cfg, tmp_path):
         "config_name": small_cfg.name, "seed": 3, "generations_run": 0,
         "stop_reason": None, "best": None, "history": [],
     }
+
+
+def test_equal_stacks_train_to_equal_metrics(tmp_path):
+    # every training of a run takes the run seed, so a simJob result is a function
+    # of the layer stack, epochs and batch size: 20 spawns over the 8 (width, bias)
+    # stacks of dense neurons 2..8 must repeat a stack, and each stack scores once
+    doc = listing_doc()
+    next(ct for ct in doc["cellTypes"] if ct["cell_type"] == "dense")["neurons"] = {
+        "minValue": 2, "maxValue": 8, "modValue": 2}
+    doc["popConfigValues"]["maxGenerations"] = 1
+    cfg = parse_config(doc)
+    data = synthetic_mnist(seed=0, n_train=300, n_test=200)
+    dispatcher = Dispatcher({"hwDBJob": make_hwdb_worker(cfg.hw), "simJob": make_sim_worker(data)})
+    path = tmp_path / "ecad.db.jsonl"
+    with EcadDb.create(path, cfg.cell_array) as store:
+        engine.run(cfg, dispatcher, store, seed=0)
+    metrics: dict[tuple, list[dict[str, float]]] = {}
+    for rec in EcadDb(path).scan():
+        sim = rec.card.metrics["simJob"]
+        key = (to_description(rec.genome, cfg.cell_array).layers, sim["epochs"], sim["batch_size"])
+        metrics.setdefault(key, []).append(sim)
+    assert sum(map(len, metrics.values())) == cfg.pop.initial_pop_size > len(metrics)
+    assert all(sims == [sims[0]] * len(sims) for sims in metrics.values())
